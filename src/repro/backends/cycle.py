@@ -3,9 +3,9 @@
 ``cycle`` is the default backend -- a thin wrapper over
 :class:`repro.sim.gpu.GPU`, bit-identical to calling it directly.
 
-``functional_ref`` runs the *same* cycle-level engine but swaps the
-vectorised functional layer for the per-lane scalar reference
-interpreter (:mod:`repro.sim.functional_ref`).  Timing, scheduling and
+``functional_ref`` runs the *same* cycle-level engine but binds the
+per-lane scalar reference interpreter (:mod:`repro.sim.functional_ref`)
+in place of the vectorised functional layer.  Timing, scheduling and
 activity accounting are untouched, so its results must equal the
 ``cycle`` backend's bit for bit; any divergence is a vectorization bug.
 It exists as a cross-check (and is what the ``backends`` validation
@@ -20,6 +20,8 @@ import numpy as np
 
 from ..isa.launch import KernelLaunch
 from ..sim.config import GPUConfig
+from ..sim.functional import VECTORIZED, FunctionalBinding
+from ..sim.functional_ref import REFERENCE
 from ..sim.gpu import GPU, SimulationOutput
 from .base import BackendCapabilities, BackendInfo, SimulationBackend
 
@@ -40,6 +42,8 @@ class CycleBackend(SimulationBackend):
                                          supports_sanitize=True),
         auto=True,
         description="cycle-accurate event-driven simulation (exact)")
+    #: Value-level layer handed to the GPU (per run, never global).
+    functional: FunctionalBinding = VECTORIZED
 
     @property
     def version(self) -> str:
@@ -57,12 +61,12 @@ class CycleBackend(SimulationBackend):
             from ..sim.sanitizer import Sanitizer
             words = launch.gmem_words if gmem is None else len(gmem)
             sanitizer = Sanitizer(launch, gmem_words=words)
-        return GPU(config).run(launch, max_cycles=max_cycles,
-                               gmem=gmem, tracer=tracer,
-                               sanitizer=sanitizer)
+        return GPU(config, self.functional).run(
+            launch, max_cycles=max_cycles, gmem=gmem, tracer=tracer,
+            sanitizer=sanitizer)
 
 
-class FunctionalRefBackend(SimulationBackend):
+class FunctionalRefBackend(CycleBackend):
     """Cycle engine driven by the scalar per-lane reference interpreter."""
 
     name = "functional_ref"
@@ -73,33 +77,4 @@ class FunctionalRefBackend(SimulationBackend):
                                          supports_sanitize=True),
         auto=False,
         description="scalar reference interpreter (exact cross-check)")
-
-    @property
-    def version(self) -> str:
-        return _sim_version()
-
-    def simulate(self, config: GPUConfig, launch: KernelLaunch, *,
-                 max_cycles: float = 5e8,
-                 gmem: Optional[np.ndarray] = None,
-                 tracer=None, sanitize: bool = False) -> SimulationOutput:
-        self.check_tracer(tracer)
-        self.check_sanitize(sanitize)
-        sanitizer = None
-        if sanitize:
-            from ..sim.sanitizer import Sanitizer
-            words = launch.gmem_words if gmem is None else len(gmem)
-            sanitizer = Sanitizer(launch, gmem_words=words)
-        from ..sim import core as sim_core
-        from ..sim.functional_ref import (branch_taken_mask_reference,
-                                          execute_alu_reference)
-        # The core binds the functional entry points at module level;
-        # swap them for the scalar oracle for the duration of the run.
-        saved = (sim_core.execute_alu, sim_core.branch_taken_mask)
-        sim_core.execute_alu = execute_alu_reference
-        sim_core.branch_taken_mask = branch_taken_mask_reference
-        try:
-            return GPU(config).run(launch, max_cycles=max_cycles,
-                                   gmem=gmem, tracer=tracer,
-                                   sanitizer=sanitizer)
-        finally:
-            sim_core.execute_alu, sim_core.branch_taken_mask = saved
+    functional = REFERENCE

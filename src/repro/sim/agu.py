@@ -9,8 +9,6 @@ activates one sub-AGU per 8 addresses.
 
 from __future__ import annotations
 
-import math
-
 from .config import GPUConfig
 
 
@@ -32,6 +30,6 @@ class AGU:
         if n_addresses <= 0:
             return 0
         self.instructions += 1
-        activations = math.ceil(n_addresses / self.width)
+        activations = -(-n_addresses // self.width)
         self.sub_agu_ops += activations
-        return math.ceil(activations / self.n_sub_agus)
+        return -(-activations // self.n_sub_agus)

@@ -8,7 +8,7 @@ cache, and the shared L2.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 
 class SetAssocCache:
@@ -60,7 +60,10 @@ class SetAssocCache:
         for write misses under a no-write-allocate policy, typical for
         GPU L1s, which are write-through to L2).
         """
-        ways, tag = self._locate(addr_bytes)
+        line = addr_bytes // self.line_bytes
+        n_sets = self.n_sets
+        ways = self._sets[line % n_sets]
+        tag = line // n_sets
         hit = tag in ways
         if is_write:
             self.writes += 1

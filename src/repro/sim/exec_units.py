@@ -8,13 +8,13 @@ pipelined integer units and two special function units."
 A warp instruction occupies its unit group for ``warp_size / lanes``
 issue slots (e.g. 32 threads over 8 lanes = 4 cycles) and completes after
 the pipeline latency.  Units are fully pipelined: a new warp may enter
-every ``occupancy`` cycles.
+every ``occupancy`` cycles, i.e. once ``free_at <= now``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from .config import GPUConfig
 
@@ -54,10 +54,6 @@ class ExecutionUnits:
             ),
         }
 
-    def can_accept(self, unit: str, now: float) -> bool:
-        """May a warp instruction enter unit group ``unit`` this cycle?"""
-        return self.groups[unit].free_at <= now
-
     def issue(self, unit: str, now: float, active_lanes: int) -> float:
         """Issue one warp instruction; returns its completion time.
 
@@ -71,10 +67,6 @@ class ExecutionUnits:
         group.warp_instructions += 1
         group.lane_ops += active_lanes
         return now + group.occupancy + group.latency
-
-    def next_free(self, now: float) -> float:
-        """Earliest time any unit group frees up (>= now + 1)."""
-        return max(now + 1.0, min(g.free_at for g in self.groups.values()))
 
     def lane_ops(self, unit: str) -> int:
         return self.groups[unit].lane_ops

@@ -9,7 +9,7 @@ arithmetic exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,7 +149,9 @@ class WarpContext:
 def execute_alu(inst: Instruction, ctx: WarpContext, mask: np.ndarray) -> None:
     """Execute an INT/FP/SFU/SETP/SELP instruction in the masked lanes."""
     op = inst.op
-    full = bool(mask.all())  # fully active warps skip fancy indexing
+    # Fully active warps skip fancy indexing (count_nonzero is the
+    # cheapest full-mask test on a 32-lane vector).
+    full = np.count_nonzero(mask) == mask.size
     if op.startswith("SETP.") or op.startswith("FSETP."):
         cmp = op.split(".", 1)[1]
         a = ctx.read(inst.srcs[0])
@@ -193,6 +195,24 @@ def branch_taken_mask(inst: Instruction, ctx: WarpContext,
     pred, sense = inst.guard
     pvals = ctx.preds[pred.index]
     return active & (pvals if sense else ~pvals)
+
+
+class FunctionalBinding(NamedTuple):
+    """The value-level entry points a GPU's cores execute with.
+
+    Handed to every :class:`~repro.sim.core.Core` at construction, so a
+    run's functional layer is fixed per GPU instance: concurrent runs
+    with different bindings (the ``functional_ref`` cross-check beside
+    ordinary ``cycle`` runs) cannot see each other's choice.
+    """
+
+    execute_alu: Callable[[Instruction, WarpContext, np.ndarray], None]
+    branch_taken_mask: Callable[[Instruction, WarpContext, np.ndarray],
+                                np.ndarray]
+
+
+#: The lane-vectorised numpy layer every ordinary run uses.
+VECTORIZED = FunctionalBinding(execute_alu, branch_taken_mask)
 
 
 def memory_addresses(inst: Instruction, ctx: WarpContext,

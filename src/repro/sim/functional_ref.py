@@ -8,10 +8,10 @@ rounding and truncation as the ufunc loops, so the two implementations
 must agree bit-for-bit; any vectorization bug (masking, aliasing,
 broadcast, reduction order) shows up as a mismatch.
 
-This path is deliberately slow and is only used by the determinism /
-equivalence tests -- for example by monkeypatching
-``repro.sim.core.execute_alu`` with :func:`execute_alu_reference` and
-re-running a whole kernel.
+This path is deliberately slow and is only used for cross-checking:
+:data:`REFERENCE` is the binding the ``functional_ref`` backend and the
+determinism tests hand to ``GPU(config, functional=REFERENCE)`` to
+re-run a whole kernel on the scalar oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from ..isa.instructions import Imm, Instruction, Pred, Reg, Sreg
-from .functional import WarpContext
+from .functional import FunctionalBinding, WarpContext
 
 _MASK32 = np.int64(0xFFFFFFFF)
 _SHIFT31 = np.int64(31)
@@ -154,3 +154,8 @@ def branch_taken_mask_reference(inst: Instruction, ctx: WarpContext,
     for lane in np.nonzero(active)[0]:
         taken[lane] = pvals[lane] if sense else not pvals[lane]
     return taken
+
+
+#: The scalar oracle as a core binding (see :class:`FunctionalBinding`).
+REFERENCE = FunctionalBinding(execute_alu_reference,
+                              branch_taken_mask_reference)

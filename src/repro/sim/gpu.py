@@ -23,6 +23,7 @@ from ..isa.launch import KernelLaunch
 from .activity import ActivityReport
 from .config import GPUConfig
 from .core import Core, SimulationDeadlock
+from .functional import VECTORIZED, FunctionalBinding
 from .memsys import MemorySystem
 from .shard import ShardEngine, accumulate_core, accumulate_memsys
 
@@ -84,13 +85,20 @@ class SimulationOutput:
 
 
 class GPU:
-    """A configured GPU able to run kernel launches."""
+    """A configured GPU able to run kernel launches.
 
-    def __init__(self, config: GPUConfig) -> None:
+    ``functional`` is the value-level layer every core executes with;
+    :data:`repro.sim.functional_ref.REFERENCE` runs the scalar oracle
+    instead of the vectorised default.
+    """
+
+    def __init__(self, config: GPUConfig,
+                 functional: FunctionalBinding = VECTORIZED) -> None:
         self.config = config
         self.memsys = MemorySystem(config)
         self.cores: List[Core] = [
-            Core(i, config, self.memsys) for i in range(config.n_cores)
+            Core(i, config, self.memsys, functional)
+            for i in range(config.n_cores)
         ]
         # Breadth-first-over-clusters dispatch order (Fig. 4 policy):
         # core 0 of every cluster, then core 1 of every cluster, ...

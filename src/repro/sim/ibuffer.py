@@ -35,16 +35,18 @@ class InstructionBuffer:
 
     def fill(self, warp_id: int) -> None:
         """Decode placed an instruction into a slot."""
-        if not self.can_fetch(warp_id):
+        occupancy = self.occupancy[warp_id]
+        if occupancy >= self.slots_per_warp:
             raise RuntimeError(f"instruction buffer overflow for warp {warp_id}")
-        self.occupancy[warp_id] += 1
+        self.occupancy[warp_id] = occupancy + 1
         self.writes += 1
 
     def issue(self, warp_id: int) -> None:
         """Issue consumed the warp's oldest buffered instruction."""
-        if self.occupancy[warp_id] <= 0:
+        occupancy = self.occupancy[warp_id]
+        if occupancy <= 0:
             raise RuntimeError(f"issue from empty buffer for warp {warp_id}")
-        self.occupancy[warp_id] -= 1
+        self.occupancy[warp_id] = occupancy - 1
         self.searches += 1
 
     def flush(self, warp_id: int) -> None:

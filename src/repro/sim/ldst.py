@@ -53,6 +53,7 @@ class LoadStoreUnit:
                                            config.tex_cache_line,
                                            config.tex_cache_assoc,
                                            name="texL1")
+        #: A new memory instruction may enter once ``busy_until <= now``.
         self.busy_until = 0.0
         self.instructions = 0
         self.const_requests = 0
@@ -60,10 +61,6 @@ class LoadStoreUnit:
         self.tex_requests = 0
         self.tex_accesses = 0
         self.tex_misses = 0
-
-    def can_accept(self, now: float) -> bool:
-        """May a new memory instruction enter the LDSTU this cycle?"""
-        return self.busy_until <= now
 
     def execute(self, inst: Instruction, ctx: WarpContext,
                 mask: np.ndarray, smem: np.ndarray, now: float) -> float:
@@ -160,12 +157,12 @@ class LoadStoreUnit:
         # Paper: "the addresses are checked for equality.  The number of
         # generated constant cache accesses is equal to the number of
         # different addresses in the address bundle."
-        distinct = np.unique(addrs)
+        distinct = sorted(set(addrs.tolist()))
         self.const_requests += len(distinct)
         completion = now + self.config.l1_latency_shader_cycles
         occupancy = max(1, len(distinct))
         for addr in distinct:
-            base = int(addr) * 4
+            base = addr * 4
             if not self.const_cache.lookup(base, is_write=False):
                 self.const_misses += 1
                 completion = max(
@@ -195,12 +192,13 @@ class LoadStoreUnit:
                 "texture fetch on a configuration without a texture "
                 "cache (set tex_cache_size > 0)"
             )
-        lines = np.unique((addrs * 4) // self.config.tex_cache_line)
+        line_bytes = self.config.tex_cache_line
+        lines = sorted({a * 4 // line_bytes for a in addrs.tolist()})
         self.tex_requests += len(addrs)
         self.tex_accesses += len(lines)
         completion = now + self.config.l1_latency_shader_cycles
         for line in lines:
-            base = int(line) * self.config.tex_cache_line
+            base = line * line_bytes
             if not self.tex_cache.lookup(base, is_write=False):
                 self.tex_misses += 1
                 completion = max(

@@ -29,6 +29,10 @@ class RegisterFile:
         self.config = config
         self.n_banks = config.regfile_banks
         self.n_collectors = config.operand_collectors
+        #: Bank port activations per warp operand, by active lane count.
+        self._banks_for_lanes = tuple(
+            max(1, math.ceil(lanes / self.LANES_PER_BANK_ACCESS))
+            for lanes in range(config.warp_size + 1))
         # Activity counters.
         self.operand_reads = 0       # warp-wide operand reads
         self.operand_writes = 0      # warp-wide writebacks
@@ -36,10 +40,6 @@ class RegisterFile:
         self.collector_writes = 0    # words parked in collector entries
         self.collector_reads = 0     # collector dispatches
         self.xbar_transfers = 0      # crossbar word groups moved
-
-    def _banks_touched(self, active_lanes: int) -> int:
-        """Bank port activations to move one warp operand."""
-        return max(1, math.ceil(active_lanes / self.LANES_PER_BANK_ACCESS))
 
     def read_operands(self, n_operands: int, active_lanes: int) -> int:
         """Collect ``n_operands`` source operands for a warp instruction.
@@ -52,7 +52,7 @@ class RegisterFile:
         """
         if n_operands <= 0:
             return 0
-        per_operand = self._banks_touched(active_lanes)
+        per_operand = self._banks_for_lanes[active_lanes]
         self.operand_reads += n_operands
         self.bank_accesses += n_operands * per_operand
         self.collector_writes += n_operands
@@ -62,7 +62,7 @@ class RegisterFile:
 
     def write_result(self, active_lanes: int) -> None:
         """Write back one warp-wide result."""
-        per_operand = self._banks_touched(active_lanes)
+        per_operand = self._banks_for_lanes[active_lanes]
         self.operand_writes += 1
         self.bank_accesses += per_operand
         self.xbar_transfers += per_operand

@@ -13,7 +13,7 @@ and the activity counting for the power model's CAM structure.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .warp import Warp
 
@@ -27,18 +27,31 @@ class Scoreboard:
         self.searches = 0
         self.writes = 0
 
-    def has_hazard(self, warp: Warp, reads, write: Optional[int]) -> bool:
-        """RAW/WAW test of an instruction against pending writes.
+    def blocks(self, warp: Warp, reads: Sequence[int],
+               write: Optional[int], search: bool = True) -> bool:
+        """Does the scoreboard hold back ``warp``'s next instruction?
 
-        Without a scoreboard this is never called (the warp blocks on any
-        outstanding instruction instead).
+        It does when the warp has no free destination slot.  Otherwise,
+        if ``search`` (every non-control instruction), one tagged search
+        -- counted for the power model -- tests the instruction's
+        registers for RAW/WAW hazards against the pending writes.
+        Without a scoreboard this is never called (the warp blocks on
+        any outstanding instruction instead).
         """
+        pending = warp.pending_writes
+        if len(pending) >= self.dst_per_warp:
+            return True
+        if not search:
+            return False
         self.searches += 1
-        return warp.has_hazard(reads, write)
-
-    def can_reserve(self, warp: Warp) -> bool:
-        """Is there a free destination slot for this warp?"""
-        return len(warp.pending_writes) < self.dst_per_warp
+        if not pending:
+            return False
+        if write is not None and write in pending:
+            return True
+        for reg in reads:
+            if reg in pending:
+                return True
+        return False
 
     def reserve(self, warp: Warp, reg: Optional[int]) -> None:
         """Record an in-flight destination register."""

@@ -296,32 +296,42 @@ class ShardEngine:
         Returns whether live events remain past the horizon.
         """
         heap = self._heap
+        earliest = self._earliest
+        cores_by_id = self.cores_by_id
+        queue = self.queue
+        tracer = self.tracer
+        recorder = self.recorder
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         bound = math.inf if horizon is None else horizon
         while heap and heap[0][0] <= bound:
-            now, cid = heapq.heappop(heap)
-            if self._earliest.get(cid) != now:
+            now, cid = heappop(heap)
+            if earliest.get(cid) != now:
                 continue  # superseded by an earlier barrier wake
-            self._earliest[cid] = None
             if now > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles:.0f} cycles "
                     f"(kernel {kernel_name!r})"
                 )
-            if self.tracer is not None and now > self.tracer.next_boundary:
-                self.tracer.cut(now)
-            if self.recorder is not None and now > self.recorder.next_boundary:
-                self.recorder.cut(now)
-            core = self.cores_by_id[cid]
+            if tracer is not None and now > tracer.next_boundary:
+                tracer.cut(now)
+            if recorder is not None and now > recorder.next_boundary:
+                recorder.cut(now)
+            core = cores_by_id[cid]
             wake = core.step(now)
-            self.final_time = max(self.final_time, now)
+            if now > self.final_time:
+                self.final_time = now
             # Feed newly freed slots.
-            while self.next_block < len(self.queue) and core.free_slots > 0 \
+            while self.next_block < len(queue) and core.free_slots > 0 \
                     and core.ever_used:
-                self._assign(core, self.queue[self.next_block])
+                self._assign(core, queue[self.next_block])
                 self.next_block += 1
                 wake = now + 1.0 if wake is None else min(wake, now + 1.0)
+            # The popped entry was this core's only live one, so the
+            # next wake is pushed unconditionally (what _push does).
+            earliest[cid] = wake
             if wake is not None:
-                self._push(wake, cid)
+                heappush(heap, (wake, cid))
         if horizon is None:
             self.clock = self.final_time
         else:

@@ -10,6 +10,8 @@ reading the *same* address in a bank are served by a broadcast.
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from .config import GPUConfig
@@ -41,10 +43,15 @@ class SharedMemory:
         self.instructions += 1
         self.conflict_checks += 1
         # Distinct addresses only: lanes hitting the same word share a
-        # broadcast and cost one bank access together.
-        distinct = np.unique(word_addresses)
-        banks, counts = np.unique(distinct % self.n_banks, return_counts=True)
-        phases = int(counts.max())
+        # broadcast and cost one bank access together.  Python sets beat
+        # np.unique on 32-lane vectors.
+        distinct = set(word_addresses.tolist())
+        n_banks = self.n_banks
+        per_bank: Dict[int, int] = {}
+        for addr in distinct:
+            bank = addr % n_banks
+            per_bank[bank] = per_bank.get(bank, 0) + 1
+        phases = max(per_bank.values())
         self.bank_accesses += len(distinct)
         self.conflict_phases += phases - 1
         self.xbar_transfers += len(word_addresses)

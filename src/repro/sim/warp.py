@@ -15,10 +15,9 @@ class Warp:
     """One in-flight warp on a core.
 
     Scheduling status is a small set of flags the Warp Status Table
-    tracks (Fig. 2: Valid? / Rdy? / Barrier columns): a warp is *issuable*
-    when it is valid (has live lanes), not waiting at a barrier, not
-    blocked on dependences, and its next instruction is present in the
-    instruction buffer.
+    tracks (Fig. 2: Valid? / Rdy? / Barrier columns): ``done``,
+    ``at_barrier`` and ``blocked_until``.  Which warps may issue is the
+    core's decision (:class:`~repro.sim.core.Core` keeps the ready set).
     """
 
     __slots__ = (
@@ -52,33 +51,6 @@ class Warp:
     @property
     def active_mask(self) -> np.ndarray:
         return self.stack.current()[1]
-
-    def issuable(self, now: float, has_scoreboard: bool,
-                 scoreboard_limit: int) -> bool:
-        """Can the issue scheduler pick this warp right now?
-
-        With a scoreboard (Fermi style) the warp may issue as long as its
-        next instruction has no hazard against the (bounded) set of
-        pending destination registers -- the hazard test itself happens
-        at issue.  Without one (GT200 barrel style) the warp blocks until
-        the previous instruction completed (``blocked_until``).
-        """
-        if self.done or self.at_barrier:
-            return False
-        if now < self.blocked_until:
-            return False
-        if has_scoreboard and len(self.pending_writes) >= scoreboard_limit:
-            return False
-        return True
-
-    def has_hazard(self, reads, write: Optional[int]) -> bool:
-        """RAW/WAW test against pending destination registers."""
-        if not self.pending_writes:
-            return False
-        pending = self.pending_writes
-        if write is not None and write in pending:
-            return True
-        return any(r in pending for r in reads)
 
     def reserve(self, reg: Optional[int]) -> None:
         """Mark ``reg`` as having an in-flight write."""

@@ -39,6 +39,24 @@ def launches():
     return all_kernel_launches()
 
 
+def build_tiny_core(n_warps=1, **overrides):
+    """A GT240-based core holding one block of ``n_warps`` warps that
+    each run ``IADD r0, r1, 1; EXIT`` (config fields overridable)."""
+    from repro.sim.core import Core
+    from repro.sim.memsys import MemorySystem
+    config = gt240().scaled(**overrides)
+    core = Core(0, config, MemorySystem(config))
+    kb = KernelBuilder("tiny")
+    r = kb.regs(2)
+    kb.iadd(r[0], r[1], 1)
+    kb.exit()
+    kernel = kb.build()
+    launch = KernelLaunch(kernel, Dim3(1), Dim3(32 * n_warps), gmem_words=4)
+    core.prepare(kernel, launch, np.zeros(4), None)
+    core.assign_block(0)
+    return core
+
+
 def build_vecadd_launch(n=256, block=64, grid=None):
     """A tiny vector-add launch for fast integration tests."""
     kb = KernelBuilder("tiny_vecadd")

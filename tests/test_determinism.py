@@ -13,15 +13,17 @@ Three invariants the runner's correctness rests on:
   memory image.
 """
 
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.runner import ResultCache, SimJob, run_jobs, set_fault_plan
-from repro.sim import GPU, gt240
+from repro.sim import GPU, functional_ref, gt240
 from repro.sim.activity import ActivityReport
-from repro.sim.functional_ref import execute_alu_reference
+from repro.sim.functional_ref import REFERENCE
 
 #: Small-but-diverse suite: trivial FP, reduction loop, divergent graph.
 SUITE = ["vectorAdd", "scalarProd", "bfs2"]
@@ -123,23 +125,59 @@ class TestRetryPathEquivalence:
 
 class TestVectorizedVsScalarReference:
     @pytest.mark.parametrize("kernel", ["vectorAdd", "scalarProd", "bfs2"])
-    def test_bit_identical_to_scalar_interpreter(self, kernel, launches,
-                                                 monkeypatch):
+    def test_bit_identical_to_scalar_interpreter(self, kernel, launches):
         launch = launches[kernel]
         fast = GPU(gt240()).run(launch)
-        monkeypatch.setattr("repro.sim.core.execute_alu",
-                            execute_alu_reference)
-        slow = GPU(gt240()).run(launch)
+        slow = GPU(gt240(), functional=REFERENCE).run(launch)
         assert slow.activity.as_dict() == fast.activity.as_dict()
         assert slow.cycles == fast.cycles
         np.testing.assert_array_equal(slow.gmem, fast.gmem)
 
-    def test_sfu_kernel_matches_scalar_reference(self, launches, monkeypatch):
+    def test_sfu_kernel_matches_scalar_reference(self, launches):
         """BlackScholes exercises every SFU op (EXP2/LOG2/SQRT/RCP)."""
         launch = launches["BlackScholes"]
         fast = GPU(gt240()).run(launch)
-        monkeypatch.setattr("repro.sim.core.execute_alu",
-                            execute_alu_reference)
-        slow = GPU(gt240()).run(launch)
+        slow = GPU(gt240(), functional=REFERENCE).run(launch)
         assert slow.activity.as_dict() == fast.activity.as_dict()
         np.testing.assert_array_equal(slow.gmem, fast.gmem)
+
+    def test_overlapping_reference_runs_leave_cycle_vectorised(
+            self, launches, monkeypatch):
+        """The functional layer is bound per GPU, so ``functional_ref``
+        runs on threads can neither leak the scalar interpreter into a
+        concurrent ``cycle`` run nor leave it installed afterwards."""
+        callers = set()
+        read_lane = functional_ref._read_lane
+
+        def spy(*args):
+            callers.add(threading.current_thread().name)
+            return read_lane(*args)
+
+        # Only the scalar interpreter reads operands lane by lane.
+        monkeypatch.setattr(functional_ref, "_read_lane", spy)
+        start = threading.Barrier(3, timeout=60)
+        outputs = {}
+
+        def run(backend, kernel):
+            start.wait()
+            outputs[threading.current_thread().name] = get_backend(
+                backend).simulate(gt240(), launches[kernel])
+
+        threads = [threading.Thread(target=run, args=args, name=name)
+                   for name, args in (("ref-a", ("functional_ref",
+                                                 "vectorAdd")),
+                                      ("ref-b", ("functional_ref", "bfs2")),
+                                      ("cycle", ("cycle", "vectorAdd")))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+            assert not t.is_alive(), t.name
+        assert sorted(outputs) == ["cycle", "ref-a", "ref-b"]
+        assert callers == {"ref-a", "ref-b"}
+        callers.clear()
+        after = get_backend("cycle").simulate(gt240(), launches["bfs2"])
+        assert not callers, "scalar interpreter left installed"
+        assert outputs["cycle"].activity.as_dict() == \
+            outputs["ref-a"].activity.as_dict()
+        assert after.activity.as_dict() == outputs["ref-b"].activity.as_dict()

@@ -6,12 +6,14 @@ import pytest
 
 from repro.isa import KernelBuilder
 from repro.sim.config import gt240, gtx580
+from repro.sim.core import SimulationDeadlock
 from repro.sim.exec_units import ExecutionUnits
 from repro.sim.ibuffer import InstructionBuffer
 from repro.sim.regfile import RegisterFile
 from repro.sim.scoreboard import Scoreboard
 from repro.sim.warp import Warp
 from repro.sim.wcu import WarpControlUnit
+from tests.conftest import build_tiny_core
 
 
 def make_warp(**kw):
@@ -24,48 +26,76 @@ def make_warp(**kw):
 
 
 class TestWarp:
+    """Warp state, and which warps the core lets issue (the ready set
+    of :class:`repro.sim.core.Core` is the one home of that rule)."""
+
     def test_initial_issuable(self):
-        w = make_warp()
-        assert w.issuable(0.0, has_scoreboard=True, scoreboard_limit=2)
+        core = build_tiny_core()
+        assert core._ready == [0]
+        core.step(0.0)
+        assert core.issued == 1
 
     def test_blocked_until(self):
-        w = make_warp()
-        w.blocked_until = 10.0
-        assert not w.issuable(5.0, True, 2)
-        assert w.issuable(10.0, True, 2)
+        core = build_tiny_core()
+        warp, = core.warps
+        warp.blocked_until = 10.0
+        core._refresh_ready(5.0)
+        assert core._ready == []
+        assert core.step(5.0) == 10.0      # sleeps until it unblocks
+        assert core.issued == 0
+        core.step(10.0)
+        assert core.issued == 1
 
     def test_done_not_issuable(self):
-        w = make_warp()
-        w.done = True
-        assert not w.issuable(0.0, True, 2)
+        core = build_tiny_core(n_warps=2)
+        core.warps[0].done = True
+        core._refresh_ready(0.0)
+        assert core._ready == [1]
 
     def test_barrier_not_issuable(self):
-        w = make_warp()
-        w.at_barrier = True
-        assert not w.issuable(0.0, True, 2)
+        core = build_tiny_core()
+        core.warps[0].at_barrier = True
+        core._refresh_ready(0.0)
+        assert core._ready == []
+        with pytest.raises(SimulationDeadlock, match="barrier"):
+            core.step(0.0)
 
     def test_scoreboard_limit_blocks(self):
-        w = make_warp()
-        w.reserve(1)
-        w.reserve(2)
-        assert not w.issuable(0.0, True, 2)
-        assert w.issuable(0.0, False, 2)  # barrel mode ignores the limit
+        core = build_tiny_core(has_scoreboard=True,
+                               scoreboard_dst_per_warp=2)
+        warp, = core.warps
+        warp.reserve(1)
+        warp.reserve(2)
+        core._schedule(4.0, warp, 1, is_mem=False)   # r1 writes back at 4
+        assert core.step(0.0) == 4.0
+        assert core.issued == 0
+        assert core.stall_cycles["dependency"] == 4
+        core.step(4.0)
+        assert core.issued == 1
+        # Barrel mode has no destination limit.
+        barrel = build_tiny_core(has_scoreboard=False)
+        barrel.warps[0].reserve(1)
+        barrel.warps[0].reserve(2)
+        barrel.step(0.0)
+        assert barrel.issued == 1
 
     def test_hazard_detection(self):
+        sb = Scoreboard(True, 4)
         w = make_warp()
         w.reserve(3)
-        assert w.has_hazard((3,), None)          # RAW
-        assert w.has_hazard((), 3)               # WAW
-        assert not w.has_hazard((1, 2), 4)
+        assert sb.blocks(w, (3,), None)          # RAW
+        assert sb.blocks(w, (), 3)               # WAW
+        assert not sb.blocks(w, (1, 2), 4)
 
     def test_release_refcounts(self):
+        sb = Scoreboard(True, 4)
         w = make_warp()
         w.reserve(3)
         w.reserve(3)
         w.release(3)
-        assert w.has_hazard((3,), None)
+        assert sb.blocks(w, (3,), None)
         w.release(3)
-        assert not w.has_hazard((3,), None)
+        assert not sb.blocks(w, (3,), None)
 
     def test_partial_initial_mask(self):
         mask = np.zeros(32, dtype=bool)
@@ -80,7 +110,9 @@ class TestScoreboard:
         w = make_warp()
         sb.reserve(w, 1)
         assert sb.writes == 1
-        assert sb.has_hazard(w, (1,), None)
+        assert sb.blocks(w, (1,), None)
+        assert sb.searches == 1
+        assert not sb.blocks(w, (), None, search=False)   # control op
         assert sb.searches == 1
         sb.release(w, 1)
         assert sb.writes == 2
@@ -95,9 +127,10 @@ class TestScoreboard:
         sb = Scoreboard(True, 2)
         w = make_warp()
         sb.reserve(w, 1)
-        assert sb.can_reserve(w)
+        assert not sb.blocks(w, (), None, search=False)
         sb.reserve(w, 2)
-        assert not sb.can_reserve(w)
+        assert sb.blocks(w, (), None, search=False)   # both slots taken
+        assert sb.searches == 0   # a full table blocks before searching
 
 
 class TestInstructionBuffer:
@@ -147,9 +180,9 @@ class TestExecutionUnits:
     def test_issue_blocks_group(self):
         eu = ExecutionUnits(gt240())
         eu.issue("fp", 0.0, 32)
-        assert not eu.can_accept("fp", 1.0)
-        assert eu.can_accept("fp", 4.0)
-        assert eu.can_accept("int", 1.0)   # other groups independent
+        assert eu.groups["fp"].free_at == 4.0   # next fp entry at cycle 4
+        assert eu.groups["int"].free_at == 0.0  # other groups independent
+        eu.issue("fp", 4.0, 32)
 
     def test_issue_while_busy_raises(self):
         eu = ExecutionUnits(gt240())
@@ -167,13 +200,6 @@ class TestExecutionUnits:
         eu = ExecutionUnits(gt240())
         eu.issue("int", 0.0, 17)
         assert eu.lane_ops("int") == 17
-
-    def test_next_free(self):
-        eu = ExecutionUnits(gt240())
-        eu.issue("fp", 0.0, 32)
-        eu.issue("int", 0.0, 32)
-        eu.issue("sfu", 0.0, 32)
-        assert eu.next_free(0.0) == 4.0
 
 
 class TestRegisterFile:

@@ -80,7 +80,7 @@ class TestGlobalLoads:
         ctx.regs[1] = np.arange(WARP, dtype=np.float64)
         inst = Instruction("LDG", Reg(0), (Reg(1),))
         unit.execute(inst, ctx, full_mask(), smem_array(), now=0.0)
-        assert not unit.can_accept(0.0)
+        assert unit.busy_until > 0.0
         with pytest.raises(RuntimeError, match="busy"):
             unit.execute(inst, ctx, full_mask(), smem_array(), now=0.0)
 
