@@ -7,13 +7,76 @@ and the service's HTTP schema -- and the digest of a pre-refactor
 stale.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro import GPUSimPow, SimRequest
+from repro import SIM_VERSION, GPUSimPow, SimRequest
 from repro.runner import (JobFailure, RunnerError, SimJob, job_key,
                           request_key, run_jobs)
 from repro.sim import gt240, gtx580
 from tests.conftest import build_vecadd_launch
+
+#: Golden digests: one ``request_key`` per entry of ``GOLDEN_REQUESTS``.
+GOLDEN_KEYS_PATH = Path(__file__).parent / "data" / "request_keys.json"
+
+
+def _tiny():
+    return build_vecadd_launch(n=64, block=64, grid=1)[0]
+
+
+def _vec(**kw):
+    return SimRequest(config=gt240(), kernel="vectorAdd", **kw)
+
+
+#: Named requests whose digests are pinned in ``GOLDEN_KEYS_PATH``.
+#: Entries under ``policy/`` vary only fields that never enter the
+#: digest, so they must equal ``label/vectorAdd@GT240``.
+GOLDEN_REQUESTS = {
+    "label/vectorAdd@GT240": lambda: _vec(),
+    "label/BlackScholes@GTX580": lambda: SimRequest(
+        config=gtx580(), kernel="BlackScholes"),
+    "launch/tiny@GT240": lambda: SimRequest(config=gt240(),
+                                            launch=_tiny()),
+    "launch+label/tiny@GTX580": lambda: SimRequest(
+        config=gtx580(), kernel="tiny", launch=_tiny()),
+    "max_cycles/1e6": lambda: _vec(max_cycles=1e6),
+    "traced/vectorAdd/500": lambda: _vec(trace_interval=500.0),
+    "traced/launch/64": lambda: SimRequest(config=gt240(), launch=_tiny(),
+                                           trace_interval=64.0),
+    "backend/cycle": lambda: _vec(backend="cycle"),
+    "backend/functional_ref": lambda: _vec(backend="functional_ref"),
+    "backend/analytical": lambda: _vec(backend="analytical"),
+    "backend/parallel_cycle": lambda: _vec(backend="parallel_cycle"),
+    "backend/surrogate": lambda: _vec(backend="surrogate"),
+    "auto/None": lambda: _vec(backend="auto"),
+    "auto/0": lambda: _vec(backend="auto", error_budget=0.0),
+    "auto/0.05": lambda: _vec(backend="auto", error_budget=0.05),
+    "auto/0.5": lambda: _vec(backend="auto", error_budget=0.5),
+    "auto/0.5/traced": lambda: _vec(backend="auto", error_budget=0.5,
+                                    trace_interval=500.0),
+    "parallel_cycle/epoch500/shards2": lambda: _vec(
+        backend="parallel_cycle",
+        backend_options={"epoch_cycles": 500.0, "n_shards": 2}),
+    "parallel_cycle/epochNone/shards4": lambda: _vec(
+        backend="parallel_cycle",
+        backend_options={"epoch_cycles": None, "n_shards": 4}),
+    "policy/sanitize": lambda: _vec(sanitize=True),
+    "policy/timeout_s": lambda: _vec(timeout_s=30.0),
+    "policy/tag": lambda: _vec(tag="probe"),
+    "policy/tags": lambda: _vec(tags={"tenant": "ci"}),
+}
+
+
+def regen_golden_keys() -> None:
+    """Rewrite ``GOLDEN_KEYS_PATH`` (only on a deliberate key change,
+    e.g. a ``SIM_VERSION`` bump): ``python -m tests.test_request``."""
+    keys = {name: request_key(build())
+            for name, build in sorted(GOLDEN_REQUESTS.items())}
+    GOLDEN_KEYS_PATH.write_text(
+        json.dumps({"sim_version": SIM_VERSION, "keys": keys}, indent=1,
+                   sort_keys=True) + "\n", encoding="utf-8")
 
 
 @pytest.fixture()
@@ -138,6 +201,32 @@ class TestDigest:
         assert a == b
 
 
+class TestGoldenKeys:
+    """Every ``request_key`` is pinned byte for byte: a refactor of the
+    request or job types must not move a single cached artifact."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        data = json.loads(GOLDEN_KEYS_PATH.read_text(encoding="utf-8"))
+        assert data["sim_version"] == SIM_VERSION, \
+            "SIM_VERSION changed: regenerate with regen_golden_keys()"
+        return data["keys"]
+
+    def test_covers_every_request(self, golden):
+        assert set(golden) == set(GOLDEN_REQUESTS)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REQUESTS))
+    def test_key_matches_golden(self, golden, name):
+        request = GOLDEN_REQUESTS[name]()
+        assert request_key(request) == golden[name]
+        assert request.digest() == golden[name]
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in GOLDEN_REQUESTS if n.startswith("policy/")))
+    def test_policy_fields_leave_key_alone(self, golden, name):
+        assert golden[name] == golden["label/vectorAdd@GT240"]
+
+
 class TestJobConversion:
     def test_round_trip(self, tiny_launch):
         req = SimRequest(config=gt240(), launch=tiny_launch,
@@ -246,3 +335,7 @@ class TestErrorBudgetEdgeCases:
         base["error_budget"] = float("nan")
         with pytest.raises(ValueError, match="finite fraction"):
             SimRequest.from_dict(base)
+
+
+if __name__ == "__main__":
+    regen_golden_keys()
