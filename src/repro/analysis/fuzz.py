@@ -361,7 +361,7 @@ def run_fuzz(seed: int = 1337, count: int = 200,
                 mismatch = "expected a fault but the run completed"
             elif exc_f is not None:
                 mismatch = f"functional_ref faulted: {exc_f!r}"
-            elif out_c.activity.as_dict() != out_f.activity.as_dict():
+            elif out_c.activity.to_dict() != out_f.activity.to_dict():
                 mismatch = "activity counters differ"
             elif out_c.cycles != out_f.cycles:
                 mismatch = (f"cycle counts differ: {out_c.cycles} "

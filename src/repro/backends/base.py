@@ -179,12 +179,13 @@ class SimulationBackend(ABC):
     def cache_signature(self, job) -> Dict[str, str]:
         """The backend's contribution to a job's content-addressed key.
 
-        The runner embeds this dict in :func:`repro.runner.cache.job_key`
-        for non-default backends (and whenever the job carries backend
-        options).  The base form is name+version; backends whose results
-        depend on tunables (e.g. ``parallel_cycle``'s epoch length and
-        shard count) override this to fold the *resolved* option values
-        in, so differently-tuned runs never collide in the cache.
+        The runner embeds this dict in
+        :func:`repro.runner.cache.request_key` for non-default backends
+        (and whenever the job carries backend options).  The base form
+        is name+version; backends whose results depend on tunables (e.g.
+        ``parallel_cycle``'s epoch length and shard count) override this
+        to fold the *resolved* option values in, so differently-tuned
+        runs never collide in the cache.
         """
         return {"name": self.name, "version": str(self.version)}
 
@@ -311,8 +312,8 @@ def escalation_path(require_tracing: bool = False
 def resolve_backend(request) -> Tuple[str, float]:
     """Resolve a request's backend name; returns ``(name, promised)``.
 
-    ``request`` is anything request-shaped (a
-    :class:`~repro.request.SimRequest` or a ``SimJob``).  For a
+    ``request`` is a :class:`~repro.request.SimRequest` (or anything
+    request-shaped).  For a
     concrete backend name the resolution is the identity plus that
     backend's per-request promise.  For :data:`AUTO_BACKEND` the
     request's ``error_budget`` (a fraction; ``None`` means 0.0, i.e.

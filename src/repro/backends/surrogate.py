@@ -497,7 +497,8 @@ def calibrate_surrogate(config: GPUConfig,
     work scalings, and the leave-one-out error model.
     """
     from ..power.chip import Chip
-    from ..runner import SimJob, run_jobs
+    from ..request import SimRequest
+    from ..runner import run_jobs
     from ..workloads import all_kernel_launches
     from .. import SIM_VERSION
 
@@ -509,7 +510,7 @@ def calibrate_surrogate(config: GPUConfig,
     if len(names) <= 1:
         raise ValueError("calibration needs at least two kernels")
 
-    job_list = [SimJob(config=config, kernel=name) for name in names]
+    job_list = [SimRequest(config=config, kernel=name) for name in names]
     if cache == "auto":
         results = run_jobs(job_list, n_jobs=jobs, progress=progress)
     else:

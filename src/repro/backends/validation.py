@@ -169,7 +169,7 @@ class BackendComparison:
 
 
 def _activity_deltas(a: ActivityReport, b: ActivityReport) -> List[CounterDelta]:
-    da, db = a.as_dict(), b.as_dict()
+    da, db = a.to_dict(), b.to_dict()
     return [CounterDelta(counter=name, a=da[name], b=db[name])
             for name in da]
 
@@ -191,15 +191,16 @@ def compare_backends(config: GPUConfig,
     backend (e.g. ``parallel_cycle``'s ``epoch_cycles``/``n_shards``);
     the reference backend always runs with its defaults.
     """
-    from ..runner import SimJob, run_jobs
+    from ..request import SimRequest
+    from ..runner import run_jobs
     # Touch the registry up front so an unknown name fails before any
     # simulation is paid for.
     get_backend(backend_a)
     get_backend(backend_b)
-    job_list = [SimJob(config=config, kernel=name, backend=backend,
-                       max_cycles=max_cycles,
-                       backend_options=(backend_b_options
-                                        if backend == backend_b else None))
+    job_list = [SimRequest(config=config, kernel=name, backend=backend,
+                           max_cycles=max_cycles,
+                           backend_options=(backend_b_options
+                                            if backend == backend_b else None))
                 for backend in (backend_a, backend_b)
                 for name in kernels]
     results = run_jobs(job_list, n_jobs=jobs, cache=cache,

@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from math import isfinite
 from typing import Optional
 
 from .core.gpusimpow import GPUSimPow
-from .runner import JobFailure, ResultCache, SimJob, run_jobs
+from .request import SimRequest
+from .runner import JobFailure, ResultCache, run_jobs
 from .sim.activity import ActivityReport
 from .sim.config import GPUConfig, preset
 from .workloads import all_kernel_launches, benchmark_info, benchmark_names
@@ -121,7 +123,7 @@ def _check_error_budget(args) -> int:
 
     Rejects non-finite (NaN/inf) and out-of-range values here, with a
     clean message and exit code 2, instead of letting them reach
-    ``SimRequest``/``SimJob`` construction as a traceback.
+    ``SimRequest`` construction as a traceback.
     """
     budget = getattr(args, "error_budget", None)
     if budget is None:
@@ -244,39 +246,36 @@ def _cmd_run(args) -> int:
             backend_options["epoch_cycles"] = args.epoch_cycles
         if args.shards is not None:
             backend_options["n_shards"] = args.shards
-    sim = GPUSimPow(config)
-    sim_job = SimJob(config=config, kernel=args.kernel,
-                     launch=launches[args.kernel],
-                     trace_interval=args.trace_interval,
-                     backend=args.backend,
-                     backend_options=backend_options,
-                     error_budget=args.error_budget,
-                     sanitize=args.sanitize)
-    diagnostics = None
+    request = SimRequest(config=config, kernel=args.kernel,
+                         launch=launches[args.kernel],
+                         trace_interval=args.trace_interval,
+                         backend=args.backend,
+                         backend_options=backend_options,
+                         error_budget=args.error_budget,
+                         sanitize=args.sanitize)
     if isinstance(args.profile, str):
-        # Profile the backend's simulate itself: run the job in this
-        # process (no cache, no pool -- a cache hit or a worker-side
-        # run would leave nothing to measure).
+        # Profile the backend's simulate itself: run the request in
+        # this process (no cache, no pool -- a cache hit or a
+        # worker-side run would leave nothing to measure).
         import cProfile
+        from .backends import resolve_backend
+        used, promised = resolve_backend(request)
         profiler = cProfile.Profile()
         profiler.enable()
-        out = sim_job.execute()
+        out = replace(request, backend=used).execute()
         profiler.disable()
         profiler.dump_stats(args.profile)
-        activity, windows = out.activity, out.windows
-        diagnostics = getattr(out, "diagnostics", None)
+        activity, windows, diagnostics = (out.activity, out.windows,
+                                          out.diagnostics)
     else:
         jobs, cache, progress, timeout = _runner_options(args)
-        job, = run_jobs([sim_job], n_jobs=jobs, cache=cache,
+        job, = run_jobs([request], n_jobs=jobs, cache=cache,
                         progress=progress, timeout_s=timeout)
-        activity, windows = job.activity, job.windows
-        diagnostics = job.diagnostics
-    from .runner.cache import resolved_backend
-    used, promised = resolved_backend(sim_job)
-    result = sim.run(launches[args.kernel], activity=activity,
-                     windows=windows,
-                     trace_interval=args.trace_interval,
-                     backend=used)
+        used, promised = job.backend, job.promised_error
+        activity, windows, diagnostics = (job.activity, job.windows,
+                                          job.diagnostics)
+    result = GPUSimPow(config).run(replace(request, backend=used),
+                                   activity=activity, windows=windows)
     if args.backend == "auto":
         suffix = (f" (auto -> {used} backend, promised error "
                   f"{promised:.1%})")
@@ -642,7 +641,6 @@ def _cmd_submit(args) -> int:
     import json as _json
     import urllib.error
 
-    from .request import SimRequest
     from .service.client import ServiceClient, ServiceError
     launches = all_kernel_launches()
     if args.kernel not in launches:

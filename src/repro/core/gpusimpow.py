@@ -7,8 +7,8 @@ area results.  This is the class downstream users interact with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from ..isa.launch import KernelLaunch
 from ..power.chip import Chip
@@ -17,8 +17,8 @@ from ..serialize import Serializable
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimulationOutput
-from ..telemetry import (ActivityTracer, ActivityWindow, PowerTrace,
-                         TraceSink, windows_from_dicts, windows_to_dicts)
+from ..telemetry import (ActivityWindow, PowerTrace, TraceSink,
+                         windows_from_dicts, windows_to_dicts)
 
 if TYPE_CHECKING:
     from ..request import SimRequest
@@ -150,57 +150,33 @@ class GPUSimPow:
             peak_dynamic_w=self.chip.peak_dynamic_w(),
         )
 
-    def _as_request(self, request: Optional["SimRequest"],
-                    launch: Optional[KernelLaunch],
-                    kernel: Optional[str],
-                    trace_interval: Optional[float],
-                    backend: str,
-                    backend_options: Optional[Dict[str, Any]],
-                    error_budget: Optional[float] = None,
-                    ) -> "SimRequest":
-        """Normalise keyword-shim arguments into one ``SimRequest``.
-
-        Either ``request`` is given alone, or the legacy keywords are --
-        mixing the two is ambiguous and rejected.  A request bound to a
-        different config than this facade is also rejected (the chip
-        model was built for ``self.config``).
-        """
+    def _request(self, request: Union["SimRequest", KernelLaunch, str],
+                 wrap_as: str) -> "SimRequest":
+        """``request`` as a :class:`~repro.request.SimRequest` for this
+        simulator; anything else becomes field ``wrap_as`` of a default
+        request.  A request bound to a different config is rejected
+        (the chip model was built for ``self.config``)."""
         from ..request import SimRequest
-        if request is not None:
-            if (launch is not None or kernel is not None
-                    or trace_interval is not None or backend != "cycle"
-                    or backend_options is not None
-                    or error_budget is not None):
-                raise ValueError(
-                    "pass either request= or the keyword form, not both")
-            if request.config != self.config:
-                raise ValueError(
-                    f"request is for config {request.config.name!r}, "
-                    f"but this simulator models {self.config.name!r}")
-            return request
-        return SimRequest(config=self.config, kernel=kernel,
-                          launch=launch, trace_interval=trace_interval,
-                          backend=backend,
-                          backend_options=backend_options,
-                          error_budget=error_budget)
+        if not isinstance(request, SimRequest):
+            return SimRequest(config=self.config, **{wrap_as: request})
+        if request.config != self.config:
+            raise ValueError(
+                f"request is for config {request.config.name!r}, "
+                f"but this simulator models {self.config.name!r}")
+        return request
 
-    def run(self, launch: Optional[KernelLaunch] = None,
+    def run(self, request: Union["SimRequest", KernelLaunch],
             activity: Optional[ActivityReport] = None,
             windows: Optional[List[ActivityWindow]] = None,
-            trace_interval: Optional[float] = None,
-            sink: Optional[TraceSink] = None,
-            backend: str = "cycle",
-            backend_options: Optional[Dict[str, Any]] = None,
-            error_budget: Optional[float] = None,
-            *, request: Optional["SimRequest"] = None,
-            ) -> SimulationResult:
-        """Simulate one request (or ``launch``) and evaluate its power.
+            *, sink: Optional[TraceSink] = None) -> SimulationResult:
+        """Simulate one request and evaluate its power.
 
-        The primary entry point takes a canonical
-        :class:`~repro.request.SimRequest` -- the same object the
-        runner, the result cache and the service speak.  The positional
-        ``launch`` + keyword form is a back-compat shim that constructs
-        the request internally, with identical behavior.
+        ``request`` is a :class:`~repro.request.SimRequest` -- the same
+        object the runner, the result cache and the service speak -- or
+        a bare :class:`KernelLaunch`, run as a default request.  Fresh
+        simulations go through :meth:`SimRequest.execute`; ``sink``
+        receives their windows as they are cut (implying tracing, with
+        a 1000-cycle default interval).
 
         A pre-computed ``activity`` report may be supplied to re-evaluate
         power without re-running the performance simulation (e.g. for
@@ -208,58 +184,31 @@ class GPUSimPow:
         timing -- including ``runtime_s`` -- is taken from the report
         itself, never rederived.  Optional ``windows`` (e.g. off a traced
         :class:`~repro.runner.JobResult`) yield a :class:`PowerTrace`
-        without re-simulating.
-
-        Args:
-            trace_interval: Telemetry window length in shader cycles;
-                when set (fresh simulations only), the result carries a
-                windowed power trace.
-            sink: Optional :class:`~repro.telemetry.TraceSink` receiving
-                windows as they are cut (implies tracing, with a
-                1000-cycle default interval).
-            backend: Simulation backend name (``repro.backends``), or
-                ``"auto"`` for fidelity-ladder resolution against
-                ``error_budget``; for replays (``activity`` given) it
-                only records which backend produced the supplied
-                report.
-            backend_options: Extra keyword arguments for the backend's
-                ``simulate`` (e.g. ``epoch_cycles``/``n_shards`` for
-                ``parallel_cycle``); ignored for replays.
-            error_budget: Acceptable |chip-power| relative error
-                (fraction) steering ``backend="auto"``; ``None``/0.0
-                resolve to the exact ``cycle`` tier.
-            request: The canonical description of what to simulate;
-                mutually exclusive with ``launch``/``trace_interval``/
-                ``backend``/``backend_options`` (``sink`` composes with
-                it, as do the ``activity``/``windows`` replay inputs).
+        without re-simulating.  For such replays the request's
+        ``backend`` names the concrete backend that produced the report
+        (``JobResult.backend``); ``"auto"`` is not resolved again.
         """
         from ..backends import get_backend, resolve_backend
-        req = self._as_request(request, launch, None, trace_interval,
-                               backend, backend_options, error_budget)
+        req = self._request(request, "launch")
         run_launch = req.resolve_launch()
-        resolved, promised = resolve_backend(req)
-        tracer = None
-        if activity is None:
-            if req.trace_interval is not None or sink is not None:
-                tracer = ActivityTracer(req.trace_interval or 1000.0,
-                                        sink=sink)
-            perf = get_backend(resolved).simulate(
-                self.config, run_launch, max_cycles=req.max_cycles,
-                tracer=tracer, **(req.backend_options or {}))
-            activity = perf.activity
+        fresh = activity is None
+        if fresh:
+            # Resolve once: execute the concrete backend on the launch
+            # already in hand.
+            resolved, promised = resolve_backend(req)
+            perf = replace(req, backend=resolved,
+                           launch=run_launch).execute(sink=sink)
         else:
-            # Replayed activity: the resolution above already failed
-            # fast on unknown names; the promise is meaningless for a
-            # report of unknown provenance.
-            promised = None
+            # Replayed activity: fail fast on unknown names; a promise
+            # is meaningless for a report of unknown provenance.
+            resolved, promised = get_backend(req.backend).name, None
             perf = SimulationOutput.replay(self.config, run_launch,
                                            activity, windows=windows)
-        power = self.chip.evaluate(activity)
+        power = self.chip.evaluate(perf.activity)
         trace = None
         if perf.windows:
-            interval = (tracer.interval_cycles if tracer is not None
-                        else req.trace_interval
-                        or perf.windows[0].end_cycles)
+            interval = req.trace_interval or (
+                1000.0 if fresh else perf.windows[0].end_cycles)
             trace = PowerTrace.from_windows(
                 self.config, run_launch.kernel.name, perf.windows,
                 interval, chip=self.chip)
@@ -273,28 +222,22 @@ class GPUSimPow:
             promised_error=promised,
         )
 
-    def run_benchmark(self, name: Optional[str] = None,
-                      trace_interval: Optional[float] = None,
+    def run_benchmark(self, request: Union["SimRequest", str], *,
                       sink: Optional[TraceSink] = None,
-                      backend: str = "cycle",
-                      backend_options: Optional[Dict[str, Any]] = None,
-                      error_budget: Optional[float] = None,
-                      *, request: Optional["SimRequest"] = None,
                       ) -> "BenchmarkResult":
         """Run all kernels of a Table I benchmark as a dependent chain.
 
+        ``request`` is a :class:`~repro.request.SimRequest` whose
+        ``kernel`` names the benchmark, or the bare benchmark name.
         Kernels execute on a shared global-memory image (the way the
         real multi-kernel benchmarks run); each kernel gets its own
         power evaluation -- and its own power trace when
         ``trace_interval`` is set -- and the totals aggregate the whole
-        benchmark.  As with :meth:`run`, a ``request`` (its ``kernel``
-        field naming the benchmark) is the primary form and the keyword
-        signature is a shim over it.
+        benchmark.
         """
         from ..backends import get_backend, resolve_backend
         from ..workloads import build_benchmark
-        req = self._as_request(request, None, name, trace_interval,
-                               backend, backend_options, error_budget)
+        req = self._request(request, "kernel")
         if not req.kernel:
             raise ValueError("run_benchmark needs a benchmark name")
         # Ladder resolution happens once for the whole chain, so every

@@ -26,7 +26,8 @@ import numpy as np
 from ..hw.measure import MeasurementTool
 from ..hw.testbed import Testbed
 from ..hw.virtual_gpu import VirtualGPU
-from ..runner import AUTO, SimJob, run_jobs
+from ..request import SimRequest
+from ..runner import AUTO, run_jobs
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
 from ..workloads import all_kernel_launches
@@ -111,7 +112,7 @@ class ModelEvaluation:
 def _simulate_kernels(config, kernel_names, jobs, cache, progress=None):
     """Activity reports for ``kernel_names``, fanned out via the runner."""
     launches = all_kernel_launches()
-    sim_jobs = [SimJob(config=config, kernel=name, launch=launches[name])
+    sim_jobs = [SimRequest(config=config, kernel=name, launch=launches[name])
                 for name in kernel_names]
     job_results = run_jobs(sim_jobs, n_jobs=jobs, cache=cache,
                            progress=progress)

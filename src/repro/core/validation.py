@@ -14,7 +14,7 @@ through the testbed, then computes the paper's error statistics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..hw.measure import MeasurementTool
@@ -24,7 +24,8 @@ from ..hw.static_power import (gt240_static_idle_ratio,
 from ..hw.testbed import Testbed
 from ..hw.virtual_gpu import UnsupportedByDriver, VirtualGPU
 from ..isa.launch import KernelLaunch
-from ..runner import AUTO, SimJob, run_jobs
+from ..request import SimRequest
+from ..runner import AUTO, run_jobs
 from ..sim.config import GPUConfig
 from ..workloads import all_kernel_launches
 from .gpusimpow import GPUSimPow
@@ -142,8 +143,8 @@ def validate_suite(config: GPUConfig,
     # The performance simulations are the expensive, embarrassingly
     # parallel part; fan them out through the runner, then evaluate the
     # (cheap) power model serially on each returned activity report.
-    sim_jobs = [SimJob(config=config, kernel=name, launch=launches[name],
-                       backend=backend, error_budget=error_budget)
+    sim_jobs = [SimRequest(config=config, kernel=name, launch=launches[name],
+                           backend=backend, error_budget=error_budget)
                 for name in names]
     job_results = run_jobs(sim_jobs, n_jobs=jobs, cache=cache,
                            progress=progress, timeout_s=timeout_s)
@@ -152,8 +153,8 @@ def validate_suite(config: GPUConfig,
     session = []
     results = {}
     for name, jr in zip(names, job_results):
-        result = sim.run(launches[name], activity=jr.activity,
-                         backend=backend, error_budget=error_budget)
+        result = sim.run(replace(jr.job, backend=jr.backend),
+                         activity=jr.activity)
         results[name] = result
         session.append((name, result.activity, launches[name].repeat,
                         launches[name].repeatable))

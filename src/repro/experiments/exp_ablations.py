@@ -20,7 +20,8 @@ from typing import Dict, List
 
 from ..core.gpusimpow import GPUSimPow
 from ..power.chip import Chip
-from ..runner import AUTO, SimJob, run_jobs
+from ..request import SimRequest
+from ..runner import AUTO, run_jobs
 from ..sim.config import GPUConfig, gt240
 from ..workloads import all_kernel_launches
 
@@ -47,8 +48,8 @@ def _measure(specs, jobs=None, cache=AUTO, progress=None):
     """Simulate ``(label, config, kernel)`` specs in one runner fan-out
     and evaluate the power model on each returned activity report."""
     launches = all_kernel_launches()
-    sim_jobs = [SimJob(config=config, kernel=kernel,
-                       launch=launches[kernel], tag=label)
+    sim_jobs = [SimRequest(config=config, kernel=kernel,
+                           launch=launches[kernel], tag=label)
                 for label, config, kernel in specs]
     points = []
     for (label, config, kernel), jr in zip(

@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..core.gpusimpow import GPUSimPow
-from ..runner import AUTO, SimJob, run_jobs
+from ..request import SimRequest
+from ..runner import AUTO, run_jobs
 from ..sim.config import gt240
 from ..telemetry import (PowerTrace, render_trace, write_chrome_trace,
                          write_trace_json)
@@ -46,12 +47,11 @@ def run(kernel: str = DEFAULT_KERNEL,
     """Trace ``kernel`` on the GT240 through the pooled runner."""
     config = gt240()
     launch = all_kernel_launches()[kernel]
-    job, = run_jobs([SimJob(config=config, kernel=kernel, launch=launch,
-                            trace_interval=interval_cycles)],
+    job, = run_jobs([SimRequest(config=config, kernel=kernel, launch=launch,
+                                trace_interval=interval_cycles)],
                     n_jobs=jobs, cache=cache, progress=progress)
-    result = GPUSimPow(config).run(launch, activity=job.activity,
-                                   windows=job.windows,
-                                   trace_interval=interval_cycles)
+    result = GPUSimPow(config).run(job.job, activity=job.activity,
+                                   windows=job.windows)
     assert result.trace is not None
     return PowerTraceResult(kernel=kernel, gpu=config.name,
                             interval_cycles=interval_cycles,

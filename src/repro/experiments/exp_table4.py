@@ -15,7 +15,8 @@ from ..core.gpusimpow import GPUSimPow
 from ..hw.static_power import (static_power_by_extrapolation,
                                static_power_by_idle_ratio)
 from ..hw.virtual_gpu import UnsupportedByDriver
-from ..runner import AUTO, SimJob, run_jobs
+from ..request import SimRequest
+from ..runner import AUTO, run_jobs
 from ..sim.config import gt240, gtx580
 from ..workloads import all_kernel_launches
 
@@ -53,8 +54,8 @@ def run(seed: int = 29, jobs=None, cache=AUTO,
     configs = (gt240(), gtx580())
     # One probe simulation per card; both go through the runner so the
     # (identical) activity is cached across exp_table4 / exp_fig6 runs.
-    probes = run_jobs([SimJob(config=c, kernel="BlackScholes",
-                              launch=probe_launch) for c in configs],
+    probes = run_jobs([SimRequest(config=c, kernel="BlackScholes",
+                                  launch=probe_launch) for c in configs],
                       n_jobs=jobs, cache=cache, progress=progress)
     for config, probe in zip(configs, probes):
         sim = GPUSimPow(config)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from ..core.gpusimpow import GPUSimPow
-from ..runner import AUTO, SimJob, run_jobs
+from ..request import SimRequest
+from ..runner import AUTO, run_jobs
 from ..sim.config import gt240
 from ..workloads import all_kernel_launches
 
@@ -55,8 +56,8 @@ def run(benchmark: str = "BlackScholes", jobs=None, cache=AUTO,
     config = gt240()
     sim = GPUSimPow(config)
     launch = all_kernel_launches()[benchmark]
-    job, = run_jobs([SimJob(config=config, kernel=benchmark,
-                            launch=launch)],
+    job, = run_jobs([SimRequest(config=config, kernel=benchmark,
+                                launch=launch)],
                     n_jobs=jobs, cache=cache, progress=progress)
     result = sim.run(launch, activity=job.activity)
     gpu = result.power.gpu

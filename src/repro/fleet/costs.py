@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..power.chip import Chip
-from ..runner import ResultCache, SimJob, run_jobs
+from ..request import SimRequest
+from ..runner import ResultCache, run_jobs
 from ..serialize import Serializable
 from ..sim import GPUConfig, preset
 
@@ -153,14 +154,14 @@ def resolve_costs(pairs: Sequence[Tuple[str, str]],
     if cache == "auto":
         from ..runner.engine import AUTO
         cache = AUTO
-    jobs: List[SimJob] = []
+    jobs: List[SimRequest] = []
     for gpu_name, kernel in pairs:
         config = preset(gpu_name)
         if error_budget is None:
-            jobs.append(SimJob(config=config, kernel=kernel))
+            jobs.append(SimRequest(config=config, kernel=kernel))
         else:
-            jobs.append(SimJob(config=config, kernel=kernel,
-                               backend="auto", error_budget=error_budget))
+            jobs.append(SimRequest(config=config, kernel=kernel,
+                                   backend="auto", error_budget=error_budget))
     results = run_jobs(jobs, n_jobs=n_jobs, cache=cache,
                        progress=progress, timeout_s=timeout_s)
 

@@ -1,17 +1,14 @@
 """The canonical simulation request: one currency for every layer.
 
-Before this module existed, four layers each re-spelled the same
-sprawling keyword set -- :meth:`repro.core.gpusimpow.GPUSimPow.run`,
-:class:`repro.runner.SimJob`, the runner's content-addressed cache key,
-and (now) the service's HTTP body schema.  :class:`SimRequest` is the
-single description of "simulate this kernel on this config with these
-knobs" that all of them share:
+:class:`SimRequest` is the single description of "simulate this kernel
+on this config with these knobs", and :meth:`SimRequest.execute` the
+single way to simulate one:
 
-* ``GPUSimPow.run(request=...)`` / ``run_benchmark(request=...)`` --
-  the facade's primary entry points (the old keyword signatures remain
-  as thin shims constructing a request internally);
-* ``SimJob.from_request(...)`` / ``SimJob.to_request()`` -- the runner
-  descriptor is a request plus execution policy;
+* ``GPUSimPow.run(request)`` / ``run_benchmark(request)`` -- the
+  facade's entry points;
+* :func:`repro.runner.run_jobs` -- the runner's job descriptor is the
+  request itself (``repro.runner.SimJob`` is an alias), and its workers
+  call :meth:`~SimRequest.execute`;
 * :func:`repro.runner.cache.request_key` -- the cache key is a digest
   of the request (``SimRequest.digest()``);
 * ``POST /v1/submit`` -- the service accepts ``SimRequest.to_dict()``
@@ -28,14 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from .isa.launch import KernelLaunch
 from .isa.serialize import launch_from_dict, launch_to_dict
 from .serialize import Serializable
 from .sim.config import GPUConfig
 
-#: Default simulation watchdog (mirrors :class:`repro.runner.SimJob`).
+if TYPE_CHECKING:
+    from .sim.gpu import SimulationOutput
+    from .telemetry import TraceSink
+
+#: Default simulation watchdog (forwarded to the backend).
 DEFAULT_MAX_CYCLES = 5e8
 
 
@@ -150,30 +151,43 @@ class SimRequest(Serializable):
         from .runner.cache import request_key
         return request_key(self)
 
-    # -- conversions ----------------------------------------------------------
+    def to_job(self) -> "SimRequest":
+        """The runner job for this request: the request itself (kept
+        because ``benchmarks/e2e/workloads.py`` still calls it)."""
+        return self
 
-    def to_job(self) -> "Any":
-        """The runner descriptor executing this request."""
-        from .runner.job import SimJob
-        return SimJob.from_request(self)
+    # -- execution ------------------------------------------------------------
 
-    @classmethod
-    def from_job(cls, job: "Any") -> "SimRequest":
-        """The request a :class:`~repro.runner.SimJob` describes."""
-        return cls(
-            config=job.config,
-            kernel=job.kernel,
-            launch=job.launch,
-            max_cycles=job.max_cycles,
-            trace_interval=job.trace_interval,
-            backend=job.backend,
-            backend_options=(None if job.backend_options is None
-                             else dict(job.backend_options)),
-            error_budget=job.error_budget,
-            timeout_s=job.timeout_s,
-            sanitize=job.sanitize,
-            tag=job.tag,
-        )
+    def execute(self, sink: Optional["TraceSink"] = None,
+                ) -> "SimulationOutput":
+        """Simulate this request in this process.
+
+        The one resolve -> sanitize check -> tracer -> simulate path:
+        runner workers, the facade's fresh runs, the service's traced
+        runs and ``gpusimpow run --profile`` all come through here.
+        ``"auto"`` resolves against the fidelity ladder first, so an
+        unknown backend name, or a tracing or sanitize request against
+        a backend that cannot honour it, fails before any simulation
+        work.  ``sink`` receives windows as they are cut (and implies
+        tracing, with a 1000-cycle default interval).
+        """
+        from .backends import AUTO_BACKEND, get_backend, resolve_backend
+        name = self.backend
+        if name == AUTO_BACKEND:
+            name, _ = resolve_backend(self)
+        backend = get_backend(name)
+        tracer = None
+        if self.trace_interval is not None or sink is not None:
+            from .telemetry import ActivityTracer
+            tracer = ActivityTracer(self.trace_interval or 1000.0,
+                                    sink=sink)
+        kwargs: Dict[str, Any] = dict(self.backend_options or {})
+        if self.sanitize:
+            backend.check_sanitize(True)
+            kwargs["sanitize"] = True
+        return backend.simulate(self.config, self.resolve_launch(),
+                                max_cycles=self.max_cycles,
+                                tracer=tracer, **kwargs)
 
     # -- serialization --------------------------------------------------------
 

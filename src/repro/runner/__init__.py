@@ -4,8 +4,9 @@ Every paper artifact fans out over (GPU config x kernel) pairs; this
 package executes those fan-outs on a process pool and memoises the
 deterministic results on disk:
 
-* :mod:`repro.runner.job` -- picklable :class:`SimJob` descriptors,
-  their :class:`JobResult`\\ s and the :class:`JobFailure` taxonomy;
+* :mod:`repro.runner.job` -- :class:`JobResult`\\ s and the
+  :class:`JobFailure` taxonomy (a job is a picklable
+  :class:`~repro.request.SimRequest`; ``SimJob`` is an alias);
 * :mod:`repro.runner.engine` -- :func:`run_jobs`, a supervised pool
   with per-job timeouts, bounded retries with exponential backoff,
   worker-crash detection, graceful serial degradation, deterministic
@@ -17,9 +18,9 @@ deterministic results on disk:
 
 Quickstart::
 
-    from repro import SimJob, run_jobs, gt240, gtx580
+    from repro import SimRequest, run_jobs, gt240, gtx580
 
-    jobs = [SimJob(config=cfg, kernel=k)
+    jobs = [SimRequest(config=cfg, kernel=k)
             for cfg in (gt240(), gtx580())
             for k in ("BlackScholes", "matrixMul")]
     results = run_jobs(jobs, n_jobs=4, cache=None)
@@ -27,8 +28,8 @@ Quickstart::
         print(r.label, r.cycles, r.activity.issued_instructions)
 """
 
-from .cache import (ResultCache, config_signature, job_key,
-                    launch_signature, request_key, request_signature)
+from .cache import (ResultCache, config_signature, launch_signature,
+                    request_key, request_signature)
 from .engine import (AUTO, FAULT_PLAN_ENV, MELTDOWN_AFTER, TIMEOUT_ENV,
                      RunnerError, resolve_cache, resolve_jobs,
                      resolve_timeout, run_jobs, set_default_cache,
@@ -38,7 +39,7 @@ from .job import JobFailure, JobResult, SimJob
 __all__ = [
     "AUTO", "FAULT_PLAN_ENV", "JobFailure", "JobResult", "MELTDOWN_AFTER",
     "ResultCache", "RunnerError", "SimJob", "TIMEOUT_ENV",
-    "config_signature", "job_key", "launch_signature", "request_key",
+    "config_signature", "launch_signature", "request_key",
     "request_signature", "resolve_cache", "resolve_jobs",
     "resolve_timeout", "run_jobs", "set_default_cache",
     "set_default_jobs", "set_default_timeout", "set_fault_plan",

@@ -40,9 +40,10 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..isa.launch import KernelLaunch
+from ..request import SimRequest
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
-from .job import JobResult, SimJob
+from .job import JobResult
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -96,23 +97,22 @@ def launch_signature(launch: KernelLaunch) -> Dict[str, Any]:
 def request_signature(request) -> Dict[str, Any]:
     """The full content-addressed payload of one simulation request.
 
-    ``request`` is anything request-shaped -- a
-    :class:`~repro.request.SimRequest` or a :class:`SimJob` (both carry
-    ``config``/``resolve_launch``/``max_cycles``/``trace_interval``/
-    ``backend``/``backend_options``).  ``trace_interval`` enters the
-    payload only when set, so untraced requests keep the exact keys
-    (and cache entries) they had before telemetry existed; a traced
-    request is a distinct artifact because its entry also stores the
-    per-window deltas.  Likewise ``backend`` enters only for
-    non-default backends (or when backend options are set) -- default
-    (``cycle``) requests keep their pre-backend-era keys, and each
-    other backend's results are keyed by its ``cache_signature``: at
-    least its name *and* model version (so bumping a backend version
-    invalidates exactly that backend's entries), plus any resolved
-    result-changing options (e.g. ``parallel_cycle``'s epoch length
-    and shard count).  Execution policy (``timeout_s``), selection
-    policy (``error_budget``) and presentation (``tag``/``tags``)
-    never enter.
+    ``request`` is a :class:`~repro.request.SimRequest` (or anything
+    carrying its ``config``/``resolve_launch``/``max_cycles``/
+    ``trace_interval``/``backend``/``backend_options``).
+    ``trace_interval`` enters the payload only when set, so untraced
+    requests keep the exact keys (and cache entries) they had before
+    telemetry existed; a traced request is a distinct artifact because
+    its entry also stores the per-window deltas.  Likewise ``backend``
+    enters only for non-default backends (or when backend options are
+    set) -- default (``cycle``) requests keep their pre-backend-era
+    keys, and each other backend's results are keyed by its
+    ``cache_signature``: at least its name *and* model version (so
+    bumping a backend version invalidates exactly that backend's
+    entries), plus any resolved result-changing options (e.g.
+    ``parallel_cycle``'s epoch length and shard count).  Execution
+    policy (``timeout_s``), selection policy (``error_budget``) and
+    presentation (``tag``/``tags``) never enter.
 
     An ``"auto"`` backend resolves through the fidelity ladder
     (:func:`repro.backends.resolve_backend`) *before* any of this, so
@@ -167,31 +167,10 @@ def base_request_key(request) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def resolved_backend(job) -> Tuple[str, float]:
-    """``(concrete backend name, promised error)`` for one job.
-
-    The identity (plus the backend's per-request promise) for concrete
-    names; the fidelity-ladder resolution for ``"auto"``.
-    """
-    from ..backends import resolve_backend
-    return resolve_backend(job)
-
-
 def _backend_is_exact(name: str) -> bool:
     from ..backends import all_backends
     backend = all_backends().get(name)
     return bool(backend is not None and backend.capabilities.exact)
-
-
-def job_key(job: SimJob) -> str:
-    """Content-addressed cache key for one job (its request's key).
-
-    A :class:`SimJob` is request-shaped, so the key *is*
-    :func:`request_key` of the job -- byte-identical payloads, which is
-    what keeps pre-existing cache entries valid across the
-    :class:`~repro.request.SimRequest` redesign.
-    """
-    return request_key(job)
 
 
 def _report_from_dict(data: Dict[str, float]) -> ActivityReport:
@@ -200,7 +179,7 @@ def _report_from_dict(data: Dict[str, float]) -> ActivityReport:
 
 
 class ResultCache:
-    """On-disk result store keyed by :func:`job_key`.
+    """On-disk result store keyed by :func:`request_key`.
 
     The default location is ``$REPRO_CACHE_DIR`` or
     ``~/.cache/gpusimpow``; entries shard into two-character
@@ -242,11 +221,12 @@ class ResultCache:
 
     # -- lookup/store --------------------------------------------------------
 
-    def get(self, job: SimJob, key: Optional[str] = None) -> Optional[JobResult]:
+    def get(self, job: SimRequest,
+            key: Optional[str] = None) -> Optional[JobResult]:
         """Cached result for ``job``, or None on a miss."""
         return self.lookup(job, key=key)[0]
 
-    def lookup(self, job: SimJob,
+    def lookup(self, job: SimRequest,
                key: Optional[str] = None) -> Tuple[Optional[JobResult], bool]:
         """Like :meth:`get`, but also reports corruption.
 
@@ -257,9 +237,10 @@ class ResultCache:
         backend).  A corrupt entry is unlinked so the re-simulated
         result is re-stored cleanly.
         """
-        resolved, _ = resolved_backend(job)
+        from ..backends import resolve_backend
+        resolved, _ = resolve_backend(job)
         if key is None:
-            key = job_key(job)
+            key = request_key(job)
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -309,7 +290,7 @@ class ResultCache:
                          achieved_error=(None if achieved is None
                                          else float(achieved))), False
 
-    def put(self, job: SimJob, activity: ActivityReport, cycles: float,
+    def put(self, job: SimRequest, activity: ActivityReport, cycles: float,
             key: Optional[str] = None,
             windows: Optional[List] = None) -> str:
         """Store one result; returns its key.  Writes are atomic.
@@ -324,9 +305,10 @@ class ResultCache:
         against an exact entry that already exists.  Plain ``cycle``
         entries keep their exact pre-ladder shape.
         """
-        resolved, promised = resolved_backend(job)
+        from ..backends import resolve_backend
+        resolved, promised = resolve_backend(job)
         if key is None:
-            key = job_key(job)
+            key = request_key(job)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
@@ -335,7 +317,7 @@ class ResultCache:
             "gpu": job.config.name,
             "backend": resolved,
             "cycles": float(cycles),
-            "activity": activity.as_dict(),
+            "activity": activity.to_dict(),
         }
         if windows is not None:
             from ..telemetry import windows_to_dicts

@@ -1,18 +1,18 @@
 """The fault-tolerant parallel simulation job engine.
 
-:func:`run_jobs` executes a list of :class:`SimJob` descriptors and
-returns their :class:`JobResult`\\ s *in job order*, regardless of how
-many worker processes ran them or which finished first.  Cache hits are
-resolved in the calling process; only misses fan out to the pool, and
-the pool is skipped entirely for a single job or ``jobs=1`` (the serial
-fallback -- no multiprocessing machinery in the way of debugging or
-profiling).
+:func:`run_jobs` executes a list of :class:`~repro.request.SimRequest`
+jobs and returns their :class:`JobResult`\\ s *in job order*,
+regardless of how many worker processes ran them or which finished
+first.  Cache hits are resolved in the calling process; only misses fan
+out to the pool, and the pool is skipped entirely for a single job or
+``jobs=1`` (the serial fallback -- no multiprocessing machinery in the
+way of debugging or profiling).
 
-Workers receive only the picklable :class:`SimJob` and construct the
-``GPU`` themselves; they ship back plain counter dicts.  Both transports
-(pickle for the pipe, repr-JSON for the cache) round-trip float64
-exactly, so serial, pooled, cached -- and fault-retried -- execution are
-bit-identical.
+Workers receive only the picklable request, whose
+:meth:`~repro.request.SimRequest.execute` constructs the ``GPU`` there;
+they ship back plain counter dicts.  Both transports (pickle for the
+pipe, repr-JSON for the cache) round-trip float64 exactly, so serial,
+pooled, cached -- and fault-retried -- execution are bit-identical.
 
 Fault tolerance.  Each pooled job runs in its own supervised worker
 process, so the engine observes every way an attempt can end:
@@ -22,7 +22,7 @@ process, so the engine observes every way an attempt can end:
 * a **worker crash** (OOM kill, segfault, signal): the worker dies
   without reporting and the supervisor sees EOF on its pipe;
 * a **timeout**: the attempt outlives its wall-clock budget
-  (``SimJob.timeout_s``, ``run_jobs(timeout_s=...)`` or
+  (``SimRequest.timeout_s``, ``run_jobs(timeout_s=...)`` or
   ``$REPRO_JOB_TIMEOUT``) and the supervisor kills it.
 
 Crashes and timeouts are *transient*: the job is retried with
@@ -63,8 +63,9 @@ from multiprocessing import connection
 from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-from .cache import ResultCache, job_key
-from .job import JobFailure, JobResult, SimJob
+from ..request import SimRequest
+from .cache import ResultCache, request_key
+from .job import JobFailure, JobResult
 
 #: Sentinel: "resolve the cache from configured/environment defaults".
 AUTO = "auto"
@@ -315,7 +316,7 @@ def _execute_job(payload):
         if out.windows is not None:
             from ..telemetry import windows_to_dicts
             windows = windows_to_dicts(out.windows)
-        return (index, out.activity.as_dict(), windows,
+        return (index, out.activity.to_dict(), windows,
                 getattr(out, "diagnostics", None), float(out.cycles),
                 time.perf_counter() - start, os.getpid(), None)
     except Exception:  # noqa: BLE001 -- surfaced via RunnerError
@@ -358,7 +359,7 @@ class _Running:
 # -- the engine ---------------------------------------------------------------
 
 
-def run_jobs(jobs: Sequence[SimJob],
+def run_jobs(jobs: Sequence[SimRequest],
              n_jobs: Optional[int] = None,
              cache: Union[ResultCache, None, str] = AUTO,
              progress: Optional[ProgressFn] = None,
@@ -451,8 +452,8 @@ def run_jobs(jobs: Sequence[SimJob],
         if store is not None and keys[index] is not None:
             store.put(job, activity, cycles, key=keys[index],
                       windows=windows)
-        from .cache import resolved_backend
-        backend_used, promised = resolved_backend(job)
+        from ..backends import resolve_backend
+        backend_used, promised = resolve_backend(job)
         result = JobResult(job=job, activity=activity, cycles=cycles,
                            cached=False, duration_s=duration, worker=pid,
                            windows=windows,
@@ -477,7 +478,7 @@ def run_jobs(jobs: Sequence[SimJob],
     for i, job in enumerate(jobs):
         if store is not None:
             try:
-                keys[i] = job_key(job)
+                keys[i] = request_key(job)
             except Exception:  # noqa: BLE001 -- the attempt reports it
                 keys[i] = None  # the worker will fail with a clean traceback
             if keys[i] is not None and not job.sanitize:

@@ -1,27 +1,24 @@
-"""Simulation job descriptors.
+"""Runner job results and failures.
 
-A :class:`SimJob` is everything needed to reproduce one
-``GPU(config).run(launch)`` call, packaged so it can cross a process
-boundary: a plain :class:`~repro.sim.config.GPUConfig` (a dataclass of
+A job is a :class:`~repro.request.SimRequest` (``SimJob`` is an alias):
+a plain :class:`~repro.sim.config.GPUConfig` (a dataclass of
 primitives) plus either a workload label resolved worker-side or an
 explicit :class:`~repro.isa.launch.KernelLaunch` (dataclasses + numpy
-arrays, both picklable).  The heavyweight, stateful :class:`GPU` object
-is always constructed *inside* the worker, so nothing unpicklable ever
-crosses the pipe.
+arrays, both picklable), so it crosses a process boundary as is.  The
+heavyweight, stateful :class:`GPU` object is always constructed
+*inside* the worker by :meth:`SimRequest.execute`, so nothing
+unpicklable ever crosses the pipe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..isa.launch import KernelLaunch
+from ..request import SimRequest
 from ..sim.activity import ActivityReport
-from ..sim.config import GPUConfig
 
 if TYPE_CHECKING:
-    from ..request import SimRequest
     from ..telemetry import ActivityWindow
 
 
@@ -87,160 +84,15 @@ class JobFailure:
         }
 
 
-@dataclass
-class SimJob:
-    """One simulation to run: a GPU configuration plus a kernel launch.
-
-    Attributes:
-        config: The architecture to simulate.
-        kernel: Workload label from Table I (``repro.workloads``); used
-            to resolve the launch worker-side when ``launch`` is None,
-            and as the display label.
-        launch: Explicit launch descriptor; takes precedence over
-            ``kernel`` for execution (both may be set -- ``kernel`` then
-            only labels the job).
-        max_cycles: Simulation watchdog, forwarded to :meth:`GPU.run`.
-        tag: Optional display label overriding the derived one.
-        trace_interval: Telemetry window length in shader cycles; when
-            set, the result carries per-window activity deltas (and the
-            interval becomes part of the cache key).
-        backend: Simulation backend name (``repro.backends`` registry),
-            or ``"auto"`` for error-budget resolution through the
-            fidelity ladder.  Non-default backends enter the cache key
-            -- always under their *resolved* name, so an ``auto`` job
-            and the concrete job it resolves to are one cached
-            artifact.
-        error_budget: Acceptable |chip-power| relative error (fraction
-            in [0, 1]) steering ``backend="auto"``; ``None``/0.0 mean
-            exact.  Selection policy -- never part of the cache key.
-        backend_options: Extra keyword arguments for the backend's
-            ``simulate`` (e.g. ``epoch_cycles``/``n_shards`` for
-            ``parallel_cycle``).  Result-changing options enter the
-            cache key through the backend's ``cache_signature``.
-        timeout_s: Per-job wall-clock budget in seconds, overriding the
-            engine-wide default (``run_jobs(timeout_s=...)`` /
-            ``$REPRO_JOB_TIMEOUT``).  Execution policy, not a simulation
-            input -- deliberately *not* part of the cache key.
-        sanitize: Attach the runtime sanitizer
-            (:mod:`repro.sim.sanitizer`) to the run; findings land on
-            :attr:`JobResult.diagnostics`.  A pure observer, like
-            ``timeout_s`` deliberately *not* part of the cache key: the
-            simulation result is byte-identical with or without it.
-            Sanitized jobs skip the cache *lookup* (the findings are
-            recomputed fresh) but still store their -- identical --
-            result under the shared key.
-    """
-
-    config: GPUConfig
-    kernel: Optional[str] = None
-    launch: Optional[KernelLaunch] = None
-    max_cycles: float = 5e8
-    tag: str = ""
-    trace_interval: Optional[float] = None
-    backend: str = "cycle"
-    backend_options: Optional[Dict[str, object]] = None
-    error_budget: Optional[float] = None
-    timeout_s: Optional[float] = None
-    sanitize: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kernel is None and self.launch is None:
-            raise ValueError("SimJob needs a kernel label or a launch")
-        if self.trace_interval is not None and not self.trace_interval > 0:
-            raise ValueError(
-                f"trace_interval must be positive, got {self.trace_interval!r}")
-        if not self.backend:
-            raise ValueError("SimJob.backend must be a backend name")
-        if self.error_budget is not None and (
-                not isfinite(self.error_budget)
-                or not 0.0 <= self.error_budget <= 1.0):
-            raise ValueError(f"error_budget must be a finite fraction "
-                             f"in [0, 1], got {self.error_budget!r}")
-        if self.timeout_s is not None and not self.timeout_s > 0:
-            raise ValueError(
-                f"timeout_s must be positive, got {self.timeout_s!r}")
-
-    @classmethod
-    def from_request(cls, request: "SimRequest") -> "SimJob":
-        """The job executing one :class:`~repro.request.SimRequest`.
-
-        This is the primary constructor: the keyword form stays as a
-        shim over the same fields, and request -> job -> request
-        round-trips losslessly (``tags`` excepted -- metadata lives on
-        the request, not the execution descriptor).
-        """
-        return cls(
-            config=request.config,
-            kernel=request.kernel,
-            launch=request.launch,
-            max_cycles=request.max_cycles,
-            tag=request.tag,
-            trace_interval=request.trace_interval,
-            backend=request.backend,
-            backend_options=(None if request.backend_options is None
-                             else dict(request.backend_options)),
-            error_budget=request.error_budget,
-            timeout_s=request.timeout_s,
-            sanitize=request.sanitize,
-        )
-
-    def to_request(self) -> "SimRequest":
-        """This job as a canonical :class:`~repro.request.SimRequest`."""
-        from ..request import SimRequest
-        return SimRequest.from_job(self)
-
-    @property
-    def label(self) -> str:
-        """Human-readable job name for progress/error surfacing."""
-        if self.tag:
-            return self.tag
-        name = self.kernel or (self.launch.kernel.name if self.launch
-                               else "?")
-        return f"{name}@{self.config.name}"
-
-    def resolve_launch(self) -> KernelLaunch:
-        """The launch to execute (resolving workload labels if needed).
-
-        Workload labels resolve through :func:`all_kernel_launches`,
-        which builds launches from a fixed seed -- so a label names the
-        same launch (and the same cache key) in every process.
-        """
-        if self.launch is not None:
-            return self.launch
-        from ..workloads import all_kernel_launches
-        launches = all_kernel_launches()
-        if self.kernel not in launches:
-            raise KeyError(f"unknown workload kernel {self.kernel!r}")
-        return launches[self.kernel]
-
-    def execute(self):
-        """Run the job in this process; returns a ``SimulationOutput``.
-
-        Dispatches through the backend registry, resolving ``"auto"``
-        against the fidelity ladder first -- an unknown backend name or
-        a tracing request against a backend that cannot trace fails
-        here, before any simulation work.
-        """
-        from ..backends import get_backend, resolve_backend
-        name, _ = resolve_backend(self)
-        backend = get_backend(name)
-        tracer = None
-        if self.trace_interval is not None:
-            from ..telemetry import ActivityTracer
-            tracer = ActivityTracer(self.trace_interval)
-        kwargs: Dict[str, object] = dict(self.backend_options or {})
-        if self.sanitize:
-            backend.check_sanitize(True)
-            kwargs["sanitize"] = True
-        return backend.simulate(self.config, self.resolve_launch(),
-                                max_cycles=self.max_cycles,
-                                tracer=tracer,
-                                **kwargs)
+#: The runner's job descriptor *is* the canonical request.  The name
+#: stays because callers still spell jobs ``SimJob(...)``, and
+#: ``benchmarks/e2e/tracing.py`` hooks ``SimJob.execute`` by this path.
+SimJob = SimRequest
 
 
 @dataclass
 class JobResult:
-    """Outcome of one :class:`SimJob`.
+    """Outcome of one job (a :class:`~repro.request.SimRequest`).
 
     Carries the activity report and cycle count (everything the power
     model and the experiment drivers consume) -- not the final memory
@@ -263,7 +115,7 @@ class JobResult:
     backend later ran the same digest.
     """
 
-    job: SimJob
+    job: SimRequest
     activity: ActivityReport
     cycles: float
     cached: bool = False

@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from ..analysis import Severity, analyze_launch
@@ -49,7 +49,7 @@ from ..request import SimRequest
 from ..runner import AUTO, ResultCache, RunnerError, run_jobs
 from ..runner.engine import resolve_cache
 from ..runner.job import JobResult
-from ..telemetry import ActivityTracer, TraceSink, windows_to_dicts
+from ..telemetry import TraceSink, windows_to_dicts
 from .journal import Journal
 
 #: Default per-tenant cap on live (queued + running) submissions.
@@ -320,7 +320,7 @@ class PowerService:
         # the (byte-identical) unsanitized result, not the diagnostics.
         if self.cache is not None and task_key not in self._inflight \
                 and not request.sanitize:
-            hit = self.cache.get(request.to_job(), key=digest)
+            hit = self.cache.get(request, key=digest)
             if hit is not None:
                 payload = self._build_payload(
                     request, hit.activity, hit.windows, cached=True,
@@ -537,11 +537,7 @@ class PowerService:
         map back unambiguously even when two requests share a kernel.
         """
         by_key = {t.key: t for t in tasks}
-        jobs = []
-        for task in tasks:
-            job = task.request.to_job()
-            job.tag = task.key
-            jobs.append(job)
+        jobs = [replace(task.request, tag=task.key) for task in tasks]
 
         def on_outcome(done: int, total: int, outcome) -> None:
             if isinstance(outcome, JobResult):
@@ -602,9 +598,8 @@ class PowerService:
                         loop: asyncio.AbstractEventLoop) -> tuple:
         """Worker thread: simulate with a live window-forwarding sink."""
         request = task.request
-        job = request.to_job()
         if self.cache is not None and not request.sanitize:
-            hit = self.cache.get(job, key=task.digest)
+            hit = self.cache.get(request, key=task.digest)
             if hit is not None:
                 for window in hit.windows or []:
                     loop.call_soon_threadsafe(self._push_window, task,
@@ -617,15 +612,9 @@ class PowerService:
                 return payload, False
         resolved, promised = resolve_backend(request)
         sink = _ForwardingSink(loop, self._push_window, task)
-        tracer = ActivityTracer(request.trace_interval, sink=sink)
-        extra: Dict[str, Any] = dict(request.backend_options or {})
-        if request.sanitize:
-            extra["sanitize"] = True
-        output = get_backend(resolved).simulate(
-            request.config, request.resolve_launch(),
-            max_cycles=request.max_cycles, tracer=tracer, **extra)
+        output = replace(request, backend=resolved).execute(sink=sink)
         if self.cache is not None:
-            self.cache.put(job, output.activity, output.cycles,
+            self.cache.put(request, output.activity, output.cycles,
                            key=task.digest, windows=output.windows)
         payload = self._build_payload(
             request, output.activity, output.windows, cached=False,
@@ -701,10 +690,8 @@ class PowerService:
         """
         backend_used = backend_used or request.backend
         result = GPUSimPow(request.config).run(
-            request.resolve_launch(), activity=activity,
-            windows=list(windows) if windows else None,
-            trace_interval=request.trace_interval,
-            backend=backend_used)
+            replace(request, backend=backend_used), activity=activity,
+            windows=list(windows) if windows else None)
         from ..backends import all_backends
         info = getattr(all_backends().get(backend_used), "info", None)
         payload = {

@@ -150,9 +150,6 @@ class ActivityReport(Serializable):
         """
         return scalar_fields_to_dict(self, sparse=sparse)
 
-    #: Backwards-compatible alias for :meth:`to_dict`.
-    as_dict = to_dict
-
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "ActivityReport":
         """Rebuild a report from :meth:`to_dict` output.

@@ -14,8 +14,9 @@ from repro.backends import (AnalyticalBackend, BackendError, CycleBackend,
                             all_backends, compare_backends, get_backend,
                             list_backends, register_backend)
 from repro.core.gpusimpow import GPUSimPow, SimulationResult
+from repro.request import SimRequest
 from repro.runner import ResultCache, SimJob, run_jobs
-from repro.runner.cache import job_key
+from repro.runner.cache import request_key
 from repro.sim import gt240, simulate
 from repro.telemetry import ActivityTracer
 from tests.conftest import build_vecadd_launch
@@ -56,7 +57,7 @@ class TestCycleBackend:
         direct = simulate(gt240_config, launch)
         via = get_backend("cycle").simulate(gt240_config, launch)
         assert via.cycles == direct.cycles
-        assert via.activity.as_dict() == direct.activity.as_dict()
+        assert via.activity.to_dict() == direct.activity.to_dict()
 
     def test_bit_identical_traced(self, gt240_config):
         launch, _, _ = build_vecadd_launch()
@@ -64,10 +65,10 @@ class TestCycleBackend:
                           tracer=ActivityTracer(200.0))
         via = get_backend("cycle").simulate(gt240_config, launch,
                                             tracer=ActivityTracer(200.0))
-        assert via.activity.as_dict() == direct.activity.as_dict()
+        assert via.activity.to_dict() == direct.activity.to_dict()
         assert len(via.windows) == len(direct.windows)
         for wa, wb in zip(via.windows, direct.windows):
-            assert wa.activity.as_dict() == wb.activity.as_dict()
+            assert wa.activity.to_dict() == wb.activity.to_dict()
 
 
 class TestFunctionalRefBackend:
@@ -76,7 +77,7 @@ class TestFunctionalRefBackend:
         cyc = get_backend("cycle").simulate(gt240_config, launch)
         ref = get_backend("functional_ref").simulate(gt240_config, launch)
         assert ref.cycles == cyc.cycles
-        assert ref.activity.as_dict() == cyc.activity.as_dict()
+        assert ref.activity.to_dict() == cyc.activity.to_dict()
 
     def test_compare_backends_reports_exact(self, gt240_config):
         report = compare_backends(gt240_config, ["vectorAdd"],
@@ -134,23 +135,23 @@ class TestCacheKeys:
         """`backend="cycle"` must not perturb pre-backend-era keys."""
         explicit = self._job(gt240_config, backend="cycle")
         implicit = self._job(gt240_config)
-        assert job_key(explicit) == job_key(implicit)
+        assert request_key(explicit) == request_key(implicit)
 
     def test_backends_key_separately(self, gt240_config):
-        assert job_key(self._job(gt240_config, "analytical")) != \
-            job_key(self._job(gt240_config, "cycle"))
-        assert job_key(self._job(gt240_config, "functional_ref")) != \
-            job_key(self._job(gt240_config, "cycle"))
+        assert request_key(self._job(gt240_config, "analytical")) != \
+            request_key(self._job(gt240_config, "cycle"))
+        assert request_key(self._job(gt240_config, "functional_ref")) != \
+            request_key(self._job(gt240_config, "cycle"))
 
     def test_backend_version_enters_key(self, gt240_config):
         job = self._job(gt240_config, "analytical")
         original = get_backend("analytical")
-        before = job_key(job)
+        before = request_key(job)
         try:
             bumped = AnalyticalBackend()
             bumped.version = original.version + ".test"
             register_backend(bumped)
-            assert job_key(job) != before
+            assert request_key(job) != before
         finally:
             register_backend(original)
 
@@ -195,7 +196,7 @@ class TestCacheKeys:
             register_backend(original)
         assert second.cached
         assert second.backend == "analytical"
-        assert second.activity.as_dict() == first.activity.as_dict()
+        assert second.activity.to_dict() == first.activity.to_dict()
         assert second.cycles == first.cycles
 
 
@@ -222,11 +223,13 @@ class TestJobBackend:
 class TestSerializationRoundTrip:
     def test_simulation_result_keeps_backend(self, gt240_config, launches):
         sim = GPUSimPow(gt240_config)
-        result = sim.run(launches["vectorAdd"], backend="analytical")
+        result = sim.run(SimRequest(config=gt240_config,
+                                    launch=launches["vectorAdd"],
+                                    backend="analytical"))
         assert result.backend == "analytical"
         restored = SimulationResult.from_dict(result.to_dict())
         assert restored.backend == "analytical"
-        assert restored.activity.as_dict() == result.activity.as_dict()
+        assert restored.activity.to_dict() == result.activity.to_dict()
         assert restored.power.chip_total_w == result.power.chip_total_w
 
     def test_from_dict_defaults_to_cycle(self, gt240_config, launches):
@@ -238,16 +241,20 @@ class TestSerializationRoundTrip:
 
     def test_facade_replay_records_backend(self, gt240_config, launches):
         sim = GPUSimPow(gt240_config)
-        fresh = sim.run(launches["vectorAdd"], backend="analytical")
-        replay = sim.run(launches["vectorAdd"], activity=fresh.activity,
-                         backend="analytical")
+        request = SimRequest(config=gt240_config,
+                             launch=launches["vectorAdd"],
+                             backend="analytical")
+        fresh = sim.run(request)
+        replay = sim.run(request, activity=fresh.activity)
         assert replay.backend == "analytical"
         assert replay.power.chip_total_w == fresh.power.chip_total_w
 
     def test_facade_rejects_unknown_backend(self, gt240_config, launches):
         sim = GPUSimPow(gt240_config)
         with pytest.raises(KeyError, match="unknown simulation backend"):
-            sim.run(launches["vectorAdd"], backend="nope")
+            sim.run(SimRequest(config=gt240_config,
+                               launch=launches["vectorAdd"],
+                               backend="nope"))
 
 
 class TestValidationHarness:

@@ -15,7 +15,7 @@ class TestActivityJSON:
         launch, _, _ = build_vecadd_launch()
         act = simulate(gt240(), launch).activity
         restored = ActivityReport.from_json(act.to_json())
-        assert restored.as_dict() == act.as_dict()
+        assert restored.to_dict() == act.to_dict()
 
     def test_rejects_unknown_counters(self):
         payload = json.dumps({"warp_drive_engagements": 9000})

@@ -119,7 +119,7 @@ class TestRetryPathEquivalence:
                             n_jobs=2, cache=None, timeout_s=3.0,
                             backoff_s=0.0)[:1]
         assert retried.attempts == 2
-        assert retried.activity.as_dict() == serial[0].activity.as_dict()
+        assert retried.activity.to_dict() == serial[0].activity.to_dict()
         assert retried.cycles == serial[0].cycles
 
 
@@ -129,7 +129,7 @@ class TestVectorizedVsScalarReference:
         launch = launches[kernel]
         fast = GPU(gt240()).run(launch)
         slow = GPU(gt240(), functional=REFERENCE).run(launch)
-        assert slow.activity.as_dict() == fast.activity.as_dict()
+        assert slow.activity.to_dict() == fast.activity.to_dict()
         assert slow.cycles == fast.cycles
         np.testing.assert_array_equal(slow.gmem, fast.gmem)
 
@@ -138,7 +138,7 @@ class TestVectorizedVsScalarReference:
         launch = launches["BlackScholes"]
         fast = GPU(gt240()).run(launch)
         slow = GPU(gt240(), functional=REFERENCE).run(launch)
-        assert slow.activity.as_dict() == fast.activity.as_dict()
+        assert slow.activity.to_dict() == fast.activity.to_dict()
         np.testing.assert_array_equal(slow.gmem, fast.gmem)
 
     def test_overlapping_reference_runs_leave_cycle_vectorised(
@@ -178,6 +178,6 @@ class TestVectorizedVsScalarReference:
         callers.clear()
         after = get_backend("cycle").simulate(gt240(), launches["bfs2"])
         assert not callers, "scalar interpreter left installed"
-        assert outputs["cycle"].activity.as_dict() == \
-            outputs["ref-a"].activity.as_dict()
-        assert after.activity.as_dict() == outputs["ref-b"].activity.as_dict()
+        assert outputs["cycle"].activity.to_dict() == \
+            outputs["ref-a"].activity.to_dict()
+        assert after.activity.to_dict() == outputs["ref-b"].activity.to_dict()

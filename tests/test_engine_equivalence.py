@@ -36,7 +36,7 @@ POLICIES = ("rr", "gto", "two_level")
 
 
 def _run_record(out) -> dict:
-    return {"cycles": out.cycles, "activity": out.activity.as_dict()}
+    return {"cycles": out.cycles, "activity": out.activity.to_dict()}
 
 
 def collect() -> dict:

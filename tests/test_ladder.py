@@ -23,8 +23,8 @@ from repro.cli import main
 from repro.core import GPUSimPow
 from repro.request import SimRequest
 from repro.runner import run_jobs
-from repro.runner.cache import (ResultCache, base_request_key, job_key,
-                                request_signature)
+from repro.runner.cache import (ResultCache, base_request_key,
+                                request_key, request_signature)
 from repro.runner.job import SimJob
 from repro.sim import gt240, gtx580
 from tests.conftest import build_vecadd_launch
@@ -247,7 +247,7 @@ class TestDigests:
                      launch=launches["BlackScholes"], backend="cycle")
         assert base_request_key(est) == base_request_key(cyc)
         # A plain cycle job IS its own base: backfill can find it.
-        assert base_request_key(cyc) == job_key(cyc)
+        assert base_request_key(cyc) == request_key(cyc)
 
 
 class TestCacheProvenance:
@@ -323,16 +323,17 @@ class TestFacade:
         launch, _, _ = build_vecadd_launch(n=64, block=64, grid=1)
         sim = GPUSimPow(gt240_config)
         exact = sim.run(launch)
-        auto = sim.run(launch, backend=AUTO_BACKEND, error_budget=0.0)
+        auto = sim.run(SimRequest(config=gt240_config, launch=launch,
+                                  backend=AUTO_BACKEND, error_budget=0.0))
         assert auto.backend == "cycle"
         assert auto.promised_error == 0.0
         assert auto.performance.cycles == exact.performance.cycles
         assert auto.activity.to_dict() == exact.activity.to_dict()
 
     def test_result_records_promise(self, gtx580_config, launches):
-        result = GPUSimPow(gtx580_config).run(
-            launches["BlackScholes"], backend=AUTO_BACKEND,
-            error_budget=0.10)
+        result = GPUSimPow(gtx580_config).run(SimRequest(
+            config=gtx580_config, launch=launches["BlackScholes"],
+            backend=AUTO_BACKEND, error_budget=0.10))
         assert result.backend == "surrogate"
         assert 0.0 < result.promised_error <= 0.10
         payload = result.to_dict()

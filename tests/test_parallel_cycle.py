@@ -23,8 +23,9 @@ import pytest
 
 from repro.backends import ShardWorkerError, get_backend
 from repro.backends.parallel_cycle import ParallelCycleBackend
+from repro.request import SimRequest
 from repro.runner import SimJob, run_jobs
-from repro.runner.cache import job_key
+from repro.runner.cache import request_key
 from repro.sim import GPU, gtx580
 from repro.telemetry import ActivityTracer, sum_windows
 from repro.workloads import build_benchmark
@@ -128,7 +129,7 @@ class TestDegeneration:
         out = backend.simulate(config, build_benchmark("hotspot")[0],
                                n_shards=1)
         assert out.cycles == serial_hotspot.cycles
-        assert out.activity.as_dict() == serial_hotspot.activity.as_dict()
+        assert out.activity.to_dict() == serial_hotspot.activity.to_dict()
         assert np.array_equal(out.gmem, serial_hotspot.gmem)
 
     def test_single_shard_traced_bit_identical(self, config, backend):
@@ -138,7 +139,7 @@ class TestDegeneration:
                                n_shards=1, tracer=ActivityTracer(200.0))
         assert len(out.windows) == len(ref.windows)
         for wa, wb in zip(out.windows, ref.windows):
-            assert wa.activity.as_dict() == wb.activity.as_dict()
+            assert wa.activity.to_dict() == wb.activity.to_dict()
 
     def test_processes_match_in_process_shards(self, config, backend):
         launch = build_benchmark("heartwall")[0]
@@ -148,7 +149,7 @@ class TestDegeneration:
         forked = backend.simulate(config, launch, epoch_cycles=250.0,
                                   n_shards=4, processes=True)
         assert forked.cycles == local.cycles
-        assert forked.activity.as_dict() == local.activity.as_dict()
+        assert forked.activity.to_dict() == local.activity.to_dict()
         assert np.array_equal(forked.gmem, local.gmem)
 
 
@@ -161,7 +162,7 @@ class TestTelemetryMerge:
                                processes=False,
                                tracer=ActivityTracer(100.0))
         total = sum_windows(out.windows, config)
-        assert total.as_dict() == out.activity.as_dict()
+        assert total.to_dict() == out.activity.to_dict()
 
     def test_windows_cover_full_runtime(self, config, backend):
         tracer = ActivityTracer(100.0)
@@ -193,13 +194,13 @@ class TestOptionsAndCache:
         base = SimJob(config=config, kernel="hotspot")
         par = SimJob(config=config, kernel="hotspot",
                      backend="parallel_cycle")
-        assert job_key(base) != job_key(par)
+        assert request_key(base) != request_key(par)
 
     def test_cache_key_tracks_epoch_and_shards(self, config):
         keys = {
-            job_key(SimJob(config=config, kernel="hotspot",
-                           backend="parallel_cycle",
-                           backend_options=opts))
+            request_key(SimJob(config=config, kernel="hotspot",
+                               backend="parallel_cycle",
+                               backend_options=opts))
             for opts in (None, {"epoch_cycles": 50.0},
                          {"epoch_cycles": None}, {"n_shards": 2})
         }
@@ -212,7 +213,7 @@ class TestOptionsAndCache:
         b = SimJob(config=config, kernel="hotspot",
                    backend="parallel_cycle",
                    backend_options={"processes": True})
-        assert job_key(a) == job_key(b)
+        assert request_key(a) == request_key(b)
 
     def test_runner_round_trip(self, config, tmp_path):
         from repro.runner import ResultCache
@@ -226,7 +227,7 @@ class TestOptionsAndCache:
         again, = run_jobs([job], n_jobs=1, cache=cache)
         assert not fresh.cached and again.cached
         assert again.cycles == fresh.cycles
-        assert again.activity.as_dict() == fresh.activity.as_dict()
+        assert again.activity.to_dict() == fresh.activity.to_dict()
 
     def test_worker_error_type_importable(self):
         # The error surface for dead shard workers is part of the API.
@@ -237,9 +238,9 @@ class TestFacade:
     def test_gpusimpow_run_accepts_backend_options(self, config):
         from repro.core.gpusimpow import GPUSimPow
         launch = build_benchmark("pathfinder")[0]
-        result = GPUSimPow(config).run(
-            launch, backend="parallel_cycle",
+        result = GPUSimPow(config).run(SimRequest(
+            config=config, launch=launch, backend="parallel_cycle",
             backend_options={"epoch_cycles": 250.0, "n_shards": 2,
-                             "processes": False})
+                             "processes": False}))
         assert result.backend == "parallel_cycle"
         assert result.chip_total_w > 0

@@ -1,10 +1,10 @@
-"""Tests for the canonical SimRequest: round-trips, digests, shims.
+"""Tests for the canonical SimRequest: round-trips, digests, execution.
 
-The redesign's core invariant: a request has ONE identity (its
-digest), shared verbatim by the facade, the runner job, the cache key,
-and the service's HTTP schema -- and the digest of a pre-refactor
-``SimJob`` is byte-identical to the request's, so no cache entry went
-stale.
+The core invariant: a request has ONE identity (its digest), shared
+verbatim by the facade, the runner job, the cache key, and the
+service's HTTP schema -- and ``tests/data/request_keys.json`` pins
+those digests byte for byte, so no refactor silently stales a cache
+entry.
 """
 
 import json
@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro import SIM_VERSION, GPUSimPow, SimRequest
-from repro.runner import (JobFailure, RunnerError, SimJob, job_key,
-                          request_key, run_jobs)
+from repro.backends import BackendError
+from repro.runner import (JobFailure, RunnerError, SimJob, request_key,
+                          run_jobs)
 from repro.sim import gt240, gtx580
 from tests.conftest import build_vecadd_launch
 
@@ -172,8 +173,8 @@ class TestDigest:
         req = SimRequest(config=gt240(), launch=tiny_launch,
                          kernel="tiny")
         job = SimJob(config=gt240(), launch=tiny_launch, kernel="tiny")
-        assert req.digest() == job_key(job)
-        assert request_key(req) == job_key(job)
+        assert req.digest() == request_key(job)
+        assert request_key(req) == request_key(job)
 
     def test_policy_fields_excluded(self, tiny_launch):
         base = SimRequest(config=gt240(), launch=tiny_launch)
@@ -228,25 +229,6 @@ class TestGoldenKeys:
 
 
 class TestJobConversion:
-    def test_round_trip(self, tiny_launch):
-        req = SimRequest(config=gt240(), launch=tiny_launch,
-                         kernel="tiny", trace_interval=64.0,
-                         backend_options=None, timeout_s=9.0)
-        job = req.to_job()
-        assert isinstance(job, SimJob)
-        assert job.trace_interval == 64.0
-        assert job.timeout_s == 9.0
-        back = job.to_request()
-        assert back.digest() == req.digest()
-        assert back.timeout_s == 9.0
-
-    def test_from_request_copies_options(self, tiny_launch):
-        req = SimRequest(config=gt240(), launch=tiny_launch,
-                         backend_options={"k": 1})
-        job = SimJob.from_request(req)
-        job.backend_options["k"] = 2
-        assert req.backend_options == {"k": 1}
-
     def test_job_executes(self, tiny_launch):
         req = SimRequest(config=gt240(), launch=tiny_launch,
                          kernel="tiny")
@@ -263,17 +245,47 @@ class TestFacadeRequestEntry:
         assert via_req.chip_total_w == via_kw.chip_total_w
         assert via_req.performance.cycles == via_kw.performance.cycles
 
-    def test_run_rejects_mixed_forms(self, tiny_launch):
-        sim = GPUSimPow(gt240())
-        req = SimRequest(config=gt240(), launch=tiny_launch)
-        with pytest.raises(ValueError, match="not both"):
-            sim.run(tiny_launch, request=req)
-
     def test_run_rejects_foreign_config(self, tiny_launch):
         sim = GPUSimPow(gt240())
         req = SimRequest(config=gtx580(), launch=tiny_launch)
         with pytest.raises(ValueError):
             sim.run(request=req)
+
+    def test_run_honors_sanitize(self):
+        """The facade attaches the runtime sanitizer, like the runner."""
+        sim = GPUSimPow(gt240())
+        result = sim.run(request=SimRequest(config=gt240(),
+                                            kernel="vectorAdd",
+                                            sanitize=True))
+        assert result.performance.diagnostics == []
+        job, = run_jobs([SimJob(config=gt240(), kernel="vectorAdd",
+                                sanitize=True)], n_jobs=1, cache=None)
+        assert job.diagnostics == []
+
+    def test_run_rejects_sanitize_without_support(self):
+        sim = GPUSimPow(gt240())
+        with pytest.raises(BackendError, match="sanitizer"):
+            sim.run(request=SimRequest(config=gt240(), kernel="vectorAdd",
+                                       backend="analytical",
+                                       sanitize=True))
+
+    def test_replay_does_not_resolve_backend(self, tiny_launch,
+                                             monkeypatch):
+        """A replay trusts the request's concrete backend: no ladder
+        walk per cache hit."""
+        import repro.backends
+        sim = GPUSimPow(gt240())
+        req = SimRequest(config=gt240(), launch=tiny_launch)
+        fresh = sim.run(req)
+
+        def no_resolution(request):
+            raise AssertionError("replay resolved the backend")
+
+        monkeypatch.setattr(repro.backends, "resolve_backend",
+                            no_resolution)
+        replay = sim.run(req, activity=fresh.activity)
+        assert replay.backend == "cycle"
+        assert replay.chip_total_w == fresh.chip_total_w
 
     def test_run_benchmark_request(self):
         sim = GPUSimPow(gt240())

@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro.isa import Dim3, KernelLaunch
 from repro.runner import (AUTO, JobResult, ResultCache, RunnerError, SimJob,
-                          job_key, resolve_cache, resolve_jobs, run_jobs,
+                          request_key, resolve_cache, resolve_jobs, run_jobs,
                           set_default_cache, set_default_jobs)
 from repro.sim import gt240, gtx580
 from tests.conftest import build_vecadd_launch
@@ -53,23 +53,23 @@ class TestSimJob:
 
 class TestJobKey:
     def test_stable_across_calls(self, tiny_job):
-        assert job_key(tiny_job) == job_key(tiny_job)
+        assert request_key(tiny_job) == request_key(tiny_job)
 
     def test_workload_label_matches_explicit_launch(self, launches):
         by_label = SimJob(config=gt240(), kernel="vectorAdd")
         explicit = SimJob(config=gt240(), kernel="vectorAdd",
                           launch=launches["vectorAdd"])
-        assert job_key(by_label) == job_key(explicit)
+        assert request_key(by_label) == request_key(explicit)
 
     def test_sensitive_to_config(self, tiny_job):
         other = SimJob(config=gtx580(), kernel=tiny_job.kernel,
                        launch=tiny_job.launch)
-        assert job_key(other) != job_key(tiny_job)
+        assert request_key(other) != request_key(tiny_job)
 
     def test_sensitive_to_single_config_field(self, tiny_job):
         tweaked = SimJob(config=gt240().scaled(warp_size=16),
                          kernel=tiny_job.kernel, launch=tiny_job.launch)
-        assert job_key(tweaked) != job_key(tiny_job)
+        assert request_key(tweaked) != request_key(tiny_job)
 
     def test_sensitive_to_launch_dims(self, tiny_job):
         launch = tiny_job.launch
@@ -78,7 +78,7 @@ class TestJobKey:
                              globals_init=launch.globals_init,
                              gmem_words=launch.gmem_words)
         job = SimJob(config=gt240(), launch=wider)
-        assert job_key(job) != job_key(tiny_job)
+        assert request_key(job) != request_key(tiny_job)
 
     def test_sensitive_to_initial_memory(self, tiny_job):
         launch = tiny_job.launch
@@ -90,12 +90,12 @@ class TestJobKey:
                                block=launch.block, globals_init=init,
                                gmem_words=launch.gmem_words)
         job = SimJob(config=gt240(), launch=changed)
-        assert job_key(job) != job_key(tiny_job)
+        assert request_key(job) != request_key(tiny_job)
 
     def test_sensitive_to_sim_version(self, tiny_job, monkeypatch):
-        before = job_key(tiny_job)
+        before = request_key(tiny_job)
         monkeypatch.setattr(repro, "SIM_VERSION", "9999.test")
-        assert job_key(tiny_job) != before
+        assert request_key(tiny_job) != before
 
 
 class TestResultCache:
@@ -106,7 +106,7 @@ class TestResultCache:
         hit = cache.get(tiny_job)
         assert hit is not None and hit.cached
         assert hit.cycles == out.cycles
-        assert hit.activity.as_dict() == out.activity.as_dict()
+        assert hit.activity.to_dict() == out.activity.to_dict()
 
     def test_miss_on_empty(self, tiny_job, tmp_path):
         cache = ResultCache(tmp_path)
@@ -184,7 +184,7 @@ class TestRunJobs:
         assert isinstance(result, JobResult)
         assert not result.cached and result.worker == -1
         assert result.cycles == direct.cycles
-        assert result.activity.as_dict() == direct.activity.as_dict()
+        assert result.activity.to_dict() == direct.activity.to_dict()
 
     def test_cache_hit_skips_simulation(self, tiny_job, tmp_path):
         cache = ResultCache(tmp_path)
@@ -192,7 +192,7 @@ class TestRunJobs:
         warm, = run_jobs([tiny_job], n_jobs=1, cache=cache)
         assert not cold.cached and warm.cached
         assert cache.stores == 1 and cache.hits == 1
-        assert warm.activity.as_dict() == cold.activity.as_dict()
+        assert warm.activity.to_dict() == cold.activity.to_dict()
 
     def test_results_in_job_order(self, launches):
         names = ["scalarProd", "vectorAdd", "bfs2"]

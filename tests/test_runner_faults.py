@@ -24,8 +24,8 @@ import warnings
 import pytest
 
 from repro.runner import (AUTO, JobFailure, ResultCache, RunnerError, SimJob,
-                          job_key, resolve_jobs, resolve_timeout, run_jobs,
-                          set_default_cache, set_default_jobs,
+                          request_key, resolve_jobs, resolve_timeout,
+                          run_jobs, set_default_cache, set_default_jobs,
                           set_default_timeout, set_fault_plan)
 from repro.runner.engine import _fault_for, _resolve_fault_plan, _warned_env
 from repro.sim import gt240
@@ -59,7 +59,7 @@ def clean_result():
 
 
 def assert_bit_identical(result, reference):
-    assert result.activity.as_dict() == reference.activity.as_dict()
+    assert result.activity.to_dict() == reference.activity.to_dict()
     assert result.cycles == reference.cycles
 
 
@@ -180,7 +180,7 @@ class TestTimeouts:
     def test_timeout_not_in_cache_key(self):
         plain, = tiny_jobs(1)
         budgeted, = tiny_jobs(1, timeout_s=5.0)
-        assert job_key(plain) == job_key(budgeted)
+        assert request_key(plain) == request_key(budgeted)
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
@@ -251,7 +251,7 @@ class TestCacheCorruption:
         jobs = tiny_jobs(1)
         cache = ResultCache(tmp_path)
         cold, = run_jobs(jobs, n_jobs=1, cache=cache)
-        key = job_key(jobs[0])
+        key = request_key(jobs[0])
         cache.path_for(key).write_text("{trunca", encoding="utf-8")
         fresh, = run_jobs(jobs, n_jobs=1, cache=cache)
         assert not fresh.cached
@@ -276,7 +276,7 @@ class TestCacheCorruption:
         jobs = tiny_jobs(1)
         cache = ResultCache(tmp_path)
         assert cache.lookup(jobs[0]) == (None, False)  # plain miss
-        key = job_key(jobs[0])
+        key = request_key(jobs[0])
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("not json at all", encoding="utf-8")

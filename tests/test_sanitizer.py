@@ -14,7 +14,7 @@ from repro.isa import KernelBuilder, Sreg
 from repro.isa.launch import Dim3, KernelLaunch
 from repro.request import SimRequest
 from repro.runner import ResultCache, SimJob, run_jobs
-from repro.runner.cache import job_key, request_key, request_signature
+from repro.runner.cache import request_key, request_signature
 from repro.sim import SimulationDeadlock, gt240
 from repro.workloads import all_kernel_launches
 
@@ -181,7 +181,7 @@ class TestPureObserver:
 
     def test_activity_identical(self, pair):
         plain, sanitized = pair
-        assert plain.activity.as_dict() == sanitized.activity.as_dict()
+        assert plain.activity.to_dict() == sanitized.activity.to_dict()
 
     def test_memory_image_identical(self, pair):
         plain, sanitized = pair
@@ -230,7 +230,7 @@ class TestEngineDeterminism:
         plain, = run_jobs([SimJob(config=config, kernel="san_rw",
                                   launch=race_rw_launch())], cache=cache)
         assert plain.cached
-        assert plain.activity.as_dict() == first.activity.as_dict()
+        assert plain.activity.to_dict() == first.activity.to_dict()
 
 
 class TestCacheKeyInvariance:
@@ -253,7 +253,7 @@ class TestCacheKeyInvariance:
         plain = SimJob(config=gt240(), kernel="vectorAdd", launch=launch)
         sanitized = SimJob(config=gt240(), kernel="vectorAdd",
                            launch=launch, sanitize=True)
-        assert job_key(plain) == job_key(sanitized)
+        assert request_key(plain) == request_key(sanitized)
 
     def test_wire_roundtrip_preserves_sanitize(self):
         request = self._request(True)

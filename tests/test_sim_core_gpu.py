@@ -218,4 +218,4 @@ class TestDeterminism:
         a = simulate(gt240(), launch)
         b = simulate(gt240(), launch)
         assert a.cycles == b.cycles
-        assert a.activity.as_dict() == b.activity.as_dict()
+        assert a.activity.to_dict() == b.activity.to_dict()

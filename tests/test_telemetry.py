@@ -12,8 +12,9 @@ import math
 import pytest
 
 from repro.core import GPUSimPow
+from repro.request import SimRequest
 from repro.runner import SimJob, run_jobs
-from repro.runner.cache import ResultCache, job_key
+from repro.runner.cache import ResultCache, request_key
 from repro.sim import gt240
 from repro.sim.activity import ActivityReport
 from repro.sim.gpu import SimulationOutput, simulate, simulate_sequence
@@ -174,7 +175,9 @@ class TestSerialization:
 
     def test_simulation_result_round_trip(self, gt240_config, launches):
         sim = GPUSimPow(gt240_config)
-        result = sim.run(launches["BlackScholes"], trace_interval=500.0)
+        result = sim.run(SimRequest(config=gt240_config,
+                                    launch=launches["BlackScholes"],
+                                    trace_interval=500.0))
         back = type(result).from_json(result.to_json())
         assert back.to_dict() == result.to_dict()
         assert back.runtime_s == result.runtime_s
@@ -248,7 +251,7 @@ class TestRunnerIntegration:
                         trace_interval=200.0)
         other = SimJob(config=gt240_config, launch=launch,
                        trace_interval=400.0)
-        assert job_key(plain) != job_key(traced) != job_key(other)
+        assert request_key(plain) != request_key(traced) != request_key(other)
 
     def test_untraced_job_key_unchanged_by_telemetry_field(
             self, gt240_config):
@@ -258,7 +261,7 @@ class TestRunnerIntegration:
         launch, _, _ = build_vecadd_launch()
         job = SimJob(config=gt240_config, launch=launch)
         assert job.trace_interval is None
-        assert job_key(job) == job_key(
+        assert request_key(job) == request_key(
             SimJob(config=gt240_config, launch=launch,
                    trace_interval=None))
 
@@ -305,7 +308,8 @@ class TestReplay:
                                               launches):
         sim = GPUSimPow(gt240_config)
         launch = launches["BlackScholes"]
-        fresh = sim.run(launch, trace_interval=500.0)
+        fresh = sim.run(SimRequest(config=gt240_config, launch=launch,
+                                   trace_interval=500.0))
         replayed = sim.run(launch, activity=fresh.activity,
                            windows=fresh.performance.windows)
         assert replayed.trace is not None
