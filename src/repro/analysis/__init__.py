@@ -17,9 +17,10 @@ or, end to end against the simulator::
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..isa.launch import KernelLaunch
+from ..isa.serialize import cached_launch_fingerprint
 from ..sim.config import GPUConfig
 from .crosscheck import (RULE_GROUPS, RULE_PAIRS, CrossCheckResult,
                          compare_static_dynamic, grade_rules,
@@ -62,11 +63,47 @@ def analyze_kernel(kernel, shape: LaunchShape,
     return run_passes(kernel, shape, passes)
 
 
+#: Default-pipeline results by (launch fingerprint, SELP selectors,
+#: shape).  Cleared when full, so a daemon fed an endless stream of
+#: fresh kernels keeps a bounded memo.
+_RESULT_MEMO: Dict[Tuple[str, Tuple[int, ...], LaunchShape],
+                   AnalysisResult] = {}
+_RESULT_MEMO_LIMIT = 1024
+
+
 def analyze_launch(launch: KernelLaunch,
                    config: Optional[GPUConfig] = None,
                    passes: Optional[Sequence[Pass]] = None
                    ) -> AnalysisResult:
-    """Run the analyzer pipeline over a kernel launch descriptor."""
+    """Run the analyzer pipeline over a kernel launch descriptor.
+
+    The default pipeline (``passes is None``) is memoised: its verdict
+    depends only on the kernel IR and the launch shape, never on the
+    memory images, so launches sharing a
+    :func:`~repro.isa.serialize.launch_fingerprint` and a shape share
+    one result.  Callers must treat it as read-only.
+    """
     cfg = config if config is not None else GPUConfig()
-    return run_passes(launch.kernel, shape_for_launch(launch, cfg),
-                      passes)
+    shape = shape_for_launch(launch, cfg)
+    if passes is not None:
+        return run_passes(launch.kernel, shape, passes)
+    key = (cached_launch_fingerprint(launch),
+           _selp_selectors(launch.kernel), shape)
+    result = _RESULT_MEMO.get(key)
+    if result is None:
+        result = run_passes(launch.kernel, shape)
+        if len(_RESULT_MEMO) >= _RESULT_MEMO_LIMIT:
+            _RESULT_MEMO.clear()
+        _RESULT_MEMO[key] = result
+    return result
+
+
+def _selp_selectors(kernel) -> Tuple[int, ...]:
+    """The selector predicate of every SELP (-1 when missing).
+
+    SELP carries its selector outside the instruction's fields, where
+    the fingerprint's ``repr`` of the IR does not see it; the verifier
+    does, so the memo key must.
+    """
+    return tuple(getattr(getattr(inst, "sel_pred", None), "index", -1)
+                 for inst in kernel.instructions if inst.op == "SELP")

@@ -257,7 +257,12 @@ class Pass:
 
 @dataclass
 class AnalysisResult:
-    """Outcome of one analyzer pipeline over one kernel."""
+    """Outcome of one analyzer pipeline over one kernel.
+
+    Read-only once returned: :func:`repro.analysis.analyze_launch`
+    hands every caller with the same kernel and shape the one memoised
+    result.
+    """
 
     kernel: str
     shape: LaunchShape

@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..isa.launch import KernelLaunch
-from ..isa.serialize import launch_fingerprint
+from ..isa.serialize import cached_launch_fingerprint
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimulationOutput
@@ -124,20 +124,6 @@ def config_key(config: GPUConfig) -> str:
     except AttributeError:
         pass
     return key
-
-
-def _fingerprint_of(launch: KernelLaunch) -> str:
-    """:func:`launch_fingerprint`, cached on the launch object (same
-    immutability convention as :func:`config_key`)."""
-    cached = getattr(launch, "_surrogate_fingerprint", None)
-    if cached is not None:
-        return cached
-    fingerprint = launch_fingerprint(launch)
-    try:
-        launch._surrogate_fingerprint = fingerprint
-    except AttributeError:
-        pass
-    return fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +701,7 @@ class SurrogateBackend(SimulationBackend):
 
     def features_for(self, config: GPUConfig,
                      launch: KernelLaunch) -> Dict[str, float]:
-        memo_key = (config_key(config), _fingerprint_of(launch))
+        memo_key = (config_key(config), cached_launch_fingerprint(launch))
         feats = _FEATURE_MEMO.get(memo_key)
         if feats is None:
             feats = kernel_features(launch, config)
@@ -733,7 +719,7 @@ class SurrogateBackend(SimulationBackend):
         than a whole analytical query.
         """
         memo_key = (table.key, config_key(config),
-                    _fingerprint_of(launch))
+                    cached_launch_fingerprint(launch))
         hit = _PREDICTION_MEMO.get(memo_key)
         if hit is None:
             hit = table.predict(self.features_for(config, launch))

@@ -243,11 +243,15 @@ class GPUSimPow:
         # Ladder resolution happens once for the whole chain, so every
         # kernel of the benchmark runs at the same fidelity.
         resolved, promised = resolve_backend(req)
+        backend = get_backend(resolved)
+        options = dict(req.backend_options or {})
+        if req.sanitize:
+            backend.check_sanitize(True)
+            options["sanitize"] = True
         launches = build_benchmark(req.kernel)
-        outputs = get_backend(resolved).simulate_sequence(
+        outputs = backend.simulate_sequence(
             self.config, launches, max_cycles=req.max_cycles,
-            trace_interval=req.trace_interval,
-            sink=sink, **(req.backend_options or {}))
+            trace_interval=req.trace_interval, sink=sink, **options)
         results = []
         for launch, perf in zip(launches, outputs):
             trace = None

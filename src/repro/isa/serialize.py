@@ -233,3 +233,20 @@ def launch_fingerprint(launch: KernelLaunch) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def cached_launch_fingerprint(launch: KernelLaunch) -> str:
+    """:func:`launch_fingerprint`, cached on the launch object.
+
+    Launches are treated as immutable once fingerprinted (the shared
+    workload launches are read-only, and a changed launch is a new
+    object built with :func:`dataclasses.replace`), so warm lookups of
+    the memos keyed on it -- the surrogate's features and predictions,
+    the analyzer's results -- skip the IR serialization.
+    """
+    cached = getattr(launch, "_fingerprint", None)
+    if cached is not None:
+        return cached
+    fingerprint = launch_fingerprint(launch)
+    launch._fingerprint = fingerprint  # type: ignore[attr-defined]
+    return fingerprint

@@ -130,7 +130,9 @@ class SimRequest(Serializable):
         Workload labels resolve through
         :func:`repro.workloads.all_kernel_launches`, which builds
         launches from a fixed seed -- so a label names the same launch
-        (and the same digest) in every process.
+        (and the same digest) in every process.  Each benchmark is
+        built once per process: a label resolves to the one shared,
+        read-only launch object (see :mod:`repro.workloads.common`).
         """
         if self.launch is not None:
             return self.launch

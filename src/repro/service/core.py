@@ -10,10 +10,14 @@ submission's life:
 2. **Admission lint** -- the static analyzer (``gpusimpow lint``'s
    engine) runs over the launch; any ``ERROR``-severity diagnostic
    rejects the submission with a 422 and the full diagnostic payload,
-   *before* any simulation resource is spent.
+   *before* any simulation resource is spent.  Verdicts are memoised
+   per kernel IR and launch shape (:func:`repro.analysis.analyze_launch`).
 3. **Cache probe** -- the content-addressed result cache is consulted
-   under the request's digest; a hit answers instantly (200, result
-   inline) without touching quotas or queues.
+   under the request's digest (computed once per submission); a hit
+   answers instantly (200, result inline) without touching quotas or
+   queues.  The probe stays *after* lint: ``gpusimpow run`` may have
+   cached a result for a kernel with lint errors, and that must not
+   turn the 422 into a 200.
 4. **Quota** -- each tenant may hold a bounded number of live
    (queued or running) submissions; beyond that, 429.
 5. **Dedup** -- an in-flight task with the same digest absorbs the
@@ -323,8 +327,8 @@ class PowerService:
             hit = self.cache.get(request, key=digest)
             if hit is not None:
                 payload = self._build_payload(
-                    request, hit.activity, hit.windows, cached=True,
-                    backend_used=hit.backend_used,
+                    request, digest, hit.activity, hit.windows,
+                    cached=True, backend_used=hit.backend_used,
                     promised=hit.promised_error,
                     achieved=hit.achieved_error)
                 sub.state = "done"
@@ -545,8 +549,8 @@ class PowerService:
                 if task is None:
                     return
                 payload = self._build_payload(
-                    task.request, outcome.activity, outcome.windows,
-                    cached=outcome.cached,
+                    task.request, task.digest, outcome.activity,
+                    outcome.windows, cached=outcome.cached,
                     backend_used=outcome.backend_used,
                     promised=outcome.promised_error,
                     achieved=outcome.achieved_error,
@@ -605,8 +609,8 @@ class PowerService:
                     loop.call_soon_threadsafe(self._push_window, task,
                                               window)
                 payload = self._build_payload(
-                    request, hit.activity, hit.windows, cached=True,
-                    backend_used=hit.backend_used,
+                    request, task.digest, hit.activity, hit.windows,
+                    cached=True, backend_used=hit.backend_used,
                     promised=hit.promised_error,
                     achieved=hit.achieved_error)
                 return payload, False
@@ -617,8 +621,8 @@ class PowerService:
             self.cache.put(request, output.activity, output.cycles,
                            key=task.digest, windows=output.windows)
         payload = self._build_payload(
-            request, output.activity, output.windows, cached=False,
-            backend_used=resolved, promised=promised,
+            request, task.digest, output.activity, output.windows,
+            cached=False, backend_used=resolved, promised=promised,
             diagnostics=getattr(output, "diagnostics", None))
         return payload, True
 
@@ -672,12 +676,14 @@ class PowerService:
 
     # -- result payloads ------------------------------------------------------
 
-    def _build_payload(self, request: SimRequest, activity, windows,
-                       cached: bool, backend_used: str = "",
+    def _build_payload(self, request: SimRequest, digest: str,
+                       activity, windows, cached: bool, backend_used: str = "",
                        promised: Optional[float] = None,
                        achieved: Optional[float] = None,
                        diagnostics=None) -> Dict[str, Any]:
         """Power-evaluate one finished simulation into a response body.
+
+        ``digest`` is the request's digest, computed once at admission.
 
         ``backend_used``/``promised``/``achieved`` carry the fidelity
         ladder's provenance off the :class:`~repro.runner.JobResult`
@@ -697,7 +703,7 @@ class PowerService:
         payload = {
             "kernel": result.kernel_name,
             "gpu": request.config.name,
-            "digest": request.digest(),
+            "digest": digest,
             "backend": backend_used,
             "cached": cached,
             "summary": result.summary(),

@@ -6,10 +6,21 @@ Problem sizes are scaled down from the originals so the cycle-level
 simulator runs them in seconds, but each kernel keeps its original
 algorithmic structure -- compute/memory balance, divergence pattern,
 shared-memory usage -- which is what determines per-component activity.
+
+Each benchmark is built once per process and its launches are shared
+by every caller (:func:`build_benchmark`, :func:`all_kernel_launches`,
+label resolution in :meth:`repro.request.SimRequest.resolve_launch`).
+A shared launch is read-only: its ``globals_init`` arrays and
+``const_init`` refuse writes, and the simulator copies them into a
+fresh memory image for every run
+(:meth:`~repro.isa.launch.KernelLaunch.build_global_memory`).  To
+change a launch, build a new one with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -38,6 +49,20 @@ class BenchmarkInfo:
 
 _REGISTRY: Dict[str, Callable[[], List[KernelLaunch]]] = {}
 _INFO: Dict[str, BenchmarkInfo] = {}
+#: Benchmark name -> its launches, built on first use (see module doc).
+_BUILT: Dict[str, List[KernelLaunch]] = {}
+_BUILD_LOCK = threading.Lock()
+
+
+def _fresh_lock_in_child() -> None:
+    # The runner forks workers from threads; a fork taken while another
+    # thread holds the lock would leave the child's copy held forever.
+    global _BUILD_LOCK
+    _BUILD_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def register(info: BenchmarkInfo):
@@ -64,22 +89,46 @@ def benchmark_info(name: str) -> BenchmarkInfo:
 
 
 def build_benchmark(name: str) -> List[KernelLaunch]:
-    """All kernel launches of one benchmark."""
+    """All kernel launches of one benchmark, shared and read-only.
+
+    A new list on every call, over the launches built once per process.
+    """
     _ensure_loaded()
     if name not in _REGISTRY:
         raise KeyError(f"unknown benchmark {name!r}; have {sorted(_REGISTRY)}")
-    return _REGISTRY[name]()
+    return list(_shared(name))
 
 
 def all_kernel_launches() -> Dict[str, KernelLaunch]:
-    """The 19 evaluation kernels keyed by their Fig. 6 label."""
+    """The 19 evaluation kernels keyed by their Fig. 6 label.
+
+    A new dict on every call, over the shared, read-only launches of
+    :func:`build_benchmark`.
+    """
     _ensure_loaded()
-    out: Dict[str, KernelLaunch] = {}
-    for name in _REGISTRY:
-        launches = _REGISTRY[name]()
-        for launch in launches:
-            out[launch.kernel.name] = launch
-    return out
+    return {launch.kernel.name: launch
+            for name in _REGISTRY for launch in _shared(name)}
+
+
+def _shared(name: str) -> List[KernelLaunch]:
+    """One benchmark's launches, built and frozen once per process.
+
+    The lock makes a label name one launch object even when the daemon
+    resolves it from its event loop and executor threads at once.
+    """
+    launches = _BUILT.get(name)
+    if launches is None:
+        with _BUILD_LOCK:
+            launches = _BUILT.get(name)
+            if launches is None:
+                launches = _REGISTRY[name]()
+                for launch in launches:
+                    for arr in launch.globals_init.values():
+                        arr.flags.writeable = False
+                    if launch.const_init is not None:
+                        launch.const_init.flags.writeable = False
+                _BUILT[name] = launches
+    return launches
 
 
 def _ensure_loaded() -> None:

@@ -11,14 +11,16 @@ Three layers of evidence that the analyzer is trustworthy:
 """
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis import (LaunchShape, Severity, analyze_kernel,
                             analyze_launch, compare_static_dynamic,
                             predict_memory, AnalysisManager, RULES,
                             default_passes)
-from repro.isa import KernelBuilder, Sreg
+from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
 from repro.isa.instructions import Instruction
 from repro.isa.kernel import Kernel, KernelVerificationError
 from repro.sim import gt240
@@ -271,6 +273,81 @@ class TestWorkloadProperties:
                                 launch.kernel.name)
         assert report.smem_comparable
         assert not report.smem_conflict_free
+
+
+# ---------------------------------------------------------------------------
+# The analyze_launch memo: keyed on the static fingerprint plus shape.
+# ---------------------------------------------------------------------------
+
+class TestAnalyzeLaunchMemo:
+    @staticmethod
+    def _launch(data=1.0, threads=32, kernel=None):
+        if kernel is None:
+            kb = KernelBuilder("memo_probe")
+            t, v = kb.regs(2)
+            kb.mov(t, Sreg("gtid"))
+            kb.ldg(v, t)
+            kb.stg(v, t, offset=threads)
+            kb.exit()
+            kernel = kb.build()
+        return KernelLaunch(kernel=kernel, grid=Dim3(1),
+                            block=Dim3(threads),
+                            globals_init={0: np.full(threads, data)},
+                            gmem_words=2 * threads)
+
+    def test_memory_contents_share_one_result(self, gt240_config):
+        first = analyze_launch(self._launch(data=1.0), gt240_config)
+        again = analyze_launch(self._launch(data=7.5), gt240_config)
+        assert again is first
+
+    def test_block_size_recomputes(self, gt240_config):
+        first = analyze_launch(self._launch(threads=32), gt240_config)
+        other = analyze_launch(self._launch(threads=64), gt240_config)
+        assert other is not first
+        assert other.shape.n_threads == 64
+
+    def test_smem_banks_recompute(self, gt240_config):
+        launch = self._launch()
+        first = analyze_launch(launch, gt240_config)
+        other = analyze_launch(launch, replace(gt240_config,
+                                               smem_banks=32))
+        assert other is not first
+        assert other.shape.smem_banks == 32
+
+    def test_explicit_passes_are_not_memoised(self, gt240_config):
+        launch = self._launch()
+        first = analyze_launch(launch, gt240_config,
+                               passes=default_passes())
+        assert analyze_launch(launch, gt240_config,
+                              passes=default_passes()) is not first
+
+    def test_selp_selector_enters_the_key(self, gt240_config):
+        """The selector rides outside the IR's ``repr``; dropping it
+        must not reuse the well-formed kernel's clean verdict."""
+        kb = KernelBuilder("selp_probe")
+        t, v = kb.regs(2)
+        p = kb.pred()
+        kb.mov(t, Sreg("tid"))
+        kb.setp("lt", p, t, 16)
+        kb.selp(v, t, 0, p)
+        kb.stg(v, t)
+        kb.exit()
+        good = kb.build()
+        bare = Kernel(good.name,
+                      tuple(replace(inst) for inst in good.instructions),
+                      good.n_regs, good.n_preds, good.smem_words)
+        clean = analyze_launch(self._launch(kernel=good), gt240_config)
+        broken = analyze_launch(self._launch(kernel=bare), gt240_config)
+        assert not errors_of(clean)
+        assert errors_of(broken)
+
+    def test_memo_is_bounded(self, gt240_config, monkeypatch):
+        import repro.analysis as analysis
+        monkeypatch.setattr(analysis, "_RESULT_MEMO", {})
+        monkeypatch.setattr(analysis, "_RESULT_MEMO_LIMIT", 2)
+        for threads in (8, 16, 32, 64):
+            analyze_launch(self._launch(threads=threads), gt240_config)
+            assert len(analysis._RESULT_MEMO) <= 2
 
 
 # ---------------------------------------------------------------------------

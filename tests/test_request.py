@@ -295,6 +295,25 @@ class TestFacadeRequestEntry:
         assert via_req.benchmark == "vectoradd"
         assert via_req.total_energy_j == via_kw.total_energy_j
 
+    def test_run_benchmark_honors_sanitize(self):
+        """Every kernel of a sanitized chain reports its findings, and
+        the sanitizer changes no result."""
+        sim = GPUSimPow(gt240())
+        plain = sim.run_benchmark("backprop")
+        sanitized = sim.run_benchmark(SimRequest(
+            config=gt240(), kernel="backprop", sanitize=True))
+        assert [k.performance.diagnostics for k in sanitized.kernels] \
+            == [[], []]
+        assert sanitized.total_energy_j == plain.total_energy_j
+
+    def test_run_benchmark_rejects_sanitize_without_support(self):
+        sim = GPUSimPow(gt240())
+        with pytest.raises(BackendError, match="sanitizer"):
+            sim.run_benchmark(SimRequest(config=gt240(),
+                                         kernel="backprop",
+                                         backend="analytical",
+                                         sanitize=True))
+
 
 class TestFailureSerialization:
     def _failure(self):

@@ -190,6 +190,57 @@ class TestAdmissionControl:
         assert harness.client.status()["stats"]["lint_rejections"] == 1
         assert harness.client.status()["stats"]["simulations"] == 0
 
+    @staticmethod
+    def _racy_request():
+        from repro.analysis import KernelFuzzer
+        fuzzer = KernelFuzzer(1)
+        case = next(c for c in map(fuzzer.case, range(200))
+                    if c.flavor == "racy")
+        return SimRequest(config=gt240(), launch=case.launch)
+
+    @staticmethod
+    def _post_raw(harness, request):
+        import urllib.error
+        import urllib.request
+        body = json.dumps({"request": request.to_dict()}).encode("utf-8")
+        call = urllib.request.Request(
+            f"http://127.0.0.1:{harness.daemon.port}/v1/submit",
+            data=body, method="POST",
+            headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(call, timeout=60) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read()
+
+    def test_memoised_lint_verdict_is_byte_identical(self,
+                                                     daemon_factory):
+        harness = daemon_factory()
+        request = self._racy_request()
+        first = self._post_raw(harness, request)
+        second = self._post_raw(harness, request)
+        assert first[0] == 422
+        assert second == first
+        assert harness.client.status()["stats"]["lint_rejections"] == 2
+
+    def test_lint_runs_before_the_cache_probe(self, daemon_factory,
+                                              tmp_path):
+        """A result cached outside the service (e.g. by ``gpusimpow
+        run``) for a lint-ERROR kernel must not turn its 422 into a
+        cache-hit 200."""
+        from repro.runner import ResultCache, run_jobs
+        request = self._racy_request()
+        cache = ResultCache(tmp_path / "cache")
+        run_jobs([request], n_jobs=1, cache=cache)
+        assert cache.get(request) is not None
+        harness = daemon_factory(cache=str(tmp_path / "cache"))
+        status, body = self._post_raw(harness, request)
+        assert status == 422
+        assert json.loads(body)["error"] == "lint-rejected"
+        stats = harness.client.status()["stats"]
+        assert stats["cache_hits"] == 0
+        assert stats["lint_rejections"] == 1
+
     def test_lint_off_admits_broken_kernel(self, daemon_factory):
         harness = daemon_factory(lint=False)
         harness.client.pause()

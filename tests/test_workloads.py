@@ -6,6 +6,10 @@ evidence that the performance substrate executes real programs, not
 traces.
 """
 
+import os
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,11 @@ from repro.workloads import (backprop, bfs, blackscholes, heartwall, hotspot,
                              scalarprod, vectoradd)
 
 CFG = gt240()
+
+
+def _exit_if_build_lock_free():
+    from repro.workloads import common
+    sys.exit(0 if common._BUILD_LOCK.acquire(timeout=5) else 1)
 
 
 class TestRegistry:
@@ -62,6 +71,95 @@ class TestRegistry:
         a = build_benchmark("vectoradd")[0]
         b = build_benchmark("vectoradd")[0]
         assert np.array_equal(a.globals_init[0], b.globals_init[0])
+
+
+class TestSharedLaunches:
+    """Each benchmark is built once per process and shared read-only."""
+
+    def test_shared_arrays_refuse_writes(self):
+        consts = 0
+        for launch in all_kernel_launches().values():
+            arrays = list(launch.globals_init.values())
+            if launch.const_init is not None:
+                arrays.append(launch.const_init)
+                consts += 1
+            assert arrays
+            for arr in arrays:
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        assert consts  # BlackScholes and kmeans2 preload constants
+
+    def test_dict_is_new_per_call(self):
+        first = all_kernel_launches()
+        assert first is not all_kernel_launches()
+        del first["vectorAdd"]
+        assert "vectorAdd" in all_kernel_launches()
+
+    def test_launch_objects_are_shared(self):
+        first, second = all_kernel_launches(), all_kernel_launches()
+        assert all(first[label] is second[label] for label in first)
+        chain = build_benchmark("mergesort")
+        assert chain is not build_benchmark("mergesort")
+        assert [l.kernel.name for l in chain] \
+            == [l.kernel.name for l in build_benchmark("mergesort")]
+        assert all(first[l.kernel.name] is l for l in chain)
+
+    def test_each_benchmark_built_once(self, monkeypatch):
+        from repro.workloads import common
+        calls = []
+        builder = common._REGISTRY["vectoradd"]
+
+        def counting():
+            calls.append(1)
+            return builder()
+
+        monkeypatch.setitem(common._REGISTRY, "vectoradd", counting)
+        monkeypatch.setattr(common, "_BUILT", {})
+        all_kernel_launches()
+        all_kernel_launches()
+        build_benchmark("vectoradd")
+        assert len(calls) == 1
+
+    def test_concurrent_resolution_builds_once(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+        from repro.workloads import common
+        calls = []
+        builder = common._REGISTRY["bfs"]
+
+        def counting():
+            calls.append(1)
+            return builder()
+
+        monkeypatch.setitem(common._REGISTRY, "bfs", counting)
+        monkeypatch.setattr(common, "_BUILT", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                found = list(pool.map(
+                    lambda _: all_kernel_launches()["bfs1"], range(32),
+                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert all(launch is found[0] for launch in found)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_a_free_lock(self):
+        """A fork taken mid-build must not leave the child deadlocked."""
+        import multiprocessing
+        from repro.workloads import common
+        with common._BUILD_LOCK:
+            child = multiprocessing.get_context("fork").Process(
+                target=_exit_if_build_lock_free)
+            child.start()
+            child.join(timeout=30)
+        assert child.exitcode == 0
+
+    def test_label_resolves_to_shared_launch(self):
+        from repro import SimRequest
+        request = SimRequest(config=CFG, kernel="bfs2")
+        assert request.resolve_launch() is all_kernel_launches()["bfs2"]
 
 
 class TestVectorAdd:
@@ -201,8 +299,9 @@ class TestMergeSort:
         launches = {l.kernel.name: l for l in build_benchmark("mergesort")}
         keys = mergesort.make_inputs()
         sorted_tiles = mergesort.reference_tile_sort(keys)
-        l4 = launches["mergeSort4"]
-        l4.globals_init[mergesort.SORTED_OFF] = sorted_tiles
+        shared = launches["mergeSort4"]
+        l4 = replace(shared, globals_init={**shared.globals_init,
+                                           mergesort.SORTED_OFF: sorted_tiles})
         out = simulate(CFG, l4)
         got = out.gmem[mergesort.MERGED_OFF:mergesort.MERGED_OFF + mergesort.N]
         assert np.array_equal(got, mergesort.reference_merge(sorted_tiles))
@@ -270,7 +369,6 @@ class TestBfs:
         init = dict(l2.globals_init)
         init[upd_off] = upd
         init[mask_off] = np.zeros(bfs.N_NODES)
-        from dataclasses import replace
         out2 = simulate(CFG, replace(l2, globals_init=init))
         got_mask = out2.gmem[mask_off:mask_off + bfs.N_NODES]
         assert np.array_equal(got_mask, upd)
