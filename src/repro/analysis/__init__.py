@@ -17,10 +17,12 @@ or, end to end against the simulator::
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..isa.launch import KernelLaunch
-from ..isa.serialize import cached_launch_fingerprint
+from ..isa.serialize import kernel_to_dict
 from ..sim.config import GPUConfig
 from .crosscheck import (RULE_GROUPS, RULE_PAIRS, CrossCheckResult,
                          compare_static_dynamic, grade_rules,
@@ -63,11 +65,10 @@ def analyze_kernel(kernel, shape: LaunchShape,
     return run_passes(kernel, shape, passes)
 
 
-#: Default-pipeline results by (launch fingerprint, SELP selectors,
-#: shape).  Cleared when full, so a daemon fed an endless stream of
-#: fresh kernels keeps a bounded memo.
-_RESULT_MEMO: Dict[Tuple[str, Tuple[int, ...], LaunchShape],
-                   AnalysisResult] = {}
+#: Default-pipeline results by (kernel encoding digest, shape).  Cleared
+#: when full, so a daemon fed an endless stream of fresh kernels keeps a
+#: bounded memo.
+_RESULT_MEMO: Dict[Tuple[str, LaunchShape], AnalysisResult] = {}
 _RESULT_MEMO_LIMIT = 1024
 
 
@@ -78,17 +79,17 @@ def analyze_launch(launch: KernelLaunch,
     """Run the analyzer pipeline over a kernel launch descriptor.
 
     The default pipeline (``passes is None``) is memoised: its verdict
-    depends only on the kernel IR and the launch shape, never on the
-    memory images, so launches sharing a
-    :func:`~repro.isa.serialize.launch_fingerprint` and a shape share
-    one result.  Callers must treat it as read-only.
+    depends only on the kernel and the launch shape, never on the
+    memory images, so launches sharing a kernel encoding
+    (:func:`~repro.isa.serialize.kernel_to_dict`, every instruction
+    field included) and a shape share one result.  Callers must treat
+    it as read-only.
     """
     cfg = config if config is not None else GPUConfig()
     shape = shape_for_launch(launch, cfg)
     if passes is not None:
         return run_passes(launch.kernel, shape, passes)
-    key = (cached_launch_fingerprint(launch),
-           _selp_selectors(launch.kernel), shape)
+    key = (_kernel_digest(launch), shape)
     result = _RESULT_MEMO.get(key)
     if result is None:
         result = run_passes(launch.kernel, shape)
@@ -98,12 +99,15 @@ def analyze_launch(launch: KernelLaunch,
     return result
 
 
-def _selp_selectors(kernel) -> Tuple[int, ...]:
-    """The selector predicate of every SELP (-1 when missing).
-
-    SELP carries its selector outside the instruction's fields, where
-    the fingerprint's ``repr`` of the IR does not see it; the verifier
-    does, so the memo key must.
-    """
-    return tuple(getattr(getattr(inst, "sel_pred", None), "index", -1)
-                 for inst in kernel.instructions if inst.op == "SELP")
+def _kernel_digest(launch: KernelLaunch) -> str:
+    """Digest of the launch's full kernel encoding, cached on the launch
+    the way :func:`~repro.isa.serialize.cached_launch_fingerprint`
+    caches its fingerprint, so warm lints of a shared workload launch
+    skip the encoding."""
+    cached = getattr(launch, "_kernel_digest", None)
+    if cached is None:
+        blob = json.dumps(kernel_to_dict(launch.kernel), sort_keys=True,
+                          separators=(",", ":"))
+        cached = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        launch._kernel_digest = cached  # type: ignore[attr-defined]
+    return cached

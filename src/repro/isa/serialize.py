@@ -241,8 +241,8 @@ def cached_launch_fingerprint(launch: KernelLaunch) -> str:
     Launches are treated as immutable once fingerprinted (the shared
     workload launches are read-only, and a changed launch is a new
     object built with :func:`dataclasses.replace`), so warm lookups of
-    the memos keyed on it -- the surrogate's features and predictions,
-    the analyzer's results -- skip the IR serialization.
+    the surrogate's memos keyed on it (features and predictions) skip
+    the IR serialization.
     """
     cached = getattr(launch, "_fingerprint", None)
     if cached is not None:

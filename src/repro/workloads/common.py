@@ -19,8 +19,6 @@ change a launch, build a new one with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -51,18 +49,6 @@ _REGISTRY: Dict[str, Callable[[], List[KernelLaunch]]] = {}
 _INFO: Dict[str, BenchmarkInfo] = {}
 #: Benchmark name -> its launches, built on first use (see module doc).
 _BUILT: Dict[str, List[KernelLaunch]] = {}
-_BUILD_LOCK = threading.Lock()
-
-
-def _fresh_lock_in_child() -> None:
-    # The runner forks workers from threads; a fork taken while another
-    # thread holds the lock would leave the child's copy held forever.
-    global _BUILD_LOCK
-    _BUILD_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def register(info: BenchmarkInfo):
@@ -113,21 +99,20 @@ def all_kernel_launches() -> Dict[str, KernelLaunch]:
 def _shared(name: str) -> List[KernelLaunch]:
     """One benchmark's launches, built and frozen once per process.
 
-    The lock makes a label name one launch object even when the daemon
-    resolves it from its event loop and executor threads at once.
+    ``setdefault`` keeps the first stored build, so a label names one
+    launch object even when the daemon resolves it from its event loop
+    and executor threads at once (a cold race may build twice; the
+    loser's copy is dropped).
     """
     launches = _BUILT.get(name)
     if launches is None:
-        with _BUILD_LOCK:
-            launches = _BUILT.get(name)
-            if launches is None:
-                launches = _REGISTRY[name]()
-                for launch in launches:
-                    for arr in launch.globals_init.values():
-                        arr.flags.writeable = False
-                    if launch.const_init is not None:
-                        launch.const_init.flags.writeable = False
-                _BUILT[name] = launches
+        built = _REGISTRY[name]()
+        for launch in built:
+            for arr in launch.globals_init.values():
+                arr.flags.writeable = False
+            if launch.const_init is not None:
+                launch.const_init.flags.writeable = False
+        launches = _BUILT.setdefault(name, built)
     return launches
 
 

@@ -276,7 +276,7 @@ class TestWorkloadProperties:
 
 
 # ---------------------------------------------------------------------------
-# The analyze_launch memo: keyed on the static fingerprint plus shape.
+# The analyze_launch memo: keyed on the kernel encoding plus shape.
 # ---------------------------------------------------------------------------
 
 class TestAnalyzeLaunchMemo:
@@ -321,25 +321,53 @@ class TestAnalyzeLaunchMemo:
         assert analyze_launch(launch, gt240_config,
                               passes=default_passes()) is not first
 
-    def test_selp_selector_enters_the_key(self, gt240_config):
-        """The selector rides outside the IR's ``repr``; dropping it
-        must not reuse the well-formed kernel's clean verdict."""
-        kb = KernelBuilder("selp_probe")
+    @staticmethod
+    def _same_repr_pair(field):
+        """A clean kernel and an erroring one whose instruction ``repr``
+        agrees, differing only in ``field``."""
+        kb = KernelBuilder(f"memo_{field}", smem_words=4)
         t, v = kb.regs(2)
         p = kb.pred()
         kb.mov(t, Sreg("tid"))
         kb.setp("lt", p, t, 16)
-        kb.selp(v, t, 0, p)
-        kb.stg(v, t)
+        if field == "sel_pred":
+            kb.selp(v, t, 0, p)
+            kb.stg(v, t)
+        elif field == "reconv_pc":
+            kb.bra("end", p)
+            kb.stg(t, t)
+            kb.label("end")
+        else:
+            kb.mov(v, 0)
+            kb.sts(v, v)  # every thread stores shared word 0: R001
         kb.exit()
-        good = kb.build()
-        bare = Kernel(good.name,
-                      tuple(replace(inst) for inst in good.instructions),
-                      good.n_regs, good.n_preds, good.smem_words)
-        clean = analyze_launch(self._launch(kernel=good), gt240_config)
-        broken = analyze_launch(self._launch(kernel=bare), gt240_config)
-        assert not errors_of(clean)
-        assert errors_of(broken)
+        kernel = kb.build()
+
+        def rebuilt(edit):
+            return replace(kernel, instructions=tuple(
+                edit(inst) for inst in kernel.instructions))
+
+        if field == "sel_pred":  # replace() drops the SELP selector
+            return kernel, rebuilt(replace)
+        if field == "reconv_pc":
+            return kernel, rebuilt(lambda inst: replace(
+                inst, reconv_pc=None) if inst.op == "BRA" else inst)
+        return rebuilt(lambda inst: replace(
+            inst, mem_space="global") if inst.op == "STS" else inst), kernel
+
+    @pytest.mark.parametrize("field", ["sel_pred", "reconv_pc",
+                                       "mem_space"])
+    def test_every_instruction_field_enters_the_key(self, gt240_config,
+                                                    field):
+        """Fields outside the instruction ``repr`` still key the memo,
+        so an erroring kernel never reuses its clean twin's verdict."""
+        clean, broken = self._same_repr_pair(field)
+        assert [repr(i) for i in clean.instructions] \
+            == [repr(i) for i in broken.instructions]
+        assert not errors_of(analyze_launch(self._launch(kernel=clean),
+                                            gt240_config))
+        assert errors_of(analyze_launch(self._launch(kernel=broken),
+                                        gt240_config))
 
     def test_memo_is_bounded(self, gt240_config, monkeypatch):
         import repro.analysis as analysis

@@ -200,9 +200,13 @@ class TestAdmissionControl:
 
     @staticmethod
     def _post_raw(harness, request):
+        return TestAdmissionControl._post_body(harness, request.to_dict())
+
+    @staticmethod
+    def _post_body(harness, request_dict):
         import urllib.error
         import urllib.request
-        body = json.dumps({"request": request.to_dict()}).encode("utf-8")
+        body = json.dumps({"request": request_dict}).encode("utf-8")
         call = urllib.request.Request(
             f"http://127.0.0.1:{harness.daemon.port}/v1/submit",
             data=body, method="POST",
@@ -222,6 +226,33 @@ class TestAdmissionControl:
         assert first[0] == 422
         assert second == first
         assert harness.client.status()["stats"]["lint_rejections"] == 2
+
+    def test_memo_does_not_admit_a_broken_twin(self, daemon_factory):
+        """Dropping a BRA's reconvergence PC (a V005 ERROR) leaves the
+        instruction ``repr`` unchanged; the memoised verdict of the
+        well-formed kernel must not admit it."""
+        kb = KernelBuilder("memo_twin")
+        t = kb.reg()
+        p = kb.pred()
+        kb.mov(t, Sreg("gtid"))
+        kb.setp("lt", p, t, 16)
+        kb.bra("end", p)
+        kb.stg(t, t)
+        kb.label("end")
+        kb.exit()
+        launch = KernelLaunch(kernel=kb.build(), grid=Dim3(1),
+                              block=Dim3(32), gmem_words=64)
+        request = SimRequest(config=gt240(), launch=launch)
+        harness = daemon_factory()
+        status, _ = self._post_raw(harness, request)
+        assert status < 300
+        twin = request.to_dict()
+        for inst in twin["launch"]["kernel"]["instructions"]:
+            inst.pop("reconv_pc", None)
+        status, body = self._post_body(harness, twin)
+        assert status == 422
+        assert any(d["rule"] == "V005"
+                   for d in json.loads(body)["diagnostics"])
 
     def test_lint_runs_before_the_cache_probe(self, daemon_factory,
                                               tmp_path):
