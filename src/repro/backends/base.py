@@ -190,7 +190,11 @@ class SimulationBackend(ABC):
         return {"name": self.name, "version": str(self.version)}
 
     def check_tracer(self, tracer) -> None:
-        """Raise :class:`BackendError` on an unsupported tracer."""
+        """Raise :class:`BackendError` on an unsupported tracer.
+
+        ``tracer`` is an :class:`~repro.telemetry.ActivityTracer` or a
+        request's ``trace_interval``; ``None`` means untraced.
+        """
         if tracer is not None and not self.capabilities.supports_tracing:
             raise BackendError(
                 f"backend {self.name!r} does not support activity tracing"
@@ -207,26 +211,29 @@ class SimulationBackend(ABC):
     def simulate_sequence(self, config: GPUConfig,
                           launches: List[KernelLaunch], *,
                           max_cycles: float = 5e8,
-                          trace_interval: Optional[float] = None,
-                          sink=None, **options) -> List[SimulationOutput]:
+                          **options) -> List[SimulationOutput]:
         """Run dependent kernels back-to-back on a shared memory image.
 
-        Same contract as :func:`repro.sim.gpu.simulate_sequence` (and
-        bit-identical to it for the ``cycle`` backend): the first
-        launch's initial data is applied, every later kernel sees its
-        predecessors' output, and each launch's initializers apply only
-        beyond the high-water mark of already-materialised words.
+        The first launch's initial data is applied; every later kernel
+        sees the global memory its predecessors left behind -- how real
+        multi-kernel benchmarks (bfs, backprop, mergeSort) actually
+        execute.  Each kernel runs through :meth:`simulate` on fresh
+        timing state, so its activity report stands alone.  ``options``
+        (``tracer``, ``sanitize``, backend options) go to every
+        :meth:`simulate` call: one tracer, and its sink, serve the whole
+        chain.  :meth:`repro.request.SimRequest.execute_chain` is the
+        caller that builds them from a request.
         """
         if not launches:
             return []
-        tracer = None
-        if trace_interval is not None or sink is not None:
-            from ..telemetry import ActivityTracer
-            tracer = ActivityTracer(trace_interval or 1000.0, sink=sink)
-            self.check_tracer(tracer)
         words = max(l.gmem_words for l in launches)
         gmem = np.zeros(words, dtype=np.float64)
         outputs = []
+        # High-water mark of memory words already materialised.  Each
+        # launch's initial image is applied only *beyond* that mark:
+        # words below it belong to predecessors' live output and must
+        # not be clobbered, words above it are fresh input this launch
+        # declares.
         seen = 0
         for launch in launches:
             if launch.gmem_words > seen:
@@ -235,8 +242,7 @@ class SimulationBackend(ABC):
                 seen = launch.gmem_words
             outputs.append(self.simulate(config, launch,
                                          max_cycles=max_cycles,
-                                         gmem=gmem, tracer=tracer,
-                                         **options))
+                                         gmem=gmem, **options))
         return outputs
 
 

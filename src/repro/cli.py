@@ -82,29 +82,6 @@ def _runner_options(args):
     return jobs, cache, progress, timeout
 
 
-def _add_runner_args(p) -> None:
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for the simulations "
-                        "(default: REPRO_JOBS or serial)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the on-disk activity result cache")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-job wall-clock budget; over-budget attempts "
-                        "are killed and retried (default: "
-                        "REPRO_JOB_TIMEOUT or none)")
-
-
-def _add_backend_arg(p) -> None:
-    p.add_argument("--backend", default="cycle", metavar="NAME",
-                   help="simulation backend (see `gpusimpow backends`), "
-                        "or 'auto' to pick the cheapest fidelity-ladder "
-                        "tier fitting --error-budget (default: cycle)")
-    p.add_argument("--error-budget", type=float, default=None,
-                   metavar="FRACTION", dest="error_budget",
-                   help="acceptable |chip-power| relative error for "
-                        "--backend auto (e.g. 0.10; default/0.0: exact)")
-
-
 def _check_backend(name: str) -> int:
     """0 when ``name`` is registered (or 'auto'), else prints the
     choices and 2."""
@@ -136,6 +113,59 @@ def _check_error_budget(args) -> int:
         print("--error-budget requires --backend auto", file=sys.stderr)
         return 2
     return 0
+
+
+def _known_kernel(label: str) -> bool:
+    """True for a workload kernel label; else prints a hint."""
+    if label in all_kernel_launches():
+        return True
+    print(f"unknown kernel {label!r}; try `gpusimpow list`",
+          file=sys.stderr)
+    return False
+
+
+def _request_from_args(args) -> Optional[SimRequest]:
+    """The :class:`SimRequest` that ``run``/``submit`` flags describe.
+
+    ``None`` (after printing why) when the flags are unusable: an
+    unknown kernel or backend, a bad ``--error-budget``, tracing or
+    sanitizing on a backend that cannot, or ``parallel_cycle`` tuning
+    on another backend.
+    """
+    if not _known_kernel(args.kernel) or _check_backend(args.backend) \
+            or _check_error_budget(args):
+        return None
+    if args.backend != "auto":
+        # (auto resolution itself narrows to tracing-capable tiers)
+        from .backends import get_backend
+        caps = get_backend(args.backend).capabilities
+        for flag, asked, able in (
+                ("--trace-interval", args.trace_interval is not None,
+                 caps.supports_tracing),
+                ("--sanitize", args.sanitize, caps.supports_sanitize)):
+            if asked and not able:
+                print(f"backend {args.backend!r} does not support "
+                      f"{flag}", file=sys.stderr)
+                return None
+    backend_options = None
+    epoch_cycles = getattr(args, "epoch_cycles", None)
+    shards = getattr(args, "shards", None)
+    if epoch_cycles is not None or shards is not None:
+        if args.backend != "parallel_cycle":
+            print("--epoch-cycles/--shards only apply to "
+                  "--backend parallel_cycle", file=sys.stderr)
+            return None
+        backend_options = {}
+        if epoch_cycles is not None:
+            backend_options["epoch_cycles"] = epoch_cycles
+        if shards is not None:
+            backend_options["n_shards"] = shards
+    return SimRequest(config=_load_config(args), kernel=args.kernel,
+                      trace_interval=args.trace_interval,
+                      backend=args.backend,
+                      backend_options=backend_options,
+                      error_budget=args.error_budget,
+                      sanitize=args.sanitize)
 
 
 def _cmd_list(args) -> int:
@@ -214,45 +244,10 @@ def _cmd_arch(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    launches = all_kernel_launches()
-    if args.kernel not in launches:
-        print(f"unknown kernel {args.kernel!r}; try `gpusimpow list`",
-              file=sys.stderr)
+    request = _request_from_args(args)
+    if request is None:
         return 2
-    if _check_backend(args.backend) or _check_error_budget(args):
-        return 2
-    if args.trace_interval is not None and args.backend != "auto":
-        # (auto resolution itself narrows to tracing-capable tiers)
-        from .backends import get_backend
-        if not get_backend(args.backend).capabilities.supports_tracing:
-            print(f"backend {args.backend!r} does not support "
-                  f"--trace-interval", file=sys.stderr)
-            return 2
-    if args.sanitize and args.backend != "auto":
-        from .backends import get_backend
-        if not get_backend(args.backend).capabilities.supports_sanitize:
-            print(f"backend {args.backend!r} does not support "
-                  f"--sanitize", file=sys.stderr)
-            return 2
-    backend_options = None
-    if args.epoch_cycles is not None or args.shards is not None:
-        if args.backend != "parallel_cycle":
-            print("--epoch-cycles/--shards only apply to "
-                  "--backend parallel_cycle", file=sys.stderr)
-            return 2
-        backend_options = {}
-        if args.epoch_cycles is not None:
-            backend_options["epoch_cycles"] = args.epoch_cycles
-        if args.shards is not None:
-            backend_options["n_shards"] = args.shards
-    request = SimRequest(config=config, kernel=args.kernel,
-                         launch=launches[args.kernel],
-                         trace_interval=args.trace_interval,
-                         backend=args.backend,
-                         backend_options=backend_options,
-                         error_budget=args.error_budget,
-                         sanitize=args.sanitize)
+    config = request.config
     if isinstance(args.profile, str):
         # Profile the backend's simulate itself: run the request in
         # this process (no cache, no pool -- a cache hit or a
@@ -329,13 +324,10 @@ def _cmd_analyze(args) -> int:
     """Utilization + efficiency analysis of one kernel (the programmer
     view: where do the cycles and joules go?)."""
     config = _load_config(args)
-    launches = all_kernel_launches()
-    if args.kernel not in launches:
-        print(f"unknown kernel {args.kernel!r}; try `gpusimpow list`",
-              file=sys.stderr)
+    if not _known_kernel(args.kernel):
         return 2
     from .core.metrics import EfficiencyMetrics, UtilizationMetrics
-    result = GPUSimPow(config).run(launches[args.kernel])
+    result = GPUSimPow(config).run(all_kernel_launches()[args.kernel])
     eff = EfficiencyMetrics.from_result(result)
     util = UtilizationMetrics.from_result(result)
     print(f"{args.kernel} on {config.name}:")
@@ -446,12 +438,9 @@ def _cmd_power(args) -> int:
 
 def _cmd_disasm(args) -> int:
     """Print the instruction listing of a workload kernel."""
-    launches = all_kernel_launches()
-    if args.kernel not in launches:
-        print(f"unknown kernel {args.kernel!r}; try `gpusimpow list`",
-              file=sys.stderr)
+    if not _known_kernel(args.kernel):
         return 2
-    print(launches[args.kernel].kernel.disassemble())
+    print(all_kernel_launches()[args.kernel].kernel.disassemble())
     return 0
 
 
@@ -642,18 +631,9 @@ def _cmd_submit(args) -> int:
     import urllib.error
 
     from .service.client import ServiceClient, ServiceError
-    launches = all_kernel_launches()
-    if args.kernel not in launches:
-        print(f"unknown kernel {args.kernel!r}; try `gpusimpow list`",
-              file=sys.stderr)
+    request = _request_from_args(args)
+    if request is None:
         return 2
-    if _check_backend(args.backend) or _check_error_budget(args):
-        return 2
-    request = SimRequest(config=_load_config(args), kernel=args.kernel,
-                         trace_interval=args.trace_interval,
-                         backend=args.backend,
-                         error_budget=args.error_budget,
-                         sanitize=args.sanitize)
     client = ServiceClient(args.url, tenant=args.tenant)
     try:
         payload = client.submit(request, priority=args.priority,
@@ -704,7 +684,11 @@ def _cmd_submit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser with every subcommand."""
+    """Construct the argument parser with every subcommand.
+
+    Flags that several subcommands share are defined once, on the
+    argparse parent parsers below, and mean the same everywhere.
+    """
     parser = argparse.ArgumentParser(
         prog="gpusimpow",
         description="GPUSimPow: coupled GPGPU performance+power simulation",
@@ -713,11 +697,61 @@ def build_parser() -> argparse.ArgumentParser:
                         help="show version and the backend ladder")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_gpu_args(p):
-        p.add_argument("--gpu", default="GT240",
-                       help="preset name (GT240, GTX580)")
-        p.add_argument("--config", default=None,
-                       help="XML configuration file (overrides --gpu)")
+    def parent(*parents):
+        return argparse.ArgumentParser(add_help=False,
+                                       parents=list(parents))
+
+    gpu = parent()
+    gpu.add_argument("--gpu", default="GT240",
+                     help="preset name (GT240, GTX580)")
+    gpu.add_argument("--config", default=None,
+                     help="XML configuration file (overrides --gpu)")
+    kernel = parent()
+    kernel.add_argument("kernel", help="kernel label (see `list`)")
+    kernels = parent()
+    kernels.add_argument("--kernels", default=None,
+                         help="comma-separated kernel subset "
+                              "(default: all)")
+    as_json = parent()
+    as_json.add_argument("--json", action="store_true", dest="as_json",
+                         help="print the raw JSON instead of the text "
+                              "summary")
+    no_cache = parent()
+    no_cache.add_argument("--no-cache", action="store_true",
+                          help="bypass the on-disk result cache")
+    timeout = parent()
+    timeout.add_argument("--timeout", type=float, default=None,
+                         metavar="SECONDS",
+                         help="per-job wall-clock budget; over-budget "
+                              "attempts are killed and retried "
+                              "(default: REPRO_JOB_TIMEOUT or none)")
+    runner = parent(no_cache, timeout)
+    runner.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker processes for the simulations "
+                             "(default: REPRO_JOBS or serial)")
+    budget = parent()
+    budget.add_argument("--error-budget", type=float, default=None,
+                        metavar="FRACTION", dest="error_budget",
+                        help="acceptable |chip-power| relative error "
+                             "steering backend=auto tier selection "
+                             "(e.g. 0.10; default: exact, or 0.10 for "
+                             "fleet)")
+    backend = parent(budget)
+    backend.add_argument("--backend", default="cycle", metavar="NAME",
+                         help="simulation backend (see `gpusimpow "
+                              "backends`), or 'auto' to pick the "
+                              "cheapest fidelity-ladder tier fitting "
+                              "--error-budget (default: cycle)")
+    request = parent(kernel, gpu, backend)
+    request.add_argument("--trace-interval", type=float, default=None,
+                         metavar="CYCLES",
+                         help="sample a windowed power trace every N "
+                              "shader cycles")
+    request.add_argument("--sanitize", action="store_true",
+                         help="run under the runtime sanitizer (shadow "
+                              "memory) and report uninitialized reads, "
+                              "out-of-bounds accesses, shared-memory "
+                              "races and barrier deadlocks")
 
     p_list = sub.add_parser("list", help="list benchmarks and kernels")
     p_list.set_defaults(func=_cmd_list)
@@ -726,13 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="list the backend fidelity ladder")
     p_backends.set_defaults(func=_cmd_backends)
 
-    p_arch = sub.add_parser("arch", help="area/static/peak for a config")
-    add_gpu_args(p_arch)
+    p_arch = sub.add_parser("arch", parents=[gpu],
+                            help="area/static/peak for a config")
     p_arch.set_defaults(func=_cmd_arch)
 
-    p_run = sub.add_parser("run", help="simulate one kernel's power")
-    p_run.add_argument("kernel", help="kernel label (see `list`)")
-    add_gpu_args(p_run)
+    p_run = sub.add_parser("run", parents=[request, runner],
+                           help="simulate one kernel's power")
     p_run.add_argument("--profile", nargs="?", const=True, default=False,
                        metavar="FILE",
                        help="without FILE: print the full component power "
@@ -747,17 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--shards", type=int, default=None, metavar="N",
                        help="parallel_cycle backend: worker shard count "
                             "(clamped to the config's cluster count)")
-    p_run.add_argument("--sanitize", action="store_true",
-                       help="run under the runtime sanitizer (shadow "
-                            "memory): report uninitialized reads, "
-                            "out-of-bounds accesses, shared-memory "
-                            "races and barrier deadlocks")
     p_run.add_argument("--save-trace", default=None, metavar="FILE",
                        help="save the activity trace as JSON")
-    p_run.add_argument("--trace-interval", type=float, default=None,
-                       metavar="CYCLES",
-                       help="sample a windowed power trace every N "
-                            "shader cycles")
     p_run.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write the power trace (needs "
                             "--trace-interval)")
@@ -765,22 +789,14 @@ def build_parser() -> argparse.ArgumentParser:
                        default="json",
                        help="power-trace file format: self-contained "
                             "JSON or chrome://tracing events")
-    _add_runner_args(p_run)
-    _add_backend_arg(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_analyze = sub.add_parser("analyze",
+    p_analyze = sub.add_parser("analyze", parents=[kernel, gpu],
                                help="utilization + efficiency analysis")
-    p_analyze.add_argument("kernel", help="kernel label (see `list`)")
-    add_gpu_args(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_lint = sub.add_parser("lint",
+    p_lint = sub.add_parser("lint", parents=[gpu, kernels],
                             help="static analysis of workload kernels")
-    add_gpu_args(p_lint)
-    p_lint.add_argument("--kernels", default=None,
-                        help="comma-separated kernel subset "
-                             "(default: all)")
     p_lint.add_argument("--strict", action="store_true",
                         help="exit nonzero on any error-severity "
                              "diagnostic (the CI gate)")
@@ -793,10 +809,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "in the listing")
     p_lint.set_defaults(func=_cmd_lint)
 
-    p_fuzz = sub.add_parser("fuzz",
+    p_fuzz = sub.add_parser("fuzz", parents=[gpu],
                             help="differential-fuzz the engines and "
                                  "grade the static analyzer")
-    add_gpu_args(p_fuzz)
     p_fuzz.add_argument("--seed", type=int, default=1337,
                         help="corpus seed; the same seed always names "
                              "the same kernels (default: 1337)")
@@ -814,18 +829,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "fuzz_report.json; '' disables)")
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
-    p_power = sub.add_parser("power",
+    p_power = sub.add_parser("power", parents=[gpu],
                              help="evaluate power from a saved trace")
     p_power.add_argument("--trace", required=True, metavar="FILE")
-    add_gpu_args(p_power)
     p_power.set_defaults(func=_cmd_power)
 
-    p_dis = sub.add_parser("disasm",
+    p_dis = sub.add_parser("disasm", parents=[kernel],
                            help="disassemble a workload kernel")
-    p_dis.add_argument("kernel", help="kernel label (see `list`)")
     p_dis.set_defaults(func=_cmd_disasm)
 
-    p_exp = sub.add_parser("experiments",
+    p_exp = sub.add_parser("experiments", parents=[runner],
                            help="regenerate paper tables and figures")
     p_exp.add_argument("names", nargs="*", metavar="experiment",
                        help="subset to run (default: all)")
@@ -833,19 +846,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list registered experiments and exit")
     p_exp.add_argument("--out-dir", default=None, metavar="DIR",
                        help="also write every artifact into DIR")
-    _add_runner_args(p_exp)
     p_exp.set_defaults(func=_cmd_experiments)
 
-    p_val = sub.add_parser("validate",
+    p_val = sub.add_parser("validate", parents=[gpu, kernels, runner,
+                                                backend],
                            help="run the sim-vs-hardware comparison")
-    add_gpu_args(p_val)
-    p_val.add_argument("--kernels", default=None,
-                       help="comma-separated kernel subset")
-    _add_runner_args(p_val)
-    _add_backend_arg(p_val)
     p_val.set_defaults(func=_cmd_validate)
 
-    p_serve = sub.add_parser("serve",
+    p_serve = sub.add_parser("serve", parents=[no_cache, timeout],
                              help="run the power-estimation service "
                                   "daemon")
     p_serve.add_argument("--host", default="127.0.0.1",
@@ -860,9 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache", default=None, metavar="DIR",
                          help="result cache directory (default: "
                               "REPRO_CACHE_DIR or ~/.cache/gpusimpow)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable the content-addressed result "
-                              "cache")
     p_serve.add_argument("--max-parallel", type=int, default=2,
                          metavar="N",
                          help="concurrent simulation slots "
@@ -874,17 +879,13 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="bound on queued tasks across tenants; "
                               "beyond it, 503 (default: 64)")
-    p_serve.add_argument("--timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-job wall-clock budget for scheduled "
-                              "simulations")
     p_serve.add_argument("--no-lint", action="store_true",
                          help="skip static-analysis admission control "
                               "(verifier-failing kernels then reach "
                               "the simulator)")
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_fleet = sub.add_parser("fleet",
+    p_fleet = sub.add_parser("fleet", parents=[budget, runner, as_json],
                              help="simulate a fleet-scale power "
                                   "scenario (kWh / $ / CO2)")
     p_fleet.add_argument("--scenario", default=None, metavar="FILE",
@@ -906,11 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "diurnal cycle)")
     p_fleet.add_argument("--seed", type=int, default=0,
                          help="load-generator seed (default: 0)")
-    p_fleet.add_argument("--error-budget", type=float, default=None,
-                         metavar="FRACTION", dest="error_budget",
-                         help="|chip-power| error budget steering "
-                              "backend=auto cost resolution "
-                              "(default: 0.10)")
     p_fleet.add_argument("--exact", action="store_true",
                          help="resolve every cost on the exact cycle "
                               "tier (ignores --error-budget)")
@@ -927,17 +923,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "multiplier (default: 1.0)")
     p_fleet.add_argument("--out", default=None, metavar="FILE",
                          help="also write the full report JSON there")
-    p_fleet.add_argument("--json", action="store_true", dest="as_json",
-                         help="print the report as JSON instead of "
-                              "the table")
-    _add_runner_args(p_fleet)
     p_fleet.set_defaults(func=_cmd_fleet)
 
-    p_submit = sub.add_parser("submit",
+    p_submit = sub.add_parser("submit", parents=[request, as_json],
                               help="submit a kernel to a running "
                                    "service")
-    p_submit.add_argument("kernel", help="kernel label (see `list`)")
-    add_gpu_args(p_submit)
     p_submit.add_argument("--url", default="http://127.0.0.1:8642",
                           help="service base URL (default: "
                                "http://127.0.0.1:8642)")
@@ -947,14 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--priority", type=int, default=0,
                           help="scheduling priority; higher runs "
                                "first (default: 0)")
-    p_submit.add_argument("--trace-interval", type=float, default=None,
-                          metavar="CYCLES",
-                          help="request a windowed power trace every "
-                               "N shader cycles")
-    _add_backend_arg(p_submit)
-    p_submit.add_argument("--sanitize", action="store_true",
-                          help="run under the runtime sanitizer and "
-                               "include its findings in the result")
     p_submit.add_argument("--wait", action="store_true",
                           help="hold the request until the result is "
                                "ready and print it")
@@ -962,10 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SECONDS",
                           help="server-side hold budget for --wait "
                                "(default: 600)")
-    p_submit.add_argument("--json", action="store_true",
-                          dest="as_json",
-                          help="print the raw JSON response (includes "
-                               "cached + elapsed_s)")
     p_submit.set_defaults(func=_cmd_submit)
 
     p_cache = sub.add_parser("cache",

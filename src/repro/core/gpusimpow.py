@@ -191,36 +191,19 @@ class GPUSimPow:
         from ..backends import get_backend, resolve_backend
         req = self._request(request, "launch")
         run_launch = req.resolve_launch()
-        fresh = activity is None
-        if fresh:
+        if activity is None:
             # Resolve once: execute the concrete backend on the launch
             # already in hand.
             resolved, promised = resolve_backend(req)
             perf = replace(req, backend=resolved,
                            launch=run_launch).execute(sink=sink)
-        else:
-            # Replayed activity: fail fast on unknown names; a promise
-            # is meaningless for a report of unknown provenance.
-            resolved, promised = get_backend(req.backend).name, None
-            perf = SimulationOutput.replay(self.config, run_launch,
-                                           activity, windows=windows)
-        power = self.chip.evaluate(perf.activity)
-        trace = None
-        if perf.windows:
-            interval = req.trace_interval or (
-                1000.0 if fresh else perf.windows[0].end_cycles)
-            trace = PowerTrace.from_windows(
-                self.config, run_launch.kernel.name, perf.windows,
-                interval, chip=self.chip)
-        return SimulationResult(
-            kernel_name=run_launch.kernel.name,
-            config=self.config,
-            performance=perf,
-            power=power,
-            trace=trace,
-            backend=resolved,
-            promised_error=promised,
-        )
+            return self._result(req, perf, resolved, promised)
+        # Replayed activity: fail fast on unknown names; a promise is
+        # meaningless for a report of unknown provenance.
+        perf = SimulationOutput.replay(self.config, run_launch, activity,
+                                       windows=windows)
+        return self._result(req, perf, get_backend(req.backend).name, None,
+                            replayed=True)
 
     def run_benchmark(self, request: Union["SimRequest", str], *,
                       sink: Optional[TraceSink] = None,
@@ -228,47 +211,51 @@ class GPUSimPow:
         """Run all kernels of a Table I benchmark as a dependent chain.
 
         ``request`` is a :class:`~repro.request.SimRequest` whose
-        ``kernel`` names the benchmark, or the bare benchmark name.
-        Kernels execute on a shared global-memory image (the way the
-        real multi-kernel benchmarks run); each kernel gets its own
-        power evaluation -- and its own power trace when
-        ``trace_interval`` is set -- and the totals aggregate the whole
-        benchmark.
+        ``kernel`` names the benchmark, or the bare benchmark name; it
+        simulates through :meth:`SimRequest.execute_chain`.  Kernels
+        execute on a shared global-memory image (the way the real
+        multi-kernel benchmarks run); each kernel gets its own power
+        evaluation -- and its own power trace when traced -- and the
+        totals aggregate the whole benchmark.
         """
-        from ..backends import get_backend, resolve_backend
-        from ..workloads import build_benchmark
+        from ..backends import resolve_backend
         req = self._request(request, "kernel")
         if not req.kernel:
             raise ValueError("run_benchmark needs a benchmark name")
         # Ladder resolution happens once for the whole chain, so every
         # kernel of the benchmark runs at the same fidelity.
         resolved, promised = resolve_backend(req)
-        backend = get_backend(resolved)
-        options = dict(req.backend_options or {})
-        if req.sanitize:
-            backend.check_sanitize(True)
-            options["sanitize"] = True
-        launches = build_benchmark(req.kernel)
-        outputs = backend.simulate_sequence(
-            self.config, launches, max_cycles=req.max_cycles,
-            trace_interval=req.trace_interval, sink=sink, **options)
-        results = []
-        for launch, perf in zip(launches, outputs):
-            trace = None
-            if perf.windows:
-                trace = PowerTrace.from_windows(
-                    self.config, launch.kernel.name, perf.windows,
-                    req.trace_interval or 1000.0, chip=self.chip)
-            results.append(SimulationResult(
-                kernel_name=launch.kernel.name,
-                config=self.config,
-                performance=perf,
-                power=self.chip.evaluate(perf.activity),
-                trace=trace,
-                backend=resolved,
-                promised_error=promised,
-            ))
-        return BenchmarkResult(benchmark=req.kernel, kernels=results)
+        outputs = replace(req, backend=resolved).execute_chain(sink=sink)
+        return BenchmarkResult(
+            benchmark=req.kernel,
+            kernels=[self._result(req, perf, resolved, promised)
+                     for perf in outputs])
+
+    def _result(self, req: "SimRequest", perf: SimulationOutput,
+                backend: str, promised: Optional[float],
+                replayed: bool = False) -> SimulationResult:
+        """Power-evaluate one kernel's performance output.
+
+        A windowed output also gets its :class:`PowerTrace`, cut at the
+        request's interval -- else the 1000-cycle default of a fresh
+        run, or a replay's first window end.
+        """
+        trace = None
+        if perf.windows:
+            interval = req.trace_interval or (
+                perf.windows[0].end_cycles if replayed else 1000.0)
+            trace = PowerTrace.from_windows(
+                self.config, perf.launch.kernel.name, perf.windows,
+                interval, chip=self.chip)
+        return SimulationResult(
+            kernel_name=perf.launch.kernel.name,
+            config=self.config,
+            performance=perf,
+            power=self.chip.evaluate(perf.activity),
+            trace=trace,
+            backend=backend,
+            promised_error=promised,
+        )
 
 
 @dataclass

@@ -1,53 +1,19 @@
-"""Run every experiment: python -m repro.experiments [name...]
+"""Regenerate the paper's artifacts: ``python -m repro.experiments``.
 
-Options:
-    --jobs N      worker processes for all simulations (runner default)
-    --no-cache    bypass the on-disk activity result cache
-    --out-dir D   also write each artifact (text + any extra files) to D
-
-``--jobs``/``--no-cache`` configure the process-wide runner defaults,
-so every experiment picks them up without plumbing; dispatch goes
-through the experiment registry (:mod:`repro.experiments.base`).
+The same command as ``gpusimpow experiments`` -- same options
+(``--list``, ``--jobs``, ``--no-cache``, ``--timeout``, ``--out-dir``),
+same output, same exit codes; see :func:`repro.cli.main`.
 """
 
-import argparse
+import sys
 
-from ..runner import ResultCache, set_default_cache, set_default_jobs
-from .base import all_experiments
+from ..cli import main as cli_main
 
 
-def main() -> None:
-    """Regenerate and print the requested artifacts."""
-    experiments = all_experiments()
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="regenerate the paper's tables and figures")
-    parser.add_argument("names", nargs="*", metavar="experiment",
-                        help=f"subset to run (default: all of "
-                             f"{sorted(experiments)})")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the simulations")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk activity result cache")
-    parser.add_argument("--out-dir", default=None, metavar="DIR",
-                        help="also write every artifact into DIR")
-    args = parser.parse_args()
-
-    if args.jobs is not None:
-        set_default_jobs(args.jobs)
-    set_default_cache(None if args.no_cache else ResultCache())
-
-    names = args.names or list(experiments)
-    for name in names:
-        if name not in experiments:
-            raise SystemExit(f"unknown experiment {name!r}; "
-                             f"have {sorted(experiments)}")
-        print(f"===== {name} =====")
-        written = experiments[name].run(out_dir=args.out_dir, echo=True)
-        for path in written:
-            print(f"[wrote {path}]")
-        print()
+def main() -> int:
+    """Run ``gpusimpow experiments`` with this process's arguments."""
+    return cli_main(["experiments", *sys.argv[1:]])
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .isa.launch import KernelLaunch
 from .isa.serialize import launch_from_dict, launch_to_dict
@@ -33,6 +33,7 @@ from .serialize import Serializable
 from .sim.config import GPUConfig
 
 if TYPE_CHECKING:
+    from .backends import SimulationBackend
     from .sim.gpu import SimulationOutput
     from .telemetry import TraceSink
 
@@ -48,8 +49,8 @@ class SimRequest(Serializable):
         config: The architecture to simulate.
         kernel: Workload label from Table I (``repro.workloads``),
             resolved to a launch on demand; also the display label.
-            For :meth:`GPUSimPow.run_benchmark` requests it may name a
-            Table I *benchmark* instead.
+            For :meth:`execute_chain` (``GPUSimPow.run_benchmark``)
+            it names a Table I *benchmark* instead.
         launch: Explicit launch descriptor; takes precedence over
             ``kernel`` for execution (both may be set -- ``kernel``
             then only labels the request).
@@ -164,32 +165,58 @@ class SimRequest(Serializable):
                 ) -> "SimulationOutput":
         """Simulate this request in this process.
 
-        The one resolve -> sanitize check -> tracer -> simulate path:
-        runner workers, the facade's fresh runs, the service's traced
-        runs and ``gpusimpow run --profile`` all come through here.
-        ``"auto"`` resolves against the fidelity ladder first, so an
-        unknown backend name, or a tracing or sanitize request against
-        a backend that cannot honour it, fails before any simulation
-        work.  ``sink`` receives windows as they are cut (and implies
-        tracing, with a 1000-cycle default interval).
+        Runner workers, the facade's fresh runs, the service's traced
+        runs and ``gpusimpow run --profile`` all come through here (and
+        chains through :meth:`execute_chain`).  ``"auto"`` resolves
+        against the fidelity ladder first, so an unknown backend name,
+        or a tracing or sanitize request against a backend that cannot
+        honour it, fails before any simulation work.  ``sink`` receives
+        windows as they are cut (and implies tracing, with a 1000-cycle
+        default interval).
+        """
+        backend, kwargs = self._prepare(sink)
+        return backend.simulate(self.config, self.resolve_launch(),
+                                max_cycles=self.max_cycles, **kwargs)
+
+    def execute_chain(self, sink: Optional["TraceSink"] = None,
+                      ) -> List["SimulationOutput"]:
+        """Simulate the Table I benchmark ``kernel`` names as a chain.
+
+        The benchmark's kernels run back to back on one shared
+        global-memory image (see
+        :meth:`~repro.backends.base.SimulationBackend.simulate_sequence`),
+        with the same resolve, capability checks and tracer as
+        :meth:`execute`; one tracer, and ``sink``, serve every kernel.
+        """
+        from .workloads import build_benchmark
+        backend, kwargs = self._prepare(sink)
+        return backend.simulate_sequence(
+            self.config, build_benchmark(self.kernel),
+            max_cycles=self.max_cycles, **kwargs)
+
+    def _prepare(self, sink: Optional["TraceSink"],
+                 ) -> Tuple["SimulationBackend", Dict[str, Any]]:
+        """``(backend, simulate keyword arguments)`` for this request.
+
+        The one resolve -> sanitize and tracing checks -> tracer setup:
+        the only place an :class:`~repro.telemetry.ActivityTracer` is
+        built from a request.
         """
         from .backends import AUTO_BACKEND, get_backend, resolve_backend
         name = self.backend
         if name == AUTO_BACKEND:
             name, _ = resolve_backend(self)
         backend = get_backend(name)
-        tracer = None
-        if self.trace_interval is not None or sink is not None:
-            from .telemetry import ActivityTracer
-            tracer = ActivityTracer(self.trace_interval or 1000.0,
-                                    sink=sink)
+        backend.check_sanitize(self.sanitize)
         kwargs: Dict[str, Any] = dict(self.backend_options or {})
         if self.sanitize:
-            backend.check_sanitize(True)
             kwargs["sanitize"] = True
-        return backend.simulate(self.config, self.resolve_launch(),
-                                max_cycles=self.max_cycles,
-                                tracer=tracer, **kwargs)
+        if self.trace_interval is not None or sink is not None:
+            from .telemetry import ActivityTracer
+            kwargs["tracer"] = ActivityTracer(self.trace_interval or 1000.0,
+                                              sink=sink)
+            backend.check_tracer(kwargs["tracer"])
+        return backend, kwargs
 
     # -- serialization --------------------------------------------------------
 

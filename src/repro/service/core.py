@@ -280,10 +280,12 @@ class PowerService:
             launch = request.resolve_launch()
             # Validates the backend name -- including resolving "auto"
             # through the fidelity ladder, so an unsatisfiable budget
-            # or unknown name is rejected before any queue is spent.
+            # or unknown name is rejected before any queue is spent --
+            # and that the backend can sanitize or trace if asked to.
             resolved, _ = resolve_backend(request)
-            if request.sanitize:
-                get_backend(resolved).check_sanitize(True)
+            backend = get_backend(resolved)
+            backend.check_sanitize(request.sanitize)
+            backend.check_tracer(request.trace_interval)
         except (ValueError, KeyError, TypeError, BackendError) as exc:
             return 400, {"error": "bad-request", "message": str(exc)}
         try:

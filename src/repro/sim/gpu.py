@@ -221,46 +221,3 @@ def simulate(config: GPUConfig, launch: KernelLaunch,
     """Convenience wrapper: build a fresh GPU and run one launch."""
     return GPU(config).run(launch, tracer=tracer)
 
-
-def simulate_sequence(config: GPUConfig,
-                      launches: List[KernelLaunch],
-                      max_cycles: float = 5e8,
-                      trace_interval: Optional[float] = None,
-                      sink=None) -> List[SimulationOutput]:
-    """Run dependent kernels back-to-back on a shared memory image.
-
-    The first launch's initial data is applied; every later kernel sees
-    the global memory its predecessors left behind -- how real
-    multi-kernel benchmarks (bfs, backprop, mergeSort) actually execute.
-    Each kernel runs on a fresh GPU timing state so its activity report
-    stands alone.
-
-    Args:
-        trace_interval: Telemetry window length in shader cycles; when
-            set, each output carries its per-window activity deltas.
-        sink: Optional :class:`~repro.telemetry.TraceSink` receiving
-            every kernel's windows as they are cut (``on_begin`` /
-            ``on_end`` bracket each kernel).
-    """
-    if not launches:
-        return []
-    tracer = None
-    if trace_interval is not None or sink is not None:
-        from ..telemetry import ActivityTracer
-        tracer = ActivityTracer(trace_interval or 1000.0, sink=sink)
-    words = max(l.gmem_words for l in launches)
-    gmem = np.zeros(words, dtype=np.float64)
-    outputs = []
-    # High-water mark of memory words already materialised.  Each
-    # launch's initial image is applied only *beyond* that mark: words
-    # below it belong to predecessors' live output and must not be
-    # clobbered, words above it are fresh input this launch declares.
-    seen = 0
-    for launch in launches:
-        if launch.gmem_words > seen:
-            image = launch.build_global_memory()
-            gmem[seen:launch.gmem_words] = image[seen:launch.gmem_words]
-            seen = launch.gmem_words
-        outputs.append(GPU(config).run(launch, max_cycles=max_cycles,
-                                       gmem=gmem, tracer=tracer))
-    return outputs

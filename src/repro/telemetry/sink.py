@@ -61,7 +61,8 @@ class ActivityTracer:
 
     Driven by :meth:`repro.sim.gpu.GPU.run`; one tracer serves one
     kernel execution (``begin`` resets it, so a tracer may be reused
-    across the launches of :func:`repro.sim.gpu.simulate_sequence`).
+    across the launches of a kernel chain, see
+    :meth:`repro.backends.base.SimulationBackend.simulate_sequence`).
 
     Attributes:
         interval_cycles: Window length in shader cycles.

@@ -143,6 +143,20 @@ class TestCommands:
                      "--trace-interval", "200"]) == 2
         assert "does not support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--trace-interval", "200"],
+                                      ["--sanitize"]])
+    def test_submit_capability_rejected_locally(self, capsys, flag):
+        # Checked before any connection: the URL is never contacted.
+        assert main(["submit", "vectorAdd", "--backend", "analytical",
+                     "--url", "http://127.0.0.1:9", *flag]) == 2
+        err = capsys.readouterr().err
+        assert f"does not support {flag[0]}" in err
+
+    def test_submit_unknown_kernel(self, capsys):
+        assert main(["submit", "ghost", "--url",
+                     "http://127.0.0.1:9"]) == 2
+        assert "unknown kernel" in capsys.readouterr().err
+
     def test_validate_with_backend(self, capsys):
         assert main(["validate", "--kernels", "vectorAdd",
                      "--backend", "analytical"]) == 0

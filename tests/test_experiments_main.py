@@ -1,16 +1,38 @@
 """Tests for the experiment runner module (__main__ dispatch)."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.__main__ import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 class TestDispatch:
-    def test_unknown_experiment_exits(self, monkeypatch):
+    def test_unknown_experiment_exits(self, monkeypatch, capsys):
+        # Same contract as `gpusimpow experiments`: usage error, exit 2.
         monkeypatch.setattr("sys.argv", ["experiments", "nosuch"])
-        with pytest.raises(SystemExit, match="unknown experiment"):
-            main()
+        assert main() == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+    def test_module_exit_code(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "nosuch"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2
+        assert "unknown experiment" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_list(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["experiments", "--list"])
+        assert main() == 0
+        assert "table2" in capsys.readouterr().out
 
     def test_single_experiment_runs(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["experiments", "table2"])

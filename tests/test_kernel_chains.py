@@ -1,11 +1,13 @@
-"""End-to-end tests for dependent kernel chains (simulate_sequence)."""
+"""End-to-end tests for dependent kernel chains (the backends'
+``simulate_sequence``, which ``SimRequest.execute_chain`` drives)."""
 
 import numpy as np
 import pytest
 
+from repro.backends import CYCLE
 from repro.core.gpusimpow import BenchmarkResult, GPUSimPow
 from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
-from repro.sim import gt240, simulate_sequence
+from repro.sim import gt240
 from repro.workloads import bfs, build_benchmark, mergesort
 from tests.conftest import build_vecadd_launch
 
@@ -13,7 +15,7 @@ from tests.conftest import build_vecadd_launch
 class TestBfsChain:
     @pytest.fixture(scope="class")
     def final_memory(self):
-        outs = simulate_sequence(gt240(), build_benchmark("bfs"))
+        outs = CYCLE.simulate_sequence(gt240(), build_benchmark("bfs"))
         return outs[-1].gmem
 
     def test_full_bfs_level(self, final_memory):
@@ -42,7 +44,7 @@ class TestMergeSortChain:
     def test_full_pipeline_produces_merged_runs(self):
         """mergeSort1 -> 2 -> 3 -> 4 on one memory image: the final
         merge consumes the tile sort's real output."""
-        outs = simulate_sequence(gt240(), build_benchmark("mergesort"))
+        outs = CYCLE.simulate_sequence(gt240(), build_benchmark("mergesort"))
         final = outs[-1].gmem
         keys = mergesort.make_inputs()
         sorted_tiles = mergesort.reference_tile_sort(keys)
@@ -51,7 +53,7 @@ class TestMergeSortChain:
                               mergesort.reference_merge(sorted_tiles))
 
     def test_each_kernel_reports_own_activity(self):
-        outs = simulate_sequence(gt240(), build_benchmark("mergesort"))
+        outs = CYCLE.simulate_sequence(gt240(), build_benchmark("mergesort"))
         issued = [o.activity.issued_instructions for o in outs]
         # Four distinct kernels with very different sizes; the tiny
         # mergeSort3 must not inherit the big sort's counts.
@@ -60,12 +62,12 @@ class TestMergeSortChain:
 
 class TestSequenceSemantics:
     def test_empty_sequence(self):
-        assert simulate_sequence(gt240(), []) == []
+        assert CYCLE.simulate_sequence(gt240(), []) == []
 
     def test_single_matches_plain_run(self, launches):
         from repro.sim import simulate
         launch = launches["vectorAdd"]
-        seq = simulate_sequence(gt240(), [launch])[0]
+        seq = CYCLE.simulate_sequence(gt240(), [launch])[0]
         solo = simulate(gt240(), launch)
         assert np.array_equal(seq.gmem, solo.gmem)
         assert seq.cycles == solo.cycles
@@ -100,7 +102,7 @@ class TestDifferingFootprints:
         zvals = np.random.default_rng(7).standard_normal(n)
         consumer = self._consumer_launch(zvals)
         assert producer.gmem_words < consumer.gmem_words
-        outs = simulate_sequence(gt240(), [producer, consumer])
+        outs = CYCLE.simulate_sequence(gt240(), [producer, consumer])
         final = outs[-1].gmem
         np.testing.assert_array_equal(final[4 * n:5 * n], (x + y) * zvals)
 
@@ -111,8 +113,8 @@ class TestDifferingFootprints:
         n = self.N
         producer, x, y = build_vecadd_launch(n=n, block=n, grid=1)
         zvals = np.ones(n)
-        outs = simulate_sequence(gt240(),
-                                 [producer, self._consumer_launch(zvals)])
+        outs = CYCLE.simulate_sequence(
+            gt240(), [producer, self._consumer_launch(zvals)])
         final = outs[-1].gmem
         np.testing.assert_array_equal(final[2 * n:3 * n], x + y)
         np.testing.assert_array_equal(final[:n], x)
@@ -125,7 +127,7 @@ class TestDifferingFootprints:
         # Same producer twice: the second run adds x + y again from the
         # *original* inputs (its footprint is within the high-water mark,
         # so its initializer is not re-applied and x/y are unchanged).
-        outs = simulate_sequence(gt240(), [producer, producer])
+        outs = CYCLE.simulate_sequence(gt240(), [producer, producer])
         np.testing.assert_array_equal(outs[-1].gmem[2 * n:3 * n], x + y)
 
 

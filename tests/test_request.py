@@ -314,6 +314,23 @@ class TestFacadeRequestEntry:
                                          backend="analytical",
                                          sanitize=True))
 
+    @pytest.mark.parametrize("method", ["execute", "execute_chain"])
+    def test_tracing_rejected_before_simulating(self, monkeypatch,
+                                                method):
+        """The shared prologue refuses a traced request on a backend
+        that cannot trace before any kernel runs."""
+        from repro.backends import ANALYTICAL
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated an unsupported request")
+
+        monkeypatch.setattr(ANALYTICAL, "simulate", no_simulation)
+        kernel = "backprop" if method == "execute_chain" else "vectorAdd"
+        req = SimRequest(config=gt240(), kernel=kernel,
+                         backend="analytical", trace_interval=500.0)
+        with pytest.raises(BackendError, match="activity tracing"):
+            getattr(req, method)()
+
 
 class TestFailureSerialization:
     def _failure(self):

@@ -609,6 +609,18 @@ class TestSanitizedSubmissions:
                 tiny_request(backend="analytical", sanitize=True))
         assert err.value.status == 400
 
+    def test_traced_request_on_untraceable_backend_rejected_400(
+            self, daemon_factory):
+        """Tracing is checked at admission like sanitizing: the request
+        is refused with 400 instead of queued to fail later."""
+        harness = daemon_factory()
+        with pytest.raises(ServiceError) as err:
+            harness.client.submit(
+                tiny_request(backend="analytical", trace_interval=500.0))
+        assert err.value.status == 400
+        assert "does not support activity tracing" in str(err.value)
+        assert harness.client.status()["stats"]["simulations"] == 0
+
     def test_sanitize_does_not_dedup_onto_plain_task(
             self, daemon_factory):
         # Same digest, different observer flag: the sanitized

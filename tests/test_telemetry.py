@@ -11,13 +11,14 @@ import math
 
 import pytest
 
+from repro.backends import CYCLE
 from repro.core import GPUSimPow
 from repro.request import SimRequest
 from repro.runner import SimJob, run_jobs
 from repro.runner.cache import ResultCache, request_key
 from repro.sim import gt240
 from repro.sim.activity import ActivityReport
-from repro.sim.gpu import SimulationOutput, simulate, simulate_sequence
+from repro.sim.gpu import SimulationOutput, simulate
 from repro.telemetry import (ActivityTracer, ActivityWindow, CollectingSink,
                              NullSink, PowerTrace, TraceSink, chrome_trace,
                              render_trace, sparkline, sum_windows,
@@ -95,8 +96,9 @@ class TestWindowInvariant:
         assert total.to_dict() == ActivityReport().to_dict()
 
     def test_multi_kernel_sequence_traces_each_kernel(self, gt240_config):
-        outs = simulate_sequence(gt240_config, build_benchmark("bfs"),
-                                 trace_interval=500.0)
+        outs = CYCLE.simulate_sequence(gt240_config,
+                                       build_benchmark("bfs"),
+                                       tracer=ActivityTracer(500.0))
         assert len(outs) > 1
         for out in outs:
             assert out.windows
