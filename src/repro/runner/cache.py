@@ -147,9 +147,7 @@ def request_key(request) -> str:
     The digest of :func:`request_signature`; exposed on requests as
     :meth:`repro.request.SimRequest.digest`.
     """
-    blob = json.dumps(request_signature(request), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(request_signature(request))
 
 
 def base_request_key(request) -> str:
@@ -163,19 +161,32 @@ def base_request_key(request) -> str:
     """
     payload = request_signature(request)
     payload.pop("backend", None)
+    return _digest(payload)
+
+
+def _digest(payload: Dict[str, Any]) -> str:
+    """Hex SHA-256 of ``payload``'s canonical JSON."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _write_json(path: Path, data: Any) -> None:
+    """Write ``data`` to ``path`` as JSON, atomically (``mkstemp`` +
+    ``os.replace``); the temp file is removed whenever the write fails."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _backend_is_exact(name: str) -> bool:
     from ..backends import all_backends
     backend = all_backends().get(name)
     return bool(backend is not None and backend.capabilities.exact)
-
-
-def _report_from_dict(data: Dict[str, float]) -> ActivityReport:
-    """Rebuild an ActivityReport, rejecting unknown/stale counters."""
-    return ActivityReport.from_dict(data)
 
 
 class ResultCache:
@@ -260,7 +271,7 @@ class ResultCache:
                     or entry.get("backend", "cycle") != resolved):
                 self.misses += 1
                 return None, False
-            activity = _report_from_dict(entry["activity"])
+            activity = ActivityReport.from_dict(entry["activity"])
             cycles = float(entry["cycles"])
             windows = None
             if job.trace_interval is not None:
@@ -332,14 +343,7 @@ class ResultCache:
                                                  base)
             if achieved is not None:
                 entry["achieved_error"] = achieved
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        _write_json(path, entry)
         self.stores += 1
         if base is not None and "achieved_error" not in entry:
             self._register_link(base, key)
@@ -370,7 +374,7 @@ class ResultCache:
                     or exact_entry.get("sim_version") != _version_tag() \
                     or exact_entry.get("backend", "cycle") != "cycle":
                 return None
-            exact_activity = _report_from_dict(exact_entry["activity"])
+            exact_activity = ActivityReport.from_dict(exact_entry["activity"])
         except (OSError, ValueError, KeyError, TypeError):
             return None
         exact_power = self._power_of(config, exact_activity)
@@ -393,10 +397,7 @@ class ResultCache:
             if key in keys:
                 return
             keys.append(key)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(keys, handle)
-            os.replace(tmp, path)
+            _write_json(path, keys)
         except (OSError, ValueError, TypeError):
             pass
 
@@ -420,14 +421,10 @@ class ResultCache:
                         or exact_power <= 0:
                     continue
                 estimate = self._power_of(
-                    config, _report_from_dict(entry["activity"]))
+                    config, ActivityReport.from_dict(entry["activity"]))
                 entry["achieved_error"] = \
                     abs(estimate - exact_power) / exact_power
-                fd, tmp = tempfile.mkstemp(dir=est_path.parent,
-                                           suffix=".tmp")
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, sort_keys=True)
-                os.replace(tmp, est_path)
+                _write_json(est_path, entry)
             except (OSError, ValueError, KeyError, TypeError):
                 continue
         try:

@@ -14,8 +14,9 @@ they ship back plain counter dicts.  Both transports (pickle for the
 pipe, repr-JSON for the cache) round-trip float64 exactly, so serial,
 pooled, cached -- and fault-retried -- execution are bit-identical.
 
-Fault tolerance.  Each pooled job runs in its own supervised worker
-process, so the engine observes every way an attempt can end:
+Fault tolerance.  Each pooled attempt runs on a supervised warm worker
+process (:mod:`repro.runner.pool`), so the engine observes every way an
+attempt can end:
 
 * a clean result (or a worker-side exception, shipped back as a
   traceback -- deterministic, never retried);
@@ -64,8 +65,10 @@ from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..request import SimRequest
+from ..sim.activity import ActivityReport
 from .cache import ResultCache, request_key
 from .job import JobFailure, JobResult
+from .pool import PoolWorker, shared_pool
 
 #: Sentinel: "resolve the cache from configured/environment defaults".
 AUTO = "auto"
@@ -325,15 +328,6 @@ def _execute_job(payload):
                 os.getpid(), traceback.format_exc())
 
 
-def _worker_main(conn, payload) -> None:
-    """Supervised worker body: one attempt, one message, exit."""
-    out = _execute_job(payload)
-    try:
-        conn.send(out)
-    finally:
-        conn.close()
-
-
 def _pool_context():
     """Fork where available (cheap, Linux); spawn otherwise."""
     methods = multiprocessing.get_all_start_methods()
@@ -347,13 +341,10 @@ class _Running:
 
     index: int
     attempt: int
-    proc: "multiprocessing.process.BaseProcess"
-    conn: "connection.Connection"
+    #: The warm :class:`~repro.runner.pool.PoolWorker` serving it.
+    worker: PoolWorker
     started: float
     deadline: Optional[float]
-    #: The warm :class:`~repro.runner.pool.PoolWorker` serving this
-    #: attempt, when it runs on the shared pool (None: one-shot worker).
-    pooled: Optional[object] = None
 
 
 # -- the engine ---------------------------------------------------------------
@@ -443,8 +434,7 @@ def run_jobs(jobs: Sequence[SimRequest],
     def record_success(index: int, act_dict, windows_dicts, diagnostics,
                        cycles: float, duration: float, pid: int) -> None:
         job = jobs[index]
-        from .cache import _report_from_dict
-        activity = _report_from_dict(act_dict)
+        activity = ActivityReport.from_dict(act_dict)
         windows = None
         if windows_dicts is not None:
             from ..telemetry import windows_from_dicts
@@ -538,45 +528,37 @@ def run_jobs(jobs: Sequence[SimRequest],
     def run_pool(queue: Deque[Tuple[int, int]]) -> bool:
         """Supervised pool executor; False means "degrade to serial".
 
-        Attempts normally run on the process-wide *warm pool*
+        Attempts run on the process-wide *warm pool*
         (:mod:`repro.runner.pool`): workers persist across jobs and
         across ``run_jobs`` calls, so small jobs don't pay a fork each.
-        With a fault plan active, every attempt gets its own one-shot
-        worker instead (injected ``kill`` faults need a process that
-        dies with the attempt).  Either way the supervisor watches the
-        same pipe + process sentinel, so a SIGKILL surfaces as
+        The supervisor watches each worker's pipe + process sentinel,
+        so a SIGKILL (an injected ``kill`` fault included) surfaces as
         EOF/sentinel instead of hanging the sweep, and a timeout is
-        enforced by killing exactly that worker.  On return ``False``,
-        ``queue`` holds every unfinished (index, attempt).
+        enforced by killing exactly that worker.  A worker that
+        crashed, timed out or was abandoned is discarded, never
+        recycled.  On return ``False``, ``queue`` holds every
+        unfinished (index, attempt).
         """
-        from .pool import shared_pool
         nonlocal_state = {"consecutive_crashes": 0}
         ctx = _pool_context()
-        warm = None if plan else shared_pool()
+        warm = shared_pool()
         running: Dict[int, _Running] = {}
         hold: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
         task_ids = itertools.count()
 
         def reap(task_id: int, recycle: bool = False) -> _Running:
+            """Retire one attempt's worker: recycle it after a clean
+            reply, kill and discard it otherwise."""
             task = running.pop(task_id)
-            if task.pooled is not None:
-                if recycle:
-                    warm.release(task.pooled)
-                else:
-                    warm.discard(task.pooled)
-                return task
-            try:
-                task.conn.close()
-            except OSError:
-                pass
-            task.proc.join()
+            if recycle:
+                warm.release(task.worker)
+            else:
+                warm.discard(task.worker)
             return task
 
         def abandon() -> bool:
             """Stop the pool, requeue in-flight work, signal degrade."""
             for task_id in list(running):
-                task = running[task_id]
-                task.proc.kill()
                 task = reap(task_id)
                 queue.append((task.index, task.attempt))
             for _, index, attempt in hold:
@@ -602,40 +584,23 @@ def run_jobs(jobs: Sequence[SimRequest],
                     index, attempt = queue.popleft()
                     fault = _fault_for(plan, jobs[index].label, attempt)
                     payload = (index, jobs[index], fault, False)
-                    pooled = None
-                    if warm is not None:
-                        try:
-                            pooled = warm.acquire(ctx)
-                            pooled.submit(payload)
-                        except OSError:
-                            if pooled is not None:
-                                warm.discard(pooled)
-                            queue.appendleft((index, attempt))
-                            return abandon()
-                        proc, parent_conn = pooled.proc, pooled.conn
-                    else:
-                        parent_conn, child_conn = ctx.Pipe(duplex=False)
-                        proc = ctx.Process(
-                            target=_worker_main,
-                            args=(child_conn, payload),
-                            daemon=True)
-                        try:
-                            proc.start()
-                        except OSError:
-                            # Pool-level failure (fork/spawn refused):
-                            # degrade rather than abort the sweep.
-                            parent_conn.close()
-                            child_conn.close()
-                            queue.appendleft((index, attempt))
-                            return abandon()
-                        child_conn.close()
+                    worker = None
+                    try:
+                        worker = warm.acquire(ctx)
+                        worker.submit(payload)
+                    except OSError:
+                        # Pool-level failure (fork/spawn refused):
+                        # degrade rather than abort the sweep.
+                        if worker is not None:
+                            warm.discard(worker)
+                        queue.appendleft((index, attempt))
+                        return abandon()
                     limit = job_timeout(index)
                     started = time.monotonic()
                     running[next(task_ids)] = _Running(
-                        index=index, attempt=attempt, proc=proc,
-                        conn=parent_conn, started=started,
-                        deadline=None if limit is None else started + limit,
-                        pooled=pooled)
+                        index=index, attempt=attempt, worker=worker,
+                        started=started,
+                        deadline=None if limit is None else started + limit)
                 if not running:
                     if hold:
                         time.sleep(max(0.0, min(h[0] for h in hold) - now))
@@ -649,15 +614,15 @@ def run_jobs(jobs: Sequence[SimRequest],
                     tick = min(tick, max(0.0, min(h[0] for h in hold) - now))
                 waitables = []
                 for task in running.values():
-                    waitables.append(task.conn)
-                    waitables.append(task.proc.sentinel)
+                    waitables.append(task.worker.conn)
+                    waitables.append(task.worker.proc.sentinel)
                 connection.wait(waitables, tick)
                 now = time.monotonic()
                 for task_id, task in list(running.items()):
                     out = None
                     try:
-                        if task.conn.poll():
-                            out = task.conn.recv()
+                        if task.worker.conn.poll():
+                            out = task.worker.conn.recv()
                     except (EOFError, OSError):
                         out = None
                     if out is not None:
@@ -672,8 +637,8 @@ def run_jobs(jobs: Sequence[SimRequest],
                             record_success(task.index, act, win, diags,
                                            cycles, duration, pid)
                         nonlocal_state["consecutive_crashes"] = 0
-                    elif not task.proc.is_alive():
-                        exitcode = task.proc.exitcode
+                    elif not task.worker.alive:
+                        exitcode = task.worker.proc.exitcode
                         reap(task_id)
                         transient(task, add_event(
                             task.index, "worker-crash",
@@ -685,7 +650,6 @@ def run_jobs(jobs: Sequence[SimRequest],
                                 MELTDOWN_AFTER:
                             return abandon()
                     elif task.deadline is not None and now >= task.deadline:
-                        task.proc.kill()
                         reap(task_id)
                         transient(task, add_event(
                             task.index, "timeout",
@@ -697,7 +661,6 @@ def run_jobs(jobs: Sequence[SimRequest],
         except BaseException:
             # Never leak workers, whatever interrupts the supervisor.
             for task_id in list(running):
-                running[task_id].proc.kill()
                 reap(task_id)
             raise
 

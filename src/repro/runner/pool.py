@@ -1,20 +1,17 @@
 """Warm worker pool: reusable simulation worker processes.
 
-The fault-tolerant engine (:mod:`repro.runner.engine`) supervises one
-process per *attempt*, which makes every failure mode observable but
-pays a fork + interpreter-warmup per job.  For sweeps of many small
-jobs that overhead erases the parallel speedup (measured ~0.97x on the
-Table IV suite before this module existed).
+A process per job attempt would pay a fork + interpreter warmup each
+time; for sweeps of many small jobs that overhead erases the parallel
+speedup (measured ~0.97x on the Table IV suite with one-shot workers).
 
 A :class:`WarmPool` keeps worker processes alive between jobs *and*
 between :func:`~repro.runner.run_jobs` calls: each worker loops
 recv(payload) -> execute -> send(result) until told to stop.  The
-engine still owns supervision -- it watches the same pipe and process
-sentinel it always did, and a worker that crashes, times out or is
-abandoned is simply discarded (killed) instead of recycled, so the
-fault semantics are unchanged.  The engine only routes attempts through
-the pool when no fault plan is active: injected ``kill`` faults need a
-process that dies with its attempt.
+fault-tolerant engine (:mod:`repro.runner.engine`) owns supervision --
+it watches each worker's pipe and process sentinel, and a worker that
+crashes (an injected ``kill`` fault included), times out or is
+abandoned is discarded (killed) instead of recycled, so every failure
+mode stays observable.
 
 Workers are daemonic, so an exiting parent never leaks them; an idle
 warm worker costs one sleeping process.
