@@ -17,12 +17,10 @@ or, end to end against the simulator::
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..isa.launch import KernelLaunch
-from ..isa.serialize import kernel_to_dict
+from ..isa.serialize import kernel_digest
 from ..sim.config import GPUConfig
 from .crosscheck import (RULE_GROUPS, RULE_PAIRS, CrossCheckResult,
                          compare_static_dynamic, grade_rules,
@@ -80,8 +78,8 @@ def analyze_launch(launch: KernelLaunch,
 
     The default pipeline (``passes is None``) is memoised: its verdict
     depends only on the kernel and the launch shape, never on the
-    memory images, so launches sharing a kernel encoding
-    (:func:`~repro.isa.serialize.kernel_to_dict`, every instruction
+    memory images, so launches sharing a kernel
+    (:func:`~repro.isa.serialize.kernel_digest`, every instruction
     field included) and a shape share one result.  Callers must treat
     it as read-only.
     """
@@ -89,7 +87,7 @@ def analyze_launch(launch: KernelLaunch,
     shape = shape_for_launch(launch, cfg)
     if passes is not None:
         return run_passes(launch.kernel, shape, passes)
-    key = (_kernel_digest(launch), shape)
+    key = (kernel_digest(launch.kernel), shape)
     result = _RESULT_MEMO.get(key)
     if result is None:
         result = run_passes(launch.kernel, shape)
@@ -97,17 +95,3 @@ def analyze_launch(launch: KernelLaunch,
             _RESULT_MEMO.clear()
         _RESULT_MEMO[key] = result
     return result
-
-
-def _kernel_digest(launch: KernelLaunch) -> str:
-    """Digest of the launch's full kernel encoding, cached on the launch
-    the way :func:`~repro.isa.serialize.cached_launch_fingerprint`
-    caches its fingerprint, so warm lints of a shared workload launch
-    skip the encoding."""
-    cached = getattr(launch, "_kernel_digest", None)
-    if cached is None:
-        blob = json.dumps(kernel_to_dict(launch.kernel), sort_keys=True,
-                          separators=(",", ":"))
-        cached = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        launch._kernel_digest = cached  # type: ignore[attr-defined]
-    return cached

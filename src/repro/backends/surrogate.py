@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..isa.launch import KernelLaunch
-from ..isa.serialize import cached_launch_fingerprint
+from ..isa.serialize import kernel_digest
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimulationOutput
@@ -137,9 +137,10 @@ def kernel_features(launch: KernelLaunch,
 
     Pure static analysis: symbolic facts, memory-lint predictions and
     launch geometry.  No instruction is ever executed, no memory image
-    is ever read -- two launches differing only in data have identical
-    features (and share a :func:`~repro.isa.serialize.
-    launch_fingerprint`, which is how the memo exploits this).
+    is ever read.  Of the launch it reads only the kernel, the grid, the
+    block and the repeat count, so two launches differing only in data,
+    params or ``gmem_words`` have identical features (which is how the
+    memo, keyed on :func:`_memo_key`, exploits this).
     """
     from ..analysis import AnalysisManager, predict_memory, shape_for_launch
     from ..sim.core import max_resident_blocks
@@ -653,18 +654,26 @@ def clear_table_memo() -> None:
 # The backend
 # ---------------------------------------------------------------------------
 
-#: Feature memo: (config key, launch fingerprint) -> feature dict.
-#: Static analysis costs ~1-30 ms per kernel -- slower than an
-#: analytical query -- so warm queries must skip it to hit the
-#: surrogate's sub-millisecond budget.
-_FEATURE_MEMO: Dict[Tuple[str, str], Dict[str, float]] = {}
+#: Feature memo: :func:`_memo_key` -> feature dict.  Static analysis
+#: costs ~1-30 ms per kernel -- slower than an analytical query -- so
+#: warm queries must skip it to hit the surrogate's sub-millisecond
+#: budget.
+_FEATURE_MEMO: Dict[Tuple, Dict[str, float]] = {}
 _FEATURE_MEMO_LIMIT = 4096
 
-#: Prediction memo: (table content key, config key, launch fingerprint)
-#: -> (rates, cycles, nearest distance).  The table key in the memo key
-#: makes a re-calibration an automatic invalidation.
-_PREDICTION_MEMO: Dict[Tuple[str, str, str],
-                       Tuple[np.ndarray, float, float]] = {}
+#: Prediction memo: (table content key, *:func:`_memo_key`) -> (rates,
+#: cycles, nearest distance).  The table key in the memo key makes a
+#: re-calibration an automatic invalidation.
+_PREDICTION_MEMO: Dict[Tuple, Tuple[np.ndarray, float, float]] = {}
+
+
+def _memo_key(config: GPUConfig, launch: KernelLaunch) -> Tuple:
+    """Everything :func:`kernel_features` reads: the config, the kernel
+    (by :func:`~repro.isa.serialize.kernel_digest`) and the launch's
+    grid, block and repeat.  Memory images, params and ``gmem_words``
+    never enter a feature, so launches differing only there share."""
+    return (config_key(config), kernel_digest(launch.kernel),
+            launch.grid, launch.block, launch.repeat)
 
 
 class SurrogateBackend(SimulationBackend):
@@ -701,7 +710,7 @@ class SurrogateBackend(SimulationBackend):
 
     def features_for(self, config: GPUConfig,
                      launch: KernelLaunch) -> Dict[str, float]:
-        memo_key = (config_key(config), cached_launch_fingerprint(launch))
+        memo_key = _memo_key(config, launch)
         feats = _FEATURE_MEMO.get(memo_key)
         if feats is None:
             feats = kernel_features(launch, config)
@@ -718,8 +727,7 @@ class SurrogateBackend(SimulationBackend):
         microseconds on warm paths -- static analysis alone costs more
         than a whole analytical query.
         """
-        memo_key = (table.key, config_key(config),
-                    cached_launch_fingerprint(launch))
+        memo_key = (table.key, *_memo_key(config, launch))
         hit = _PREDICTION_MEMO.get(memo_key)
         if hit is None:
             hit = table.predict(self.features_for(config, launch))

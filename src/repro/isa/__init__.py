@@ -7,7 +7,7 @@ from .kernel import Kernel, KernelBuilder
 from . import lib
 from .launch import Dim3, KernelLaunch
 from .serialize import (instruction_from_dict, instruction_to_dict,
-                        kernel_from_dict, kernel_to_dict,
+                        kernel_digest, kernel_from_dict, kernel_to_dict,
                         launch_from_dict, launch_to_dict)
 
 __all__ = [
@@ -15,6 +15,6 @@ __all__ = [
     "Imm", "Instruction", "Pred", "Reg", "Sreg", "unit_class",
     "Kernel", "KernelBuilder", "Dim3", "KernelLaunch", "lib",
     "instruction_to_dict", "instruction_from_dict",
-    "kernel_to_dict", "kernel_from_dict",
+    "kernel_to_dict", "kernel_from_dict", "kernel_digest",
     "launch_to_dict", "launch_from_dict",
 ]

@@ -7,13 +7,20 @@ encoding is exact: instruction fields (including the dynamically
 attached ``sel_pred`` of SELP and the CFG-derived ``reconv_pc``) are
 preserved verbatim, and memory images ship as float64 value lists,
 which JSON round-trips bit-identically in Python (repr-based floats).
-That exactness matters: the runner's content-addressed cache key
-digests the instruction ``repr`` and the memory images, so a decoded
-launch has the *same* cache key as the original.
+
+The kernel encoding is also the kernel's one identity:
+:func:`kernel_digest` hashes it, and the runner's cache key, the lint
+memo and the surrogate's memos all key on that digest.  Every
+instruction field the simulator or the analyzer reads is in the
+encoding, so two kernels differing anywhere -- a BRA's ``reconv_pc``
+included -- never share a digest, and a decoded kernel digests exactly
+like the original.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
@@ -135,6 +142,24 @@ def kernel_to_dict(kernel: Kernel) -> Dict[str, Any]:
     }
 
 
+def kernel_digest(kernel: Kernel) -> str:
+    """SHA-256 of the canonical JSON of :func:`kernel_to_dict`.
+
+    Computed once per kernel object and cached on it: a ``Kernel`` is
+    frozen, and ``sel_pred`` is attached to its SELPs before the kernel
+    is built or decoded, so the encoding cannot change afterwards.  A
+    launch rebuilt with :func:`dataclasses.replace` shares its kernel
+    and so its digest.
+    """
+    cached = kernel.__dict__.get("_digest")
+    if cached is None:
+        blob = json.dumps(kernel_to_dict(kernel), sort_keys=True,
+                          separators=(",", ":"))
+        cached = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        object.__setattr__(kernel, "_digest", cached)
+    return cached
+
+
 def kernel_from_dict(data: Dict[str, Any]) -> Kernel:
     """Rebuild a :class:`Kernel` from :func:`kernel_to_dict` output."""
     return Kernel(
@@ -199,54 +224,3 @@ def launch_from_dict(data: Dict[str, Any]) -> KernelLaunch:
         repeat=int(data.get("repeat", 1)),
         repeatable=bool(data.get("repeatable", True)),
     )
-
-
-def launch_fingerprint(launch: KernelLaunch) -> str:
-    """Stable digest of a launch's *static shape*: IR + geometry + params.
-
-    Unlike the runner's full cache key
-    (:func:`repro.runner.cache.launch_signature`), the fingerprint
-    deliberately ignores the initial memory images: it names what a
-    static analysis can see -- the kernel IR, the launch geometry, the
-    scalar parameters and the repeat policy -- so it keys memoized
-    static-analyzer artifacts (the surrogate backend's feature vectors
-    and promised-error estimates) that are data-independent by
-    construction.  Two launches differing only in their memory contents
-    share a fingerprint; two launches differing in any instruction,
-    dimension or parameter never do.
-    """
-    import hashlib
-    import json
-    kernel = launch.kernel
-    payload = {
-        "kernel": kernel.name,
-        "ir": [repr(inst) for inst in kernel.instructions],
-        "n_regs": kernel.n_regs,
-        "n_preds": kernel.n_preds,
-        "smem_words": kernel.smem_words,
-        "grid": _dim3_to_list(launch.grid),
-        "block": _dim3_to_list(launch.block),
-        "gmem_words": launch.gmem_words,
-        "params": {k: repr(v) for k, v in sorted(launch.params.items())},
-        "repeat": launch.repeat,
-        "repeatable": launch.repeatable,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def cached_launch_fingerprint(launch: KernelLaunch) -> str:
-    """:func:`launch_fingerprint`, cached on the launch object.
-
-    Launches are treated as immutable once fingerprinted (the shared
-    workload launches are read-only, and a changed launch is a new
-    object built with :func:`dataclasses.replace`), so warm lookups of
-    the surrogate's memos keyed on it (features and predictions) skip
-    the IR serialization.
-    """
-    cached = getattr(launch, "_fingerprint", None)
-    if cached is not None:
-        return cached
-    fingerprint = launch_fingerprint(launch)
-    launch._fingerprint = fingerprint  # type: ignore[attr-defined]
-    return fingerprint

@@ -10,8 +10,8 @@ results by a stable hash of *all* of them:
 * the simulator version tag (:data:`repro.SIM_VERSION` -- bumped on any
   semantics change, which invalidates every prior entry),
 * every :class:`GPUConfig` field,
-* the kernel IR (opcode/operand listing, register/predicate/smem
-  counts),
+* the kernel, by :func:`~repro.isa.serialize.kernel_digest` (its full
+  encoding: every instruction field, register/predicate/smem counts),
 * the launch geometry (grid, block, gmem size, repeat policy, params),
 * a digest of the initial memory image (globals_init + const_init),
 * the simulation watchdog (``max_cycles``),
@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..isa.launch import KernelLaunch
+from ..isa.serialize import kernel_digest
 from ..request import SimRequest
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
@@ -71,14 +72,9 @@ def config_signature(config: GPUConfig) -> Dict[str, Any]:
 
 
 def launch_signature(launch: KernelLaunch) -> Dict[str, Any]:
-    """Kernel IR + geometry + initial-memory digest for one launch."""
-    kernel = launch.kernel
+    """Kernel digest + geometry + initial-memory digest for one launch."""
     return {
-        "kernel": kernel.name,
-        "ir": [repr(inst) for inst in kernel.instructions],
-        "n_regs": kernel.n_regs,
-        "n_preds": kernel.n_preds,
-        "smem_words": kernel.smem_words,
+        "kernel_digest": kernel_digest(launch.kernel),
         "grid": (launch.grid.x, launch.grid.y, launch.grid.z),
         "block": (launch.block.x, launch.block.y, launch.block.z),
         "gmem_words": launch.gmem_words,

@@ -20,9 +20,12 @@ from repro.analysis import (LaunchShape, Severity, analyze_kernel,
                             analyze_launch, compare_static_dynamic,
                             predict_memory, AnalysisManager, RULES,
                             default_passes)
-from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
+from repro.backends.surrogate import _memo_key
+from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg, kernel_digest
 from repro.isa.instructions import Instruction
 from repro.isa.kernel import Kernel, KernelVerificationError
+from repro.request import SimRequest
+from repro.runner import request_key
 from repro.sim import gt240
 from repro.workloads import all_kernel_launches
 
@@ -368,6 +371,15 @@ class TestAnalyzeLaunchMemo:
                                             gt240_config))
         assert errors_of(analyze_launch(self._launch(kernel=broken),
                                         gt240_config))
+        # The same identity keys the result cache and the surrogate's
+        # memos, so neither can answer one twin with the other's result.
+        launches = [self._launch(kernel=k) for k in (clean, broken)]
+        assert kernel_digest(clean) != kernel_digest(broken)
+        keys = {request_key(SimRequest(config=gt240_config, launch=launch))
+                for launch in launches}
+        assert len(keys) == 2
+        memo_keys = {_memo_key(gt240_config, launch) for launch in launches}
+        assert len(memo_keys) == 2
 
     def test_memo_is_bounded(self, gt240_config, monkeypatch):
         import repro.analysis as analysis

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.isa import Dim3, KernelLaunch
+from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
 from repro.runner import (AUTO, JobResult, ResultCache, RunnerError, SimJob,
                           request_key, resolve_cache, resolve_jobs, run_jobs,
                           set_default_cache, set_default_jobs)
@@ -144,6 +144,24 @@ class TestResultCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env_cache"))
         assert ResultCache().root == tmp_path / "env_cache"
 
+    def test_failed_writes_leave_no_temp_file(self, tiny_job, tmp_path,
+                                              monkeypatch):
+        """Entry and link writes share one atomic writer: a dump that
+        raises leaves neither a partial file nor an orphaned temp."""
+        cache = ResultCache(tmp_path)
+        out = tiny_job.execute()
+
+        def failing_dump(*args, **kwargs):
+            raise TypeError("unserialisable")
+
+        monkeypatch.setattr("repro.runner.cache.json.dump", failing_dump)
+        with pytest.raises(TypeError):
+            cache.put(tiny_job, out.activity, out.cycles)
+        cache._register_link("ab" * 32, "cd" * 32)  # best-effort: silent
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert cache.entries() == 0
+        assert not list(tmp_path.rglob("*.link"))
+
 
 class TestResolvers:
     def test_jobs_precedence(self, monkeypatch):
@@ -193,6 +211,33 @@ class TestRunJobs:
         assert not cold.cached and warm.cached
         assert cache.stores == 1 and cache.hits == 1
         assert warm.activity.to_dict() == cold.activity.to_dict()
+
+    def test_sel_pred_twin_is_a_miss(self, tmp_path):
+        """Two kernels whose instruction listings agree but whose SELP
+        selects on different predicates are different cache entries."""
+        def selp_job(select_high):
+            kb = KernelBuilder("selp_twin")
+            t, addr = kb.regs(2)
+            low, high = kb.pred(), kb.pred()
+            kb.mov(t, Sreg("gtid"))
+            kb.setp("lt", low, t, 8)
+            kb.setp("lt", high, t, 24)
+            kb.imul(addr, t, 32)  # one coalescing segment per lane
+            kb.selp(addr, addr, 0, high if select_high else low)
+            kb.stg(t, addr)
+            kb.exit()
+            launch = KernelLaunch(kernel=kb.build(), grid=Dim3(1),
+                                  block=Dim3(32), gmem_words=1024)
+            return SimJob(config=gt240(), launch=launch)
+
+        original, twin = selp_job(False), selp_job(True)
+        cache = ResultCache(tmp_path)
+        first, = run_jobs([original], n_jobs=1, cache=cache)
+        got, = run_jobs([twin], n_jobs=1, cache=cache)
+        fresh, = run_jobs([twin], n_jobs=1, cache=None)
+        assert got.cached is False
+        assert got.activity.to_dict() == fresh.activity.to_dict()
+        assert got.activity.to_dict() != first.activity.to_dict()
 
     def test_results_in_job_order(self, launches):
         names = ["scalarProd", "vectorAdd", "bfs2"]
