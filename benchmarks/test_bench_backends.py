@@ -8,8 +8,11 @@ relative error of the resulting chip total power.  Numbers land in
 ``BENCH_backends.json`` (override with ``$BENCH_BACKENDS_JSON``) so CI
 can archive them per machine.
 
-The analytical side is timed best-of-3: its runs are in the
-milliseconds, where a single sample is noise-dominated.
+The two sides are timed interleaved, so a slow spell of the host lands
+on both: each of ``ROUNDS`` rounds times the cycle side once and the
+analytical side ``ANALYTICAL_REPEATS`` times, and each side reports its
+best run.  The analytical side repeats more often because its runs are
+in the milliseconds, where a single sample is noise-dominated.
 """
 
 import json
@@ -24,6 +27,11 @@ from repro.workloads import all_kernel_launches
 
 #: Same 4-kernel Table IV suite the runner bench uses.
 SUITE = ["BlackScholes", "heartwall", "pathfinder", "hotspot"]
+
+#: Interleaved measurement rounds (one cycle-side run each) ...
+ROUNDS = 3
+#: ... and analytical-side runs per round.
+ANALYTICAL_REPEATS = 5
 
 
 def _write_report(stats):
@@ -44,16 +52,21 @@ def test_bench_backends(benchmark):
         return {name: backend.simulate(config, launches[name])
                 for name in SUITE}
 
-    def measure():
+    def timed(backend):
         start = time.perf_counter()
-        cyc = run_suite(cycle)
-        cycle_s = time.perf_counter() - start
+        outputs = run_suite(backend)
+        return outputs, time.perf_counter() - start
 
-        ana_s = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            ana = run_suite(analytical)
-            ana_s = min(ana_s, time.perf_counter() - start)
+    def measure():
+        cycle_runs, ana_runs = [], []
+        for _ in range(ROUNDS):
+            cyc, elapsed = timed(cycle)
+            cycle_runs.append(elapsed)
+            for _ in range(ANALYTICAL_REPEATS):
+                ana, elapsed = timed(analytical)
+                ana_runs.append(elapsed)
+        cycle_s = min(cycle_runs)
+        ana_s = min(ana_runs)
 
         errors = {}
         for name in SUITE:
@@ -65,6 +78,8 @@ def test_bench_backends(benchmark):
             "gpu": config.name,
             "cycle_s": cycle_s,
             "analytical_s": ana_s,
+            "cycle_runs_s": cycle_runs,
+            "analytical_runs_s": ana_runs,
             "speedup": cycle_s / ana_s,
             "power_abs_rel_error": errors,
             "mean_abs_power_error": sum(errors.values()) / len(errors),

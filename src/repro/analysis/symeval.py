@@ -43,7 +43,7 @@ import numpy as np
 
 from ..isa.cfg import EXIT_PC_SENTINEL, basic_block_leaders, build_cfg
 from ..isa.instructions import Imm, Instruction, Pred, Reg, Sreg
-from ..sim.functional import _ALU, _CMP, _SFU
+from ..sim.functional import _CMP, VALUE_OPS, evaluate_op
 
 #: A uniform-unknown symbol.  Tuples keep them hashable and stable:
 #: ``("ctaid",)`` the block index, ``("phi", pc, kind, index)`` a join
@@ -429,16 +429,8 @@ class SymbolicEvaluator:
         concrete = srcs and all(not s.is_top and not s.syms for s in srcs)
         # Fully concrete operands: defer to the functional model's own
         # dispatch so the abstraction is bit-exact where it is total.
-        if concrete and op in _ALU:
-            return SymVal(_ALU[op]([s.vec for s in srcs]))
-        if concrete and op in _SFU:
-            return SymVal(_SFU[op]([s.vec for s in srcs]))
-        if concrete and op == "FDIV":
-            assert srcs[0].vec is not None and srcs[1].vec is not None
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = srcs[0].vec / srcs[1].vec
-            return SymVal(np.nan_to_num(out, nan=0.0, posinf=3.4e38,
-                                        neginf=-3.4e38))
+        if concrete and op in VALUE_OPS:
+            return SymVal(evaluate_op(op, [s.vec for s in srcs]))
         if any(s.is_top for s in srcs):
             return SymVal.top()
         if op == "MOV" and srcs:

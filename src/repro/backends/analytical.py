@@ -50,9 +50,9 @@ from ..isa.launch import KernelLaunch
 from ..sim.activity import ActivityReport
 from ..sim.cache import SetAssocCache
 from ..sim.config import GPUConfig
-from ..sim.core import max_resident_blocks
+from ..sim.core import DecodeTable, decode_kernel, max_resident_blocks
 from ..sim.dram import refresh_operations
-from ..sim.functional import (WarpContext, branch_taken_mask, execute_alu,
+from ..sim.functional import (WarpContext, branch_taken_mask,
                               memory_addresses)
 from ..sim.gpu import SimulationOutput
 from ..sim.stack import ReconvergenceStack
@@ -204,9 +204,12 @@ class AnalyticalBackend(SimulationBackend):
         tally = _Tally()
         mc_cold = _UncoreState(config)
         budget = [self.max_profile_instructions]
+        # The cycle engine's decode: the same compiled ALU executors.
+        table = decode_kernel(kernel, warp_size)
         for block_id in block_ids:
-            self._profile_block(tally, mc_cold, config, kernel, launch,
-                                block_id, gmem, cmem, warp_ids, budget)
+            self._profile_block(tally, mc_cold, config, kernel, table,
+                                launch, block_id, gmem, cmem, warp_ids,
+                                budget)
 
         activity, cycles = self._extrapolate(
             tally, config, launch, n_sampled_blocks=len(block_ids),
@@ -226,6 +229,7 @@ class AnalyticalBackend(SimulationBackend):
 
     def _profile_block(self, tally: _Tally, uncore: "_UncoreState",
                        config: GPUConfig, kernel: Kernel,
+                       table: DecodeTable,
                        launch: KernelLaunch, block_id: int,
                        gmem: np.ndarray, cmem: np.ndarray,
                        warp_ids: List[int], budget: List[int]) -> None:
@@ -261,7 +265,7 @@ class AnalyticalBackend(SimulationBackend):
             for ws in live:
                 if not ws.at_barrier:
                     self._run_warp(ws, tally, uncore, caches, config,
-                                   kernel, gmem, cmem, smem, budget)
+                                   kernel, table, gmem, cmem, smem, budget)
             live = [w for w in live if not w.done]
             if live:
                 if not all(w.at_barrier for w in live):
@@ -289,8 +293,8 @@ class AnalyticalBackend(SimulationBackend):
 
     def _run_warp(self, ws: _WarpState, tally: _Tally,
                   uncore: "_UncoreState", caches: "_CoreCaches",
-                  config: GPUConfig, kernel: Kernel, gmem: np.ndarray,
-                  cmem: np.ndarray, smem: np.ndarray,
+                  config: GPUConfig, kernel: Kernel, table: DecodeTable,
+                  gmem: np.ndarray, cmem: np.ndarray, smem: np.ndarray,
                   budget: List[int]) -> None:
         """Execute one warp until it exits or reaches a barrier.
 
@@ -301,7 +305,6 @@ class AnalyticalBackend(SimulationBackend):
         tally on exit, and the active-lane popcount is memoised by mask
         identity (stack tokens never mutate their masks in place).
         """
-        instructions = kernel.instructions
         stack = ws.stack
         ctx = ws.ctx
         ready = ws.ready
@@ -363,9 +366,10 @@ class AnalyticalBackend(SimulationBackend):
                     f"the sampled estimator"
                 )
             active = top.mask
-            inst = instructions[pc]
+            entry = table[pc]
+            inst = entry.inst
             n_issued += 1
-            unit = inst.unit
+            unit = entry.unit
 
             if unit == "ctrl":
                 op = inst.op
@@ -438,7 +442,7 @@ class AnalyticalBackend(SimulationBackend):
                 unit_lanes[unit] += lanes
                 unit_occ[unit] += occ_by_unit[unit]
                 latency = lat_by_unit[unit]
-                execute_alu(inst, ctx, mask)
+                entry.execute(ctx, mask, lanes)
                 stack_advance(pc + 1)
             # In-order timing: issue one beat after the previous
             # instruction, but no earlier than the operands' writeback.

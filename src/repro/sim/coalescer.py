@@ -14,9 +14,7 @@ per distinct segment touched.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from .config import GPUConfig
 
@@ -32,11 +30,12 @@ class Coalescer:
         self.transactions = 0      # memory transactions emitted
         self.addresses = 0         # lane addresses examined
 
-    def coalesce(self, byte_addresses: np.ndarray) -> List[Tuple[int, int]]:
+    def coalesce(self, byte_addresses: Sequence[int]) -> List[Tuple[int, int]]:
         """Coalesce one warp's lane addresses.
 
         Args:
-            byte_addresses: byte address per participating lane.
+            byte_addresses: byte address per participating lane (the
+                load/store unit passes a list).
 
         Returns:
             List of ``(segment_base_byte_address, size_bytes)``
@@ -54,7 +53,7 @@ class Coalescer:
             size = self.segment_bytes
         # Distinct segments in ascending order (np.unique's order; a
         # set is cheaper on 32-lane vectors).
-        segments = sorted({a // size for a in byte_addresses.tolist()})
+        segments = sorted({a // size for a in byte_addresses})
         n = len(segments)
         self.prt_writes += n
         self.transactions += n

@@ -18,7 +18,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,12 +27,12 @@ from ..isa.kernel import Kernel
 from ..isa.launch import KernelLaunch
 from .config import GPUConfig
 from .exec_units import ExecutionUnits
-from .functional import VECTORIZED, FunctionalBinding
+from .functional import VECTORIZED, AluExecutor, FunctionalBinding
 from .ldst import LoadStoreUnit
 from .memsys import MemorySystem
 from .regfile import RegisterFile
 from .warp import Warp
-from .wcu import WarpControlUnit
+from .wcu import INSTRUCTION_BYTES, WarpControlUnit
 
 
 #: The stall reasons a live warp can have (``empty`` means no warp).
@@ -41,6 +41,55 @@ _STALL_REASONS = ("barrier", "dependency", "unit_busy", "ldst_busy")
 
 class SimulationDeadlock(RuntimeError):
     """Raised when live warps exist but none can ever issue again."""
+
+
+class DecodedInst(NamedTuple):
+    """What the issue slot needs to know about one static instruction.
+
+    The scan fields come first so the hot loop can unpack the tuple.
+    """
+
+    unit: str                   #: int / fp / sfu / mem / ctrl
+    search: bool                #: scoreboard searches it (not ctrl)
+    hazard: Tuple[int, ...]     #: registers read, then the one written
+    inst: Instruction
+    n_reads: int                #: general registers read
+    dst: Optional[int]          #: general register written
+    guard: Optional[Tuple[int, bool]]   #: (predicate index, sense)
+    icache_addr: int            #: I-cache byte address
+    execute: Optional[AluExecutor]      #: value executor (ALU units)
+
+
+#: Per-pc decode of one kernel for one launch.
+DecodeTable = Tuple[DecodedInst, ...]
+
+
+def decode_kernel(kernel: Kernel, warp_size: int,
+                  functional: FunctionalBinding = VECTORIZED) -> DecodeTable:
+    """Decode every instruction of ``kernel`` once, for one launch.
+
+    ALU instructions get their value executor from ``functional``'s
+    compile step.  The table lives on the cores (never on the kernel or
+    its instructions, which are pickled and digested).
+    """
+    table = []
+    for pc, inst in enumerate(kernel.instructions):
+        unit = inst.unit
+        reads = inst.reads_regs
+        dst = inst.writes_reg
+        guard = None
+        if inst.guard is not None:
+            pred, sense = inst.guard
+            guard = (pred.index, sense)
+        execute = None
+        if unit in ("int", "fp", "sfu"):
+            execute = functional.compile_alu(inst, warp_size)
+        table.append(DecodedInst(
+            unit=unit, search=unit != "ctrl",
+            hazard=reads if dst is None else reads + (dst,),
+            inst=inst, n_reads=len(reads), dst=dst, guard=guard,
+            icache_addr=pc * INSTRUCTION_BYTES, execute=execute))
+    return tuple(table)
 
 
 def max_resident_blocks(config: GPUConfig, kernel: Kernel,
@@ -113,9 +162,8 @@ class Core:
         self.kernel: Optional[Kernel] = None
         self.launch: Optional[KernelLaunch] = None
         self.max_concurrent_blocks = 0
-        #: Per-pc ``(inst, unit, reads_regs, writes_reg)``.
-        self._decoded: List[Tuple[Instruction, str, Tuple[int, ...],
-                                  Optional[int]]] = []
+        #: The launch's decode table (see :func:`decode_kernel`).
+        self._table: DecodeTable = ()
         # Runtime state.
         self.blocks: Dict[int, BlockResidence] = {}
         self.warps: List[Warp] = []
@@ -129,13 +177,19 @@ class Core:
         self._sleepers: List[Tuple[float, int]] = []
         self._live = 0              # warps not done
         self._at_barrier = 0        # live warps waiting at a barrier
-        #: Stall reason of each ready warp the last issue slot visited
-        #: without issuing (in visit order), and the earliest time one
-        #: of them can go (unit/LDST free); read when a step issues
+        #: How many ready warps the last issue slot found blocked by a
+        #: dependency, a busy unit and a busy LDST unit, and the
+        #: earliest time a busy one frees; read when a step issues
         #: nothing.
-        self._stalled: List[str] = []
+        self._stall_counts = (0, 0, 0)
         self._stalled_wake = math.inf
         self._group_size = max(1, config.scheduler_group_size)
+        # Hot-path constants of the issue slot.
+        self._wst_entries = config.max_warps_per_core
+        self._has_sb = config.has_scoreboard
+        self._scoreboard = self.wcu.scoreboard
+        self._groups = self.exec_units.groups
+        self._extra_slots = range(config.issue_width - 1)
         # Statistics.
         self.busy_cycles = 0
         self.issued = 0
@@ -156,15 +210,23 @@ class Core:
     # -- launch setup ---------------------------------------------------------
 
     def prepare(self, kernel: Kernel, launch: KernelLaunch,
-                gmem: np.ndarray, cmem: Optional[np.ndarray]) -> None:
-        """Bind a kernel launch to the core and size the block slots."""
+                gmem: np.ndarray, cmem: Optional[np.ndarray],
+                table: Optional[DecodeTable] = None) -> None:
+        """Bind a kernel launch to the core and size the block slots.
+
+        ``table`` is the launch's decode table, shared by every core of
+        an engine (:meth:`~repro.sim.shard.ShardEngine.prepare`); a core
+        prepared on its own decodes the kernel itself.
+        """
         self.kernel = kernel
         self.launch = launch
         self.ldst = LoadStoreUnit(self.config, self.memsys, gmem, cmem)
         self.max_concurrent_blocks = max_resident_blocks(
             self.config, kernel, launch.block.count)
-        self._decoded = [(inst, inst.unit, inst.reads_regs, inst.writes_reg)
-                         for inst in kernel.instructions]
+        if table is None:
+            table = decode_kernel(kernel, self.config.warp_size,
+                                  self.functional)
+        self._table = table
 
     @property
     def free_slots(self) -> int:
@@ -234,10 +296,13 @@ class Core:
 
     def _drain_events(self, now: float) -> None:
         events = self._events
-        release = self.wcu.scoreboard.release
+        scoreboard = self._scoreboard
         while events and events[0][0] <= now:
             _, _, warp, reg, is_mem = heapq.heappop(events)
-            release(warp, reg)
+            # Writeback clears the scoreboard entry.
+            if reg is not None:
+                scoreboard.writes += 1
+            warp.release(reg)
             if is_mem:
                 warp.outstanding_memory -= 1
                 if warp.outstanding_memory == 0 and warp.done:
@@ -305,10 +370,13 @@ class Core:
                 index = heapq.heappop(sleepers)[1]
                 ready.insert(bisect_left(ready, index), index)
 
-        self.wcu.account_schedule_cycle()
+        # The fetch and issue schedulers evaluate candidates this cycle.
+        wcu = self.wcu
+        wcu.fetch_scheduler_ops += 1
+        wcu.issue_scheduler_ops += 1
         if not self._try_issue_one(now):
             return self._stall(now)
-        for _ in range(self.config.issue_width - 1):
+        for _ in self._extra_slots:
             if not self._try_issue_one(now):
                 break
         self.busy_cycles += 1
@@ -347,10 +415,9 @@ class Core:
                 f"core {self.core_id}: no runnable warp and no pending event"
             )
         wake = max(now + 1.0, wake)
-        stalled = self._stalled
-        counts = (self._at_barrier,
-                  len(sleepers) + stalled.count("dependency"),
-                  stalled.count("unit_busy"), stalled.count("ldst_busy"))
+        dependency, unit_busy, ldst_busy = self._stall_counts
+        counts = (self._at_barrier, len(sleepers) + dependency, unit_busy,
+                  ldst_busy)
         top = max(counts)
         if top == 0:
             reason = "empty"
@@ -366,7 +433,6 @@ class Core:
         """Of the ``tied`` stall reasons, the one whose first warp comes
         earliest in this slot's visit order over all warps."""
         # Nothing issued, so the slot's visit order is still current.
-        ready_reason = dict(zip(self._rotate(self._ready), self._stalled))
         warps = self.warps
         for index in self._scan_order():
             warp = warps[index]
@@ -377,10 +443,24 @@ class Core:
             elif now < warp.blocked_until:
                 reason = "dependency"
             else:
-                reason = ready_reason[index]
+                reason = self._passed_over(warp)
             if reason in tied:
                 return reason
         raise AssertionError("tied stall reason without a warp")
+
+    def _passed_over(self, warp: Warp) -> str:
+        """Why the last issue slot passed over the ready ``warp``.
+
+        Nothing issued since, so the slot's answer is re-derived from
+        the same state (without counting a scoreboard search).
+        """
+        unit, search, hazard = self._table[warp.stack._tokens[-1].pc][:3]
+        if self._has_sb:
+            pending = warp.pending_writes
+            if len(pending) >= self._scoreboard.dst_per_warp or (
+                    search and not pending.keys().isdisjoint(hazard)):
+                return "dependency"
+        return "ldst_busy" if unit == "mem" else "unit_busy"
 
     def _scan_order(self) -> List[int]:
         """Visit order over every warp for this issue slot."""
@@ -399,141 +479,183 @@ class Core:
 
         Each order is the ascending list with one block moved to the
         front, so rotating a subset gives the full order restricted to
-        that subset.
+        that subset.  An order equal to the ascending one is ``indices``
+        itself, not a copy.
         """
         policy = self.config.warp_scheduler
         if policy == "rr":
             k = bisect_left(indices, self._rr)
+            if k == 0 or k == len(indices):
+                return indices
             return indices[k:] + indices[:k]
         if policy == "gto":
             last = min(self._last_issued, len(self.warps) - 1)
             k = bisect_left(indices, last)
             if k < len(indices) and indices[k] == last:
                 return [last] + indices[:k] + indices[k + 1:]
-            return list(indices)
+            return indices
         group = self._group_size
         lo = self._active_group * group
         i = bisect_left(indices, lo)
         j = bisect_left(indices, lo + group)
         return indices[i:j] + indices[:i] + indices[j:]
 
-    def _note_issued(self, index: int) -> None:
-        self._last_issued = index
-        self._active_group = index // self._group_size
-        self._rr = (index + 1) % max(1, len(self.warps))
-
     def _try_issue_one(self, now: float) -> bool:
         """One issue slot: issue the first ready warp, in rotation
-        order, whose instruction can go; record why the others cannot."""
-        stalled: List[str] = []
-        self._stalled = stalled
+        order, whose instruction can go; count why the others cannot."""
         wake = math.inf
+        dependency = unit_busy = ldst_busy = 0
         ready = self._ready
         if ready:
-            has_sb = self.config.has_scoreboard
-            sb_blocks = self.wcu.scoreboard.blocks
-            groups = self.exec_units.groups
+            has_sb = self._has_sb
+            scoreboard = self._scoreboard
+            sb_capacity = scoreboard.dst_per_warp
+            searches = 0
+            groups = self._groups
             ldst = self.ldst
             assert ldst is not None  # prepare() ran before any warp
+            ldst_free_at = ldst.busy_until
             warps = self.warps
-            decoded = self._decoded
+            table = self._table
             for index in self._rotate(ready):
                 warp = warps[index]
-                inst, unit, reads, dst = decoded[warp.stack._tokens[-1].pc]
-                if has_sb and sb_blocks(warp, reads, dst, unit != "ctrl"):
-                    stalled.append("dependency")
-                    continue  # wake via writeback event
+                entry = table[warp.stack._tokens[-1].pc]
+                unit, search, hazard = entry[0], entry[1], entry[2]
+                if has_sb:
+                    pending = warp.pending_writes
+                    if len(pending) >= sb_capacity:
+                        dependency += 1
+                        continue  # wake via writeback event
+                    if search:
+                        # One tagged search: RAW/WAW against the
+                        # pending writes.
+                        searches += 1
+                        if pending and not pending.keys().isdisjoint(hazard):
+                            dependency += 1
+                            continue
                 if unit == "mem":
-                    busy_until = ldst.busy_until
-                    if busy_until > now:
-                        wake = min(wake, busy_until)
-                        stalled.append("ldst_busy")
+                    if ldst_free_at > now:
+                        wake = min(wake, ldst_free_at)
+                        ldst_busy += 1
                         continue
-                elif unit != "ctrl":
+                elif search:
                     free_at = groups[unit].free_at
                     if free_at > now:
                         wake = min(wake, free_at)
-                        stalled.append("unit_busy")
+                        unit_busy += 1
                         continue
-                self._issue(warp, index, inst, unit, dst, now)
-                self._note_issued(index)
+                scoreboard.searches += searches
+                self._issue(warp, index, entry, now)
+                self._last_issued = index
+                self._active_group = index // self._group_size
+                self._rr = (index + 1) % max(1, len(self.warps))
                 return True
+            scoreboard.searches += searches
+        self._stall_counts = (dependency, unit_busy, ldst_busy)
         self._stalled_wake = wake
         return False
 
     # -- instruction issue -----------------------------------------------------
 
-    def _issue(self, warp: Warp, index: int, inst: Instruction, unit: str,
-               dst: Optional[int], now: float) -> None:
+    def _issue(self, warp: Warp, index: int, entry: DecodedInst,
+               now: float) -> None:
+        """Issue ``warp``'s next instruction, decoded as ``entry``."""
+        unit, _, _, inst, n_reads, dst, guard, icache_addr, execute = entry
         token = warp.stack._tokens[-1]
         pc = token.pc
         active = token.mask
         self.stack_reads += 1
-        self.wcu.account_issue(
-            warp.warp_id % self.config.max_warps_per_core, pc)
+        # Front end.  Fetch: WST read (master PC) + I-cache read +
+        # decode + buffer fill.  Issue: WST read (ready bits) + tagged
+        # buffer search + WST update; the slot frees again.
+        wcu = self.wcu
+        wcu.wst_reads += 2
+        wcu.wst_writes += 1
+        wcu.icache.lookup(icache_addr)
+        wcu.fetches += 1
+        wcu.decodes += 1
+        ibuffer = wcu.ibuffer
+        slot = warp.warp_id % self._wst_entries
+        if ibuffer.occupancy[slot] >= ibuffer.slots_per_warp:
+            raise RuntimeError(f"instruction buffer overflow for warp {slot}")
+        ibuffer.writes += 1
+        ibuffer.searches += 1
         self.issued += 1
         warp.instructions_issued += 1
 
         if unit == "ctrl":
             self._issue_ctrl(warp, inst, pc, active, now)
-        elif unit == "mem":
-            self._issue_mem(warp, inst, pc, active, now, dst)
+            # Leave the ready set unless still eligible this cycle (a
+            # BAR that releases its own barrier keeps the warp ready).
+            if warp.done or warp.at_barrier or warp.blocked_until > now:
+                self._ready.remove(index)
+                if not (warp.done or warp.at_barrier):
+                    heapq.heappush(self._sleepers,
+                                   (warp.blocked_until, index))
+            if warp.done or warp.stack.empty:
+                self._finish_warp(warp, now)
+            return
+
+        ctx = warp.ctx
+        if guard is None:
+            mask = active
         else:
-            self._issue_alu(warp, inst, pc, active, now, unit, dst)
-        # Leave the ready set unless still eligible this cycle (a BAR
-        # that releases its own barrier keeps the warp ready).
-        if warp.done or warp.at_barrier or warp.blocked_until > now:
+            pred, sense = guard
+            pvals = ctx.preds[pred]
+            mask = active & (pvals if sense else ~pvals)
+        lanes = np.count_nonzero(mask)
+        # Operand collection: each source register is one warp-wide
+        # read over the banks its lanes touch, parked in a collector
+        # entry, which then dispatches.
+        regfile = self.regfile
+        banks = regfile.banks_for_lanes[lanes]
+        if n_reads:
+            regfile.operand_reads += n_reads
+            regfile.bank_accesses += n_reads * banks
+            regfile.collector_writes += n_reads
+            regfile.xbar_transfers += n_reads * banks
+        regfile.collector_reads += 1
+        is_mem = unit == "mem"
+        if is_mem:
+            ldst = self.ldst
+            assert ldst is not None
+            smem = self.blocks[warp.block_slot].smem
+            if self.sanitizer is not None:
+                # Before execute: an access about to fault out of bounds
+                # is still recorded, so the IndexError carries the
+                # finding.
+                self.sanitizer.observe_access(warp, inst, pc, ctx, mask,
+                                              smem)
+            completion = ldst.execute(inst, ctx, mask, smem, now)
+        else:
+            group = self._groups[unit]
+            if group.free_at > now:
+                raise RuntimeError(f"{unit} unit busy until {group.free_at}")
+            group.free_at = now + group.occupancy
+            group.warp_instructions += 1
+            group.lane_ops += lanes
+            completion = now + group.occupancy + group.latency
+            execute(ctx, mask, lanes)
+        if dst is not None:
+            # Writeback of one warp-wide result, reserved in the
+            # scoreboard until the completion event releases it.
+            regfile.operand_writes += 1
+            regfile.bank_accesses += banks
+            regfile.xbar_transfers += banks
+            self._scoreboard.writes += 1
+            warp.reserve(dst)
+            if is_mem:
+                warp.outstanding_memory += 1
+            self._schedule(completion, warp, dst, is_mem)
+        # Sequential PC update; reaching the reconvergence point pops.
+        token.pc = pc + 1
+        if token.reconv_pc == pc + 1:
+            warp.stack.pop_reconverged()
+        warp.blocked_until = blocked = (now + 1.0 if self._has_sb
+                                        else completion)
+        if blocked > now:
             self._ready.remove(index)
-            if not (warp.done or warp.at_barrier):
-                heapq.heappush(self._sleepers, (warp.blocked_until, index))
-        if warp.done or warp.stack.empty:
-            self._finish_warp(warp, now)
-
-    def _issue_alu(self, warp: Warp, inst: Instruction, pc: int,
-                   active: np.ndarray, now: float, unit: str,
-                   dst: Optional[int]) -> None:
-        ctx = warp.ctx
-        mask = ctx.guard_mask(inst, active)
-        lanes = np.count_nonzero(mask)
-        regfile = self.regfile
-        regfile.read_operands(len(inst.reads_regs), lanes)
-        regfile.dispatch()
-        completion = self.exec_units.issue(unit, now, lanes)
-        self.functional.execute_alu(inst, ctx, mask)
-        if dst is not None:
-            regfile.write_result(lanes)
-            self.wcu.scoreboard.reserve(warp, dst)
-            self._schedule(completion, warp, dst, is_mem=False)
-        warp.stack.advance(pc + 1)
-        warp.blocked_until = (now + 1.0 if self.config.has_scoreboard
-                              else completion)
-
-    def _issue_mem(self, warp: Warp, inst: Instruction, pc: int,
-                   active: np.ndarray, now: float,
-                   dst: Optional[int]) -> None:
-        ldst = self.ldst
-        assert ldst is not None
-        ctx = warp.ctx
-        mask = ctx.guard_mask(inst, active)
-        lanes = np.count_nonzero(mask)
-        regfile = self.regfile
-        regfile.read_operands(len(inst.reads_regs), lanes)
-        regfile.dispatch()
-        smem = self.blocks[warp.block_slot].smem
-        if self.sanitizer is not None:
-            # Before execute: an access about to fault out of bounds is
-            # still recorded, so the IndexError carries the finding.
-            self.sanitizer.observe_access(warp, inst, pc, ctx, mask,
-                                          smem)
-        completion = ldst.execute(inst, ctx, mask, smem, now)
-        if dst is not None:
-            regfile.write_result(lanes)
-            self.wcu.scoreboard.reserve(warp, dst)
-            warp.outstanding_memory += 1
-            self._schedule(completion, warp, dst, is_mem=True)
-        warp.stack.advance(pc + 1)
-        warp.blocked_until = (now + 1.0 if self.config.has_scoreboard
-                              else completion)
+            heapq.heappush(self._sleepers, (blocked, index))
 
     def _issue_ctrl(self, warp: Warp, inst: Instruction, pc: int,
                     active: np.ndarray, now: float) -> None:

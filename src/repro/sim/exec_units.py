@@ -8,7 +8,9 @@ pipelined integer units and two special function units."
 A warp instruction occupies its unit group for ``warp_size / lanes``
 issue slots (e.g. 32 threads over 8 lanes = 4 cycles) and completes after
 the pipeline latency.  Units are fully pipelined: a new warp may enter
-every ``occupancy`` cycles, i.e. once ``free_at <= now``.
+every ``occupancy`` cycles, i.e. once ``free_at <= now``.  The issue
+slot (:meth:`repro.sim.core.Core._issue`) occupies a group and counts
+its activity.
 """
 
 from __future__ import annotations
@@ -53,20 +55,6 @@ class ExecutionUnits:
                 latency=config.sfu_latency_cycles,
             ),
         }
-
-    def issue(self, unit: str, now: float, active_lanes: int) -> float:
-        """Issue one warp instruction; returns its completion time.
-
-        Raises:
-            RuntimeError: if the unit group cannot accept this cycle.
-        """
-        group = self.groups[unit]
-        if group.free_at > now:
-            raise RuntimeError(f"{unit} unit busy until {group.free_at}")
-        group.free_at = now + group.occupancy
-        group.warp_instructions += 1
-        group.lane_ops += active_lanes
-        return now + group.occupancy + group.latency
 
     def lane_ops(self, unit: str) -> int:
         return self.groups[unit].lane_ops

@@ -9,23 +9,13 @@ arithmetic exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..isa.instructions import Imm, Instruction, Pred, Reg, Sreg
 
 _INT_MASK = np.int64(0xFFFFFFFF)
-
-
-def _i(x: np.ndarray) -> np.ndarray:
-    """Float lane vector -> int64 lane vector."""
-    return x.astype(np.int64)
-
-
-def _f(x: np.ndarray) -> np.ndarray:
-    """Int lane vector -> float64 lane vector."""
-    return x.astype(np.float64)
 
 
 def _safe_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,65 +32,93 @@ def _safe_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-#: value-op dispatch: op -> callable(list of lane vectors) -> lane vector.
-_ALU: Dict[str, Callable] = {
-    "MOV": lambda s: s[0],
-    "IADD": lambda s: _f(_i(s[0]) + _i(s[1])),
-    "ISUB": lambda s: _f(_i(s[0]) - _i(s[1])),
-    "IMUL": lambda s: _f((_i(s[0]) * _i(s[1])) & _INT_MASK),
-    "IMAD": lambda s: _f(((_i(s[0]) * _i(s[1])) + _i(s[2])) & _INT_MASK),
-    "IDIV": lambda s: _f(_safe_div(_i(s[0]), _i(s[1]))),
-    "IMOD": lambda s: _f(_safe_mod(_i(s[0]), _i(s[1]))),
-    "AND": lambda s: _f(_i(s[0]) & _i(s[1])),
-    "OR": lambda s: _f(_i(s[0]) | _i(s[1])),
-    "XOR": lambda s: _f(_i(s[0]) ^ _i(s[1])),
-    "NOT": lambda s: _f(~_i(s[0]) & _INT_MASK),
-    "SHL": lambda s: _f((_i(s[0]) << (_i(s[1]) & np.int64(31))) & _INT_MASK),
-    "SHR": lambda s: _f((_i(s[0]) & _INT_MASK) >> (_i(s[1]) & np.int64(31))),
-    "IMIN": lambda s: _f(np.minimum(_i(s[0]), _i(s[1]))),
-    "IMAX": lambda s: _f(np.maximum(_i(s[0]), _i(s[1]))),
-    "IABS": lambda s: _f(np.abs(_i(s[0]))),
-    "I2F": lambda s: s[0].astype(np.float64),
-    "F2I": lambda s: _f(np.trunc(s[0]).astype(np.int64)),
-    "FADD": lambda s: s[0] + s[1],
-    "FSUB": lambda s: s[0] - s[1],
-    "FMUL": lambda s: s[0] * s[1],
-    "FFMA": lambda s: s[0] * s[1] + s[2],
-    "FMIN": lambda s: np.minimum(s[0], s[1]),
-    "FMAX": lambda s: np.maximum(s[0], s[1]),
-    "FNEG": lambda s: -s[0],
-    "FABS": lambda s: np.abs(s[0]),
+_SHIFT_MASK = np.int64(31)
+
+#: Integer ops: int64 lane vectors in, int64 lane vector out (sources
+#: are the float registers truncated to int64; the result is widened
+#: back to float64 on the way out).
+_INT: Dict[str, Callable] = {
+    "IADD": np.add,
+    "ISUB": np.subtract,
+    "IMUL": lambda a, b: (a * b) & _INT_MASK,
+    "IMAD": lambda a, b, c: ((a * b) + c) & _INT_MASK,
+    "IDIV": _safe_div,
+    "IMOD": _safe_mod,
+    "AND": np.bitwise_and,
+    "OR": np.bitwise_or,
+    "XOR": np.bitwise_xor,
+    "NOT": lambda a: ~a & _INT_MASK,
+    "SHL": lambda a, b: (a << (b & _SHIFT_MASK)) & _INT_MASK,
+    "SHR": lambda a, b: (a & _INT_MASK) >> (b & _SHIFT_MASK),
+    "IMIN": np.minimum,
+    "IMAX": np.maximum,
+    "IABS": np.abs,
 }
 
 
-def _protected(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Wrap a unary SFU op to tolerate invalid inputs (like hardware)."""
+def _protected(fn: Callable[..., np.ndarray], **ignore: str) -> Callable:
+    """Wrap an op to tolerate invalid inputs (like hardware): NaN -> 0,
+    infinities saturate to the float32 range."""
 
-    def apply(s):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = fn(s[0])
+    def apply(*srcs):
+        with np.errstate(**ignore):
+            out = fn(*srcs)
         return np.nan_to_num(out, nan=0.0, posinf=3.4e38, neginf=-3.4e38)
 
     return apply
 
 
-_SFU: Dict[str, Callable] = {
-    "RCP": _protected(lambda a: 1.0 / a),
-    "RSQRT": _protected(lambda a: 1.0 / np.sqrt(a)),
-    "SQRT": _protected(np.sqrt),
-    "SIN": _protected(np.sin),
-    "COS": _protected(np.cos),
-    "EXP2": _protected(lambda a: np.exp2(np.clip(a, -126, 127))),
-    "LOG2": _protected(lambda a: np.log2(np.where(a > 0, a, np.nan))),
+def _sfu(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    return _protected(fn, divide="ignore", invalid="ignore", over="ignore")
+
+
+#: Float-domain ops: float64 lane vectors in, float64 lane vector out.
+_FLOAT: Dict[str, Callable] = {
+    "MOV": lambda a: a,
+    "I2F": lambda a: a.astype(np.float64),
+    "F2I": lambda a: np.trunc(a).astype(np.int64).astype(np.float64),
+    "FADD": np.add,
+    "FSUB": np.subtract,
+    "FMUL": np.multiply,
+    "FFMA": lambda a, b, c: a * b + c,
+    "FMIN": np.minimum,
+    "FMAX": np.maximum,
+    "FNEG": np.negative,
+    "FABS": np.abs,
+    "FDIV": _protected(np.true_divide, divide="ignore", invalid="ignore"),
+    "RCP": _sfu(lambda a: 1.0 / a),
+    "RSQRT": _sfu(lambda a: 1.0 / np.sqrt(a)),
+    "SQRT": _sfu(np.sqrt),
+    "SIN": _sfu(np.sin),
+    "COS": _sfu(np.cos),
+    "EXP2": _sfu(lambda a: np.exp2(np.clip(a, -126, 127))),
+    "LOG2": _sfu(lambda a: np.log2(np.where(a > 0, a, np.nan))),
 }
 
+#: Opcodes whose value is one op over source lane vectors.
+VALUE_OPS = frozenset(_INT) | frozenset(_FLOAT)
+
+
+def evaluate_op(op: str, srcs: Sequence[np.ndarray]) -> np.ndarray:
+    """The value of ``op`` over whole source lane vectors.
+
+    ``op`` is one of :data:`VALUE_OPS` and ``srcs`` are float64 lane
+    vectors; nothing is masked or stored.
+    """
+    if op in _INT:
+        return _INT[op](*[s.astype(np.int64) for s in srcs]).astype(
+            np.float64)
+    return _FLOAT[op](*srcs)
+
+
+#: SETP/FSETP comparisons (float lane vectors in, bool lane vector out).
 _CMP: Dict[str, Callable] = {
-    "EQ": lambda a, b: a == b,
-    "NE": lambda a, b: a != b,
-    "LT": lambda a, b: a < b,
-    "LE": lambda a, b: a <= b,
-    "GT": lambda a, b: a > b,
-    "GE": lambda a, b: a >= b,
+    "EQ": np.equal,
+    "NE": np.not_equal,
+    "LT": np.less,
+    "LE": np.less_equal,
+    "GT": np.greater,
+    "GE": np.greater_equal,
 }
 
 
@@ -146,45 +164,112 @@ class WarpContext:
         return active & (pvals if sense else ~pvals)
 
 
-def execute_alu(inst: Instruction, ctx: WarpContext, mask: np.ndarray) -> None:
-    """Execute an INT/FP/SFU/SETP/SELP instruction in the masked lanes."""
+#: A compiled ALU instruction: ``executor(ctx, mask, lanes)`` writes the
+#: result into the ``mask`` lanes, ``lanes`` being ``mask``'s popcount.
+AluExecutor = Callable[[WarpContext, np.ndarray, int], None]
+
+
+def _fetcher(operand, warp_size: int, as_int: bool) -> Callable:
+    """``ctx -> lane vector`` of one source operand, resolved once.
+
+    Immediates become one read-only lane vector, already truncated to
+    int64 for integer ops; registers and special registers are read
+    from the warp context at execution time.
+    """
+    if isinstance(operand, Reg):
+        index = operand.index
+        if as_int:
+            return lambda ctx: ctx.regs[index].astype(np.int64)
+        return lambda ctx: ctx.regs[index]
+    if isinstance(operand, Imm):
+        vec = np.full(warp_size, operand.value, dtype=np.float64)
+        if as_int:
+            vec = vec.astype(np.int64)
+        vec.setflags(write=False)
+        return lambda ctx: vec
+    if isinstance(operand, Sreg):
+        name = operand.name
+        if as_int:
+            return lambda ctx: ctx.specials[name].astype(np.int64)
+        return lambda ctx: ctx.specials[name]
+    raise TypeError(f"cannot read {operand!r}")
+
+
+def _nop(ctx: WarpContext, mask: np.ndarray, lanes: int) -> None:
+    return None
+
+
+def compile_alu(inst: Instruction, warp_size: int) -> AluExecutor:
+    """Compile an INT/FP/SFU/SETP/SELP instruction into an executor.
+
+    The opcode, each operand's kind and the destination are resolved
+    here, once; the executor only reads operands, computes over every
+    lane and stores the ``mask`` lanes (all of them when ``lanes`` is
+    the warp size, none when it is 0).
+    """
     op = inst.op
-    # Fully active warps skip fancy indexing (count_nonzero is the
-    # cheapest full-mask test on a 32-lane vector).
-    full = np.count_nonzero(mask) == mask.size
+    if op == "NOP":
+        return _nop
+    as_int = op in _INT
+    fetch = [_fetcher(s, warp_size, as_int) for s in inst.srcs]
     if op.startswith("SETP.") or op.startswith("FSETP."):
-        cmp = op.split(".", 1)[1]
-        a = ctx.read(inst.srcs[0])
-        b = ctx.read(inst.srcs[1])
-        result = _CMP[cmp](a, b)
+        cmp = _CMP[op.split(".", 1)[1]]
+        a, b = fetch
         assert isinstance(inst.dst, Pred)
-        if full:
-            ctx.preds[inst.dst.index][...] = result
-        else:
-            ctx.preds[inst.dst.index][mask] = result[mask]
-        return
+        return _storing(lambda ctx: cmp(a(ctx), b(ctx)), "preds",
+                        inst.dst.index, warp_size)
     if op == "SELP":
-        a = ctx.read(inst.srcs[0])
-        b = ctx.read(inst.srcs[1])
-        sel = ctx.preds[inst.sel_pred.index]  # type: ignore[attr-defined]
-        result = np.where(sel, a, b)
-    elif op == "FDIV":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = ctx.read(inst.srcs[0]) / ctx.read(inst.srcs[1])
-        result = np.nan_to_num(result, nan=0.0, posinf=3.4e38, neginf=-3.4e38)
-    elif op in _SFU:
-        result = _SFU[op]([ctx.read(s) for s in inst.srcs])
-    elif op in _ALU:
-        result = _ALU[op]([ctx.read(s) for s in inst.srcs])
-    elif op == "NOP":
-        return
+        a, b = fetch
+        sel = inst.sel_pred.index  # type: ignore[attr-defined]
+
+        def value(ctx: WarpContext) -> np.ndarray:
+            return np.where(ctx.preds[sel], a(ctx), b(ctx))
+    elif as_int:
+        value = _applied(_INT[op], fetch, widen=True)
+    elif op in _FLOAT:
+        value = _applied(_FLOAT[op], fetch, widen=False)
     else:
         raise ValueError(f"not an ALU op: {op}")
     assert isinstance(inst.dst, Reg)
-    if full:
-        ctx.regs[inst.dst.index][...] = result
-    else:
-        ctx.regs[inst.dst.index][mask] = result[mask]
+    return _storing(value, "regs", inst.dst.index, warp_size)
+
+
+def _applied(fn: Callable, fetch: List[Callable],
+             widen: bool) -> Callable[[WarpContext], np.ndarray]:
+    """``ctx -> fn(sources)``, widened from int64 to float64 if asked."""
+    if len(fetch) == 1:
+        a, = fetch
+        if widen:
+            return lambda ctx: fn(a(ctx)).astype(np.float64)
+        return lambda ctx: fn(a(ctx))
+    if len(fetch) == 2:
+        a, b = fetch
+        if widen:
+            return lambda ctx: fn(a(ctx), b(ctx)).astype(np.float64)
+        return lambda ctx: fn(a(ctx), b(ctx))
+    a, b, c = fetch
+    if widen:
+        return lambda ctx: fn(a(ctx), b(ctx), c(ctx)).astype(np.float64)
+    return lambda ctx: fn(a(ctx), b(ctx), c(ctx))
+
+
+def _storing(value: Callable[[WarpContext], np.ndarray], bank: str,
+             index: int, warp_size: int) -> AluExecutor:
+    """Executor storing ``value(ctx)`` into row ``index`` of the
+    context's ``bank`` (``regs`` or ``preds``) in the masked lanes."""
+
+    def execute(ctx: WarpContext, mask: np.ndarray, lanes: int) -> None:
+        if lanes == warp_size:
+            getattr(ctx, bank)[index] = value(ctx)
+        elif lanes:
+            np.copyto(getattr(ctx, bank)[index], value(ctx), where=mask)
+
+    return execute
+
+
+def execute_alu(inst: Instruction, ctx: WarpContext, mask: np.ndarray) -> None:
+    """Execute an INT/FP/SFU/SETP/SELP instruction in the masked lanes."""
+    compile_alu(inst, ctx.warp_size)(ctx, mask, int(np.count_nonzero(mask)))
 
 
 def branch_taken_mask(inst: Instruction, ctx: WarpContext,
@@ -206,13 +291,15 @@ class FunctionalBinding(NamedTuple):
     ordinary ``cycle`` runs) cannot see each other's choice.
     """
 
-    execute_alu: Callable[[Instruction, WarpContext, np.ndarray], None]
+    #: ``compile_alu(inst, warp_size) -> executor``: called once per ALU
+    #: instruction per launch (see :func:`compile_alu`).
+    compile_alu: Callable[[Instruction, int], AluExecutor]
     branch_taken_mask: Callable[[Instruction, WarpContext, np.ndarray],
                                 np.ndarray]
 
 
 #: The lane-vectorised numpy layer every ordinary run uses.
-VECTORIZED = FunctionalBinding(execute_alu, branch_taken_mask)
+VECTORIZED = FunctionalBinding(compile_alu, branch_taken_mask)
 
 
 def memory_addresses(inst: Instruction, ctx: WarpContext,

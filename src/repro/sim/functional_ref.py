@@ -21,7 +21,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from ..isa.instructions import Imm, Instruction, Pred, Reg, Sreg
-from .functional import FunctionalBinding, WarpContext
+from .functional import AluExecutor, FunctionalBinding, WarpContext
 
 _MASK32 = np.int64(0xFFFFFFFF)
 _SHIFT31 = np.int64(31)
@@ -42,7 +42,8 @@ def _clean(x) -> np.float64:
                                     posinf=3.4e38, neginf=-3.4e38))
 
 
-#: Scalar value-op dispatch, mirroring functional._ALU one lane at a time.
+#: Scalar value-op dispatch, mirroring functional's op tables one lane
+#: at a time.
 _ALU_REF: Dict[str, Callable] = {
     "MOV": lambda s: s[0],
     "IADD": lambda s: _f(_i(s[0]) + _i(s[1])),
@@ -156,6 +157,19 @@ def branch_taken_mask_reference(inst: Instruction, ctx: WarpContext,
     return taken
 
 
+def compile_alu_reference(inst: Instruction, warp_size: int) -> AluExecutor:
+    """The scalar oracle as a compile step (see ``compile_alu``).
+
+    Nothing is resolved ahead of time: every call re-interprets
+    ``inst`` lane by lane.
+    """
+
+    def execute(ctx: WarpContext, mask: np.ndarray, lanes: int) -> None:
+        execute_alu_reference(inst, ctx, mask)
+
+    return execute
+
+
 #: The scalar oracle as a core binding (see :class:`FunctionalBinding`).
-REFERENCE = FunctionalBinding(execute_alu_reference,
+REFERENCE = FunctionalBinding(compile_alu_reference,
                               branch_taken_mask_reference)

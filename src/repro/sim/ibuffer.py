@@ -9,7 +9,9 @@ ID and has an associativity greater than one."
 This class is the activity/occupancy model of that structure.  The
 simulated frontend fetches at most ``slots_per_warp`` instructions ahead
 per warp; each fetch writes a slot, each issue performs a warp-ID-tagged
-search and frees the slot.
+search and frees the slot.  Fetch and issue of one instruction are one
+combined event (:meth:`repro.sim.core.Core._issue` counts both and
+raises on an overflowing fill).
 """
 
 from __future__ import annotations
@@ -32,22 +34,6 @@ class InstructionBuffer:
     def can_fetch(self, warp_id: int) -> bool:
         """Is a slot free for this warp?"""
         return self.occupancy[warp_id] < self.slots_per_warp
-
-    def fill(self, warp_id: int) -> None:
-        """Decode placed an instruction into a slot."""
-        occupancy = self.occupancy[warp_id]
-        if occupancy >= self.slots_per_warp:
-            raise RuntimeError(f"instruction buffer overflow for warp {warp_id}")
-        self.occupancy[warp_id] = occupancy + 1
-        self.writes += 1
-
-    def issue(self, warp_id: int) -> None:
-        """Issue consumed the warp's oldest buffered instruction."""
-        occupancy = self.occupancy[warp_id]
-        if occupancy <= 0:
-            raise RuntimeError(f"issue from empty buffer for warp {warp_id}")
-        self.occupancy[warp_id] = occupancy - 1
-        self.searches += 1
 
     def flush(self, warp_id: int) -> None:
         """Branch resolution discards the warp's buffered instructions."""

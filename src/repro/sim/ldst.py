@@ -13,7 +13,7 @@ functional access (values) and the timing accounting.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -68,45 +68,54 @@ class LoadStoreUnit:
 
         Returns the completion time at which the destination register (if
         any) is written back and the warp's dependence clears.
+
+        Raises:
+            IndexError: if a lane's word address lies outside the
+                space's memory; raised before any cache or memory-system
+                accounting.
         """
         if self.busy_until > now:
             raise RuntimeError("LDST unit busy")
         self.instructions += 1
         addrs = memory_addresses(inst, ctx, mask)
-        agu_cycles = self.agu.generate(len(addrs))
+        # One Python list feeds the bounds check and the bank-conflict,
+        # coalescing and cache-line models (sets and per-address
+        # lookups want scalars).
+        words = addrs.tolist()
+        agu_cycles = self.agu.generate(len(words))
 
         space = inst.mem_space
         if space == "global":
-            completion, occupancy = self._global_access(inst, ctx, mask,
-                                                        addrs, now)
+            memory, access = self.gmem, self._global_access
         elif space == "shared":
-            completion, occupancy = self._shared_access(inst, ctx, mask,
-                                                        addrs, smem, now)
+            memory, access = smem, self._shared_access
         elif space == "const":
-            completion, occupancy = self._const_access(inst, ctx, mask,
-                                                       addrs, now)
+            memory, access = self.cmem, self._const_access
         elif space == "texture":
-            completion, occupancy = self._texture_access(inst, ctx, mask,
-                                                         addrs, now)
+            if self.tex_cache is None:
+                raise RuntimeError(
+                    "texture fetch on a configuration without a texture "
+                    "cache (set tex_cache_size > 0)"
+                )
+            memory, access = self.gmem, self._texture_access
         else:
             raise ValueError(f"unknown memory space {space!r}")
+        if words and (min(words) < 0 or max(words) >= len(memory)):
+            raise _out_of_bounds(inst, space, words, len(memory))
+        completion, occupancy = access(inst, ctx, mask, addrs, words,
+                                       memory, now)
 
         self.busy_until = now + max(agu_cycles, occupancy, 1)
         return completion
 
     # -- global memory ------------------------------------------------------
 
-    def _global_access(self, inst, ctx, mask, addrs, now):
-        if len(addrs) and (addrs.min() < 0 or addrs.max() >= len(self.gmem)):
-            bad = int(addrs.max() if addrs.max() >= len(self.gmem)
-                      else addrs.min())
-            raise IndexError(
-                f"global-memory access out of bounds in {inst!r}: word "
-                f"address {bad} outside [0, {len(self.gmem)}) -- check the "
-                f"launch's gmem_words"
-            )
-        byte_addrs = addrs * 4
-        transactions = self.coalescer.coalesce(byte_addrs)
+    # Each space's access takes the lane word addresses as an array
+    # (``addrs``, for the functional access into ``memory``) and as a
+    # list (``words``, for the timing models).
+
+    def _global_access(self, inst, ctx, mask, addrs, words, memory, now):
+        transactions = self.coalescer.coalesce([a * 4 for a in words])
         is_write = inst.is_store
         completion = now + 1.0
         for base, size in transactions:
@@ -125,39 +134,35 @@ class LoadStoreUnit:
         # Functional access.
         if inst.is_store:
             values = ctx.read(inst.srcs[1])[mask]
-            self.gmem[addrs] = values
+            memory[addrs] = values
             # Stores retire through a store buffer: the warp does not wait
             # for DRAM, only for the LDSTU handoff.
             completion = now + 4.0
         else:
             assert isinstance(inst.dst, Reg)
-            ctx.regs[inst.dst.index][mask] = self.gmem[addrs]
+            ctx.regs[inst.dst.index][mask] = memory[addrs]
         return completion, len(transactions)
 
     # -- shared memory ------------------------------------------------------
 
-    def _shared_access(self, inst, ctx, mask, addrs, smem, now):
-        if len(addrs) and (addrs.min() < 0 or addrs.max() >= len(smem)):
-            raise IndexError(
-                f"shared-memory access out of bounds in {inst!r}"
-            )
-        phases = self.smem_unit.access(addrs)
+    def _shared_access(self, inst, ctx, mask, addrs, words, memory, now):
+        phases = self.smem_unit.access(words)
         if inst.is_store:
             values = ctx.read(inst.srcs[1])[mask]
-            smem[addrs] = values
+            memory[addrs] = values
         else:
             assert isinstance(inst.dst, Reg)
-            ctx.regs[inst.dst.index][mask] = smem[addrs]
+            ctx.regs[inst.dst.index][mask] = memory[addrs]
         completion = now + self.config.smem_latency_cycles + max(0, phases - 1)
         return completion, max(1, phases)
 
     # -- constant memory ------------------------------------------------------
 
-    def _const_access(self, inst, ctx, mask, addrs, now):
+    def _const_access(self, inst, ctx, mask, addrs, words, memory, now):
         # Paper: "the addresses are checked for equality.  The number of
         # generated constant cache accesses is equal to the number of
         # different addresses in the address bundle."
-        distinct = sorted(set(addrs.tolist()))
+        distinct = sorted(set(words))
         self.const_requests += len(distinct)
         completion = now + self.config.l1_latency_shader_cycles
         occupancy = max(1, len(distinct))
@@ -171,14 +176,12 @@ class LoadStoreUnit:
                                             now, False),
                 )
         assert isinstance(inst.dst, Reg)
-        if len(addrs) and (addrs.min() < 0 or addrs.max() >= len(self.cmem)):
-            raise IndexError(f"constant-memory access out of bounds in {inst!r}")
-        ctx.regs[inst.dst.index][mask] = self.cmem[addrs]
+        ctx.regs[inst.dst.index][mask] = memory[addrs]
         return completion, occupancy
 
     # -- texture memory -------------------------------------------------------
 
-    def _texture_access(self, inst, ctx, mask, addrs, now):
+    def _texture_access(self, inst, ctx, mask, addrs, words, memory, now):
         """Read-only global access through the texture cache hierarchy.
 
         The paper flags this path as the model's next extension ("In a
@@ -187,14 +190,10 @@ class LoadStoreUnit:
         texture cache captures 2D locality at line granularity, and only
         missing lines travel to L2/DRAM.
         """
-        if self.tex_cache is None:
-            raise RuntimeError(
-                "texture fetch on a configuration without a texture "
-                "cache (set tex_cache_size > 0)"
-            )
+        assert self.tex_cache is not None
         line_bytes = self.config.tex_cache_line
-        lines = sorted({a * 4 // line_bytes for a in addrs.tolist()})
-        self.tex_requests += len(addrs)
+        lines = sorted({a * 4 // line_bytes for a in words})
+        self.tex_requests += len(words)
         self.tex_accesses += len(lines)
         completion = now + self.config.l1_latency_shader_cycles
         for line in lines:
@@ -207,5 +206,23 @@ class LoadStoreUnit:
                                             now, False),
                 )
         assert isinstance(inst.dst, Reg)
-        ctx.regs[inst.dst.index][mask] = self.gmem[addrs]
+        ctx.regs[inst.dst.index][mask] = memory[addrs]
         return completion, max(1, len(lines))
+
+
+#: How an out-of-bounds message names each memory space.
+_SPACE_NAMES = {"global": "global", "shared": "shared", "const": "constant",
+                "texture": "texture"}
+
+
+def _out_of_bounds(inst: Instruction, space: str, words: List[int],
+                   size: int) -> IndexError:
+    """The fault of an access with a word address outside ``[0, size)``."""
+    high = max(words)
+    bad = high if high >= size else min(words)
+    hint = (" -- check the launch's gmem_words"
+            if space in ("global", "texture") else "")
+    return IndexError(
+        f"{_SPACE_NAMES[space]}-memory access out of bounds in {inst!r}: "
+        f"word address {bad} outside [0, {size}){hint}"
+    )

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .activity import ActivityReport
 from .config import GPUConfig
-from .core import Core
+from .core import Core, decode_kernel
 from .memsys import MemorySystem
 
 
@@ -211,10 +211,20 @@ class ShardEngine:
     # -- setup -------------------------------------------------------------------
 
     def prepare(self, launch, gmem, cmem) -> None:
-        """Bind the launch to every core of the shard."""
+        """Bind the launch to every core of the shard.
+
+        The kernel is decoded once, here, into a table every core
+        shares; each launch gets a fresh table (a chain reuses the
+        cores across kernels).  The cores of one engine share one
+        functional binding (:class:`~repro.sim.gpu.GPU` builds them so).
+        """
         self.launch = launch
+        if not self.cores_list:
+            return
+        table = decode_kernel(launch.kernel, self.config.warp_size,
+                              self.cores_list[0].functional)
         for core in self.cores_list:
-            core.prepare(launch.kernel, launch, gmem, cmem)
+            core.prepare(launch.kernel, launch, gmem, cmem, table)
 
     def extend_queue(self, blocks: Iterable[int]) -> None:
         """Append granted block ids to the shard-local pending queue."""

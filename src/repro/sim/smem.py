@@ -10,9 +10,7 @@ reading the *same* address in a bank are served by a broadcast.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import Dict, Sequence
 
 from .config import GPUConfig
 
@@ -29,11 +27,12 @@ class SharedMemory:
         self.xbar_transfers = 0      # data crossbar word transfers
         self.instructions = 0
 
-    def access(self, word_addresses: np.ndarray) -> int:
+    def access(self, word_addresses: Sequence[int]) -> int:
         """Process one warp's shared-memory access.
 
         Args:
-            word_addresses: 32-bit word address per participating lane.
+            word_addresses: 32-bit word address per participating lane
+                (the load/store unit passes a list).
 
         Returns:
             Number of serialized phases (1 for conflict-free access).
@@ -45,7 +44,7 @@ class SharedMemory:
         # Distinct addresses only: lanes hitting the same word share a
         # broadcast and cost one bank access together.  Python sets beat
         # np.unique on 32-lane vectors.
-        distinct = set(word_addresses.tolist())
+        distinct = set(word_addresses)
         n_banks = self.n_banks
         per_bank: Dict[int, int] = {}
         for addr in distinct:

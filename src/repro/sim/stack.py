@@ -84,7 +84,7 @@ class ReconvergenceStack:
         if not self._tokens:
             raise RuntimeError("advance on an empty reconvergence stack")
         self._tokens[-1].pc = new_pc
-        self._pop_reconverged()
+        self.pop_reconverged()
 
     def diverge(self, taken_mask: np.ndarray, target: int,
                 fallthrough: int, reconv_pc: Optional[int]) -> bool:
@@ -128,10 +128,13 @@ class ReconvergenceStack:
             self._tokens.pop()
             self.pops += 1
 
-    def _pop_reconverged(self) -> None:
-        # A token is complete when execution reaches its reconvergence
-        # point; control continues in the token below (which the diverge
-        # operation left parked at the same PC).
+    def pop_reconverged(self) -> None:
+        """Pop the tokens whose reconvergence point execution reached.
+
+        A token is complete when execution reaches its reconvergence
+        point; control continues in the token below (which the diverge
+        operation left parked at the same PC).
+        """
         while (len(self._tokens) > 1
                and self._tokens[-1].pc == self._tokens[-1].reconv_pc
                and self._tokens[-1].reconv_pc != EXIT_PC_SENTINEL):

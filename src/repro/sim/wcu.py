@@ -7,9 +7,10 @@ buffer and the scoreboard, and produces their activity counts.
 Because the simulated front-end is in-order and a warp's PC can only be
 changed by the issue stage, fetch and issue of one instruction are
 simulated as one combined event one pipeline beat apart; the activity
-accounting still records the individual structure accesses (WST reads
-for fetch and issue, I-cache read, decode, buffer fill + tagged search)
-exactly as the hardware would perform them.
+accounting (:meth:`repro.sim.core.Core._issue`) still records the
+individual structure accesses (WST reads for fetch and issue, I-cache
+read, decode, buffer fill + tagged search) exactly as the hardware would
+perform them.
 """
 
 from __future__ import annotations
@@ -41,22 +42,3 @@ class WarpControlUnit:
         self.issue_scheduler_ops = 0
         self.fetches = 0
         self.decodes = 0
-
-    def account_schedule_cycle(self) -> None:
-        """One cycle in which the schedulers evaluated candidates."""
-        self.fetch_scheduler_ops += 1
-        self.issue_scheduler_ops += 1
-
-    def account_issue(self, warp_id: int, pc: int) -> None:
-        """Record all front-end structure accesses for one instruction.
-
-        Fetch: WST read (master PC) + I-cache read + decode + buffer fill.
-        Issue: WST read (ready bits) + tagged buffer search + WST update.
-        """
-        self.wst_reads += 2
-        self.wst_writes += 1
-        self.icache.lookup(pc * INSTRUCTION_BYTES)
-        self.fetches += 1
-        self.decodes += 1
-        self.ibuffer.fill(warp_id)
-        self.ibuffer.issue(warp_id)

@@ -1,19 +1,65 @@
 """Unit tests for front-end structures: warps, scoreboard, instruction
-buffer, execution unit pipelines, register file activity, WCU counts."""
+buffer, execution unit pipelines, register file activity, WCU counts.
+
+The core's issue slot does the structures' accounting, so most tests
+drive a one-block core and read the counters it leaves behind."""
 
 import numpy as np
 import pytest
 
-from repro.isa import KernelBuilder
+from repro.isa import Dim3, KernelBuilder, KernelLaunch, Reg
 from repro.sim.config import gt240, gtx580
-from repro.sim.core import SimulationDeadlock
+from repro.sim.core import Core, SimulationDeadlock
 from repro.sim.exec_units import ExecutionUnits
 from repro.sim.ibuffer import InstructionBuffer
-from repro.sim.regfile import RegisterFile
-from repro.sim.scoreboard import Scoreboard
+from repro.sim.memsys import MemorySystem
 from repro.sim.warp import Warp
-from repro.sim.wcu import WarpControlUnit
 from tests.conftest import build_tiny_core
+
+
+def core_running(kernel, threads=32, **overrides):
+    """A GT240-based core (config fields overridable) holding one block
+    of ``threads`` threads of ``kernel``."""
+    config = gt240().scaled(**overrides)
+    core = Core(0, config, MemorySystem(config))
+    launch = KernelLaunch(kernel, Dim3(1), Dim3(threads), gmem_words=4)
+    core.prepare(kernel, launch, np.zeros(4), None)
+    core.assign_block(0)
+    return core
+
+
+def run_dry(core, now=0.0):
+    """Step ``core`` until it is idle."""
+    while now is not None:
+        now = core.step(now)
+
+
+def scoreboard_core(**overrides):
+    """``IADD r0, r1, r2; EXIT`` on one warp under a scoreboard."""
+    kb = KernelBuilder("t")
+    r = kb.regs(3)
+    kb.iadd(r[0], r[1], r[2])
+    kb.exit()
+    overrides.setdefault("scoreboard_dst_per_warp", 4)
+    return core_running(kb.build(), has_scoreboard=True, **overrides)
+
+
+def fadd_kernel():
+    kb = KernelBuilder("t")
+    r = kb.regs(3)
+    kb.fadd(r[0], r[1], r[2])
+    kb.exit()
+    return kb.build()
+
+
+def setp_core(a, b, threads=32):
+    """``SETP.LT p0, a, b; EXIT``: operand reads with no register
+    written back."""
+    kb = KernelBuilder("t")
+    kb.regs(3)
+    kb.setp("LT", kb.pred(), a, b)
+    kb.exit()
+    return core_running(kb.build(), threads=threads)
 
 
 def make_warp(**kw):
@@ -80,22 +126,29 @@ class TestWarp:
         assert barrel.issued == 1
 
     def test_hazard_detection(self):
-        sb = Scoreboard(True, 4)
-        w = make_warp()
-        w.reserve(3)
-        assert sb.blocks(w, (3,), None)          # RAW
-        assert sb.blocks(w, (), 3)               # WAW
-        assert not sb.blocks(w, (1, 2), 4)
+        # IADD r0, r1, r2 against one pending write at a time.
+        for reg, hazard in ((1, True),    # RAW
+                            (0, True),    # WAW
+                            (3, False)):
+            core = scoreboard_core()
+            warp, = core.warps
+            warp.reserve(reg)
+            core._schedule(4.0, warp, reg, is_mem=False)
+            core.step(0.0)
+            assert core.issued == (0 if hazard else 1)
 
     def test_release_refcounts(self):
-        sb = Scoreboard(True, 4)
-        w = make_warp()
-        w.reserve(3)
-        w.reserve(3)
-        w.release(3)
-        assert sb.blocks(w, (3,), None)
-        w.release(3)
-        assert not sb.blocks(w, (3,), None)
+        core = scoreboard_core()
+        warp, = core.warps
+        warp.reserve(2)
+        warp.reserve(2)
+        warp.release(2)
+        core._schedule(4.0, warp, 2, is_mem=False)
+        core.step(0.0)
+        assert core.issued == 0          # one write still in flight
+        warp.release(2)
+        core.step(1.0)
+        assert core.issued == 1
 
     def test_partial_initial_mask(self):
         mask = np.zeros(32, dtype=bool)
@@ -106,57 +159,55 @@ class TestWarp:
 
 class TestScoreboard:
     def test_counts_searches_and_writes(self):
-        sb = Scoreboard(True, 2)
-        w = make_warp()
-        sb.reserve(w, 1)
-        assert sb.writes == 1
-        assert sb.blocks(w, (1,), None)
-        assert sb.searches == 1
-        assert not sb.blocks(w, (), None, search=False)   # control op
-        assert sb.searches == 1
-        sb.release(w, 1)
-        assert sb.writes == 2
+        core = scoreboard_core()
+        run_dry(core)
+        sb = core.wcu.scoreboard
+        assert sb.searches == 1   # the IADD; the EXIT (control) skips it
+        assert sb.writes == 2     # reserve at issue, release at writeback
 
     def test_none_dst_not_counted(self):
-        sb = Scoreboard(True, 2)
-        w = make_warp()
-        sb.reserve(w, None)
-        assert sb.writes == 0
+        kb = KernelBuilder("t")
+        r = kb.regs(2)
+        kb.setp("LT", kb.pred(), r[0], r[1])
+        kb.exit()
+        core = core_running(kb.build(), has_scoreboard=True)
+        run_dry(core)
+        assert core.wcu.scoreboard.writes == 0   # predicate destination
+        assert core.wcu.scoreboard.searches == 1
 
     def test_can_reserve_capacity(self):
-        sb = Scoreboard(True, 2)
-        w = make_warp()
-        sb.reserve(w, 1)
-        assert not sb.blocks(w, (), None, search=False)
-        sb.reserve(w, 2)
-        assert sb.blocks(w, (), None, search=False)   # both slots taken
-        assert sb.searches == 0   # a full table blocks before searching
+        core = scoreboard_core(scoreboard_dst_per_warp=2)
+        warp, = core.warps
+        warp.reserve(5)
+        warp.reserve(6)
+        core._schedule(4.0, warp, 5, is_mem=False)
+        core.step(0.0)
+        assert core.issued == 0   # both slots taken
+        assert core.wcu.scoreboard.searches == 0   # blocked before searching
+        core.step(4.0)
+        assert core.issued == 1
+        assert core.wcu.scoreboard.searches == 1
 
 
 class TestInstructionBuffer:
     def test_fill_and_issue(self):
-        ib = InstructionBuffer(4, 2)
-        ib.fill(0)
-        ib.issue(0)
+        core = build_tiny_core()
+        core.step(0.0)
+        ib = core.wcu.ibuffer
         assert ib.writes == 1 and ib.searches == 1
+        assert ib.occupancy[0] == 0   # the issue freed the slot again
 
     def test_capacity_enforced(self):
-        ib = InstructionBuffer(4, 2)
-        ib.fill(0)
-        ib.fill(0)
+        core = build_tiny_core()
+        ib = core.wcu.ibuffer
+        ib.occupancy[0] = ib.slots_per_warp
         assert not ib.can_fetch(0)
-        with pytest.raises(RuntimeError):
-            ib.fill(0)
-
-    def test_issue_from_empty_raises(self):
-        ib = InstructionBuffer(4, 2)
-        with pytest.raises(RuntimeError):
-            ib.issue(0)
+        with pytest.raises(RuntimeError, match="overflow"):
+            core.step(0.0)
 
     def test_flush(self):
         ib = InstructionBuffer(4, 2)
-        ib.fill(1)
-        ib.fill(1)
+        ib.occupancy[1] = 2
         ib.flush(1)
         assert ib.can_fetch(1)
         assert ib.flushes == 2
@@ -178,64 +229,83 @@ class TestExecutionUnits:
         assert eu.groups["fp"].occupancy == 1
 
     def test_issue_blocks_group(self):
-        eu = ExecutionUnits(gt240())
-        eu.issue("fp", 0.0, 32)
-        assert eu.groups["fp"].free_at == 4.0   # next fp entry at cycle 4
-        assert eu.groups["int"].free_at == 0.0  # other groups independent
-        eu.issue("fp", 4.0, 32)
+        core = core_running(fadd_kernel(), threads=64)   # two warps
+        core.step(0.0)
+        groups = core.exec_units.groups
+        assert groups["fp"].free_at == 4.0   # next fp entry at cycle 4
+        assert groups["int"].free_at == 0.0  # other groups independent
+        assert core.step(1.0) == 4.0         # warp 1 waits for the unit
+        assert core.stall_cycles["unit_busy"] == 3
+        core.step(4.0)
+        assert core.issued == 2
 
     def test_issue_while_busy_raises(self):
-        eu = ExecutionUnits(gt240())
-        eu.issue("fp", 0.0, 32)
-        with pytest.raises(RuntimeError):
-            eu.issue("fp", 1.0, 32)
+        core = core_running(fadd_kernel())
+        core.exec_units.groups["fp"].free_at = 10.0
+        warp, = core.warps
+        with pytest.raises(RuntimeError, match="busy"):
+            core._issue(warp, 0, core._table[0], 1.0)
 
     def test_completion_after_latency(self):
         cfg = gt240()
-        eu = ExecutionUnits(cfg)
-        done = eu.issue("fp", 0.0, 32)
-        assert done == cfg.fu_cycles_per_warp + cfg.alu_latency_cycles
+        core = core_running(fadd_kernel())
+        core.step(0.0)
+        done = cfg.fu_cycles_per_warp + cfg.alu_latency_cycles
+        assert core._events[0][0] == done     # writeback event
+        assert core.warps[0].blocked_until == done   # barrel: no scoreboard
 
     def test_lane_op_accounting(self):
-        eu = ExecutionUnits(gt240())
-        eu.issue("int", 0.0, 17)
-        assert eu.lane_ops("int") == 17
+        kb = KernelBuilder("t")
+        r = kb.regs(2)
+        kb.iadd(r[0], r[1], 1)
+        kb.exit()
+        core = core_running(kb.build(), threads=17)
+        core.step(0.0)
+        assert core.exec_units.lane_ops("int") == 17
 
 
 class TestRegisterFile:
     def test_full_warp_operand_banks(self):
-        rf = RegisterFile(gt240())
-        cycles = rf.read_operands(2, 32)
+        core = setp_core(Reg(1), Reg(2))
+        core.step(0.0)
+        rf = core.regfile
         assert rf.operand_reads == 2
         assert rf.bank_accesses == 16  # 2 operands x 8 bank beats
-        assert cycles >= 1
+        assert rf.collector_writes == 2
 
     def test_narrow_access_fewer_banks(self):
-        rf = RegisterFile(gt240())
-        rf.read_operands(1, 4)
-        assert rf.bank_accesses == 1
+        core = setp_core(Reg(1), 0.0, threads=4)
+        core.step(0.0)
+        assert core.regfile.bank_accesses == 1
 
     def test_write_result(self):
-        rf = RegisterFile(gt240())
-        rf.write_result(32)
+        kb = KernelBuilder("t")
+        r = kb.regs(1)
+        kb.mov(r[0], 1.0)
+        kb.exit()
+        core = core_running(kb.build())
+        core.step(0.0)
+        rf = core.regfile
         assert rf.operand_writes == 1
         assert rf.bank_accesses == 8
 
     def test_zero_operands_free(self):
-        rf = RegisterFile(gt240())
-        assert rf.read_operands(0, 32) == 0
-        assert rf.bank_accesses == 0
+        core = setp_core(1.0, 2.0)
+        core.step(0.0)
+        assert core.regfile.operand_reads == 0
+        assert core.regfile.bank_accesses == 0
 
     def test_collector_dispatch(self):
-        rf = RegisterFile(gt240())
-        rf.dispatch()
-        assert rf.collector_reads == 1
+        core = setp_core(Reg(1), Reg(2))
+        core.step(0.0)
+        assert core.regfile.collector_reads == 1
 
 
 class TestWCU:
     def test_account_issue_touches_structures(self):
-        wcu = WarpControlUnit(gt240())
-        wcu.account_issue(0, pc=0)
+        core = build_tiny_core()
+        core.step(0.0)
+        wcu = core.wcu
         assert wcu.fetches == 1
         assert wcu.decodes == 1
         assert wcu.wst_reads == 2
@@ -245,15 +315,21 @@ class TestWCU:
         assert wcu.icache.reads == 1
 
     def test_icache_locality(self):
-        wcu = WarpControlUnit(gt240())
-        for pc in range(8):
-            wcu.account_issue(0, pc)
+        kb = KernelBuilder("t")
+        r = kb.regs(1)
+        for _ in range(7):
+            kb.iadd(r[0], r[0], 1)
+        kb.exit()
+        core = core_running(kb.build(), has_scoreboard=True)
+        run_dry(core)
+        assert core.issued == 8
         # 8 instructions x 8 bytes = one 64-byte line: one cold miss.
-        assert wcu.icache.misses == 1
+        assert core.wcu.icache.misses == 1
 
     def test_schedule_cycle_counter(self):
-        wcu = WarpControlUnit(gt240())
-        wcu.account_schedule_cycle()
-        wcu.account_schedule_cycle()
+        core = build_tiny_core()
+        core.step(0.0)
+        core.step(1.0)
+        wcu = core.wcu
         assert wcu.fetch_scheduler_ops == 2
         assert wcu.issue_scheduler_ops == 2

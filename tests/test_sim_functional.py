@@ -1,13 +1,17 @@
 """Unit and property tests for functional (value) execution."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa.instructions import Imm, Instruction, Pred, Reg, Sreg
+from repro.isa.instructions import (FP_OPS, INT_OPS, SFU_OPS, Imm,
+                                    Instruction, Pred, Reg, Sreg)
 from repro.sim.functional import (WarpContext, branch_taken_mask,
-                                  execute_alu, memory_addresses)
+                                  compile_alu, execute_alu, memory_addresses)
+from repro.sim.functional_ref import execute_alu_reference
 
 WARP = 32
 
@@ -226,3 +230,90 @@ class TestIntSemanticsProperties:
     @settings(max_examples=80, deadline=None)
     def test_imod_nonnegative_divisor(self, a, b):
         assert run_op("IMOD", lanes(a), lanes(b))[0] == a % b
+
+
+# -- compiled executors against the scalar oracle ------------------------------
+
+#: Every value opcode: the INT/FP/SFU pipelines hold no memory or
+#: control op.
+VALUE_OPCODES = sorted(INT_OPS | FP_OPS | SFU_OPS)
+
+#: An immediate per source position (a fraction, so integer ops must
+#: truncate the pre-converted immediate exactly as the oracle does).
+IMMEDIATES = (3.0, -2.7, 7.5)
+
+
+def _arity(op):
+    if op in ("IMAD", "FFMA"):
+        return 3
+    if op in ("MOV", "NOT", "IABS", "I2F", "F2I", "FNEG", "FABS") \
+            or op in SFU_OPS and op != "FDIV":
+        return 1
+    return 2
+
+
+def _differential_ctx(rng):
+    gtid = np.arange(WARP, dtype=np.float64) + 29.0
+    ctx = WarpContext(6, 3, {"gtid": gtid}, WARP)
+    ints = rng.integers(-2**31, 2**31, size=(6, WARP)).astype(np.float64)
+    small = rng.integers(-40, 40, size=(6, WARP)).astype(np.float64)
+    fracs = rng.uniform(-1e3, 1e3, size=(6, WARP))
+    pick = rng.integers(0, 3, size=(6, WARP))
+    ctx.regs[:] = np.choose(pick, (ints, small, fracs))
+    ctx.regs[:, :3] = 0.0        # zero divisors, 0 ** -1 and friends
+    ctx.preds[:] = rng.random((3, WARP)) < 0.5
+    return ctx
+
+
+def _clone(ctx):
+    twin = WarpContext(ctx.regs.shape[0], ctx.preds.shape[0],
+                       ctx.specials, ctx.warp_size)
+    twin.regs[:] = ctx.regs
+    twin.preds[:] = ctx.preds
+    return twin
+
+
+def _cases(op):
+    """Every (sources, destination, guard, mask) combination to try."""
+    rng = np.random.default_rng(sum(map(ord, op)))
+    partial = rng.random(WARP) < 0.6
+    full = np.ones(WARP, dtype=bool)
+    masks = {"full": (full, None), "partial": (partial, None),
+             "guard+": (partial, True), "guard-": (full, False),
+             "empty": (np.zeros(WARP, dtype=bool), None)}
+    kinds = itertools.product(("reg", "imm", "sreg"), repeat=_arity(op))
+    for kind in kinds:
+        srcs = tuple(Reg(3 + i) if k == "reg" else
+                     Imm(IMMEDIATES[i]) if k == "imm" else Sreg("gtid")
+                     for i, k in enumerate(kind))
+        regs = [s.index for s in srcs if isinstance(s, Reg)]
+        setp = "SETP" in op
+        dsts = [Pred(2)] if setp else [Reg(0)]
+        if setp:
+            dsts.append(Pred(0))        # aliases the guard predicate
+        elif regs:
+            dsts.append(Reg(regs[0]))   # aliases a source
+        for dst in dsts:
+            for name, (active, sense) in masks.items():
+                guard = None if sense is None else (Pred(0), sense)
+                yield (f"{kind} {dst!r} {name}", srcs, dst, guard, active)
+
+
+@pytest.mark.parametrize("op", VALUE_OPCODES)
+def test_compiled_executor_matches_reference(op):
+    rng = np.random.default_rng(7)
+    for label, srcs, dst, guard, active in _cases(op):
+        inst = Instruction(op, dst, srcs, guard=guard)
+        if op == "SELP":
+            inst.sel_pred = Pred(1)
+        base = _differential_ctx(rng)
+        mask = base.guard_mask(inst, active)
+        compiled, thin, oracle = _clone(base), _clone(base), _clone(base)
+        with np.errstate(all="ignore"):
+            compile_alu(inst, WARP)(compiled, mask,
+                                    int(np.count_nonzero(mask)))
+            execute_alu(inst, thin, mask)
+            execute_alu_reference(inst, oracle, mask)
+        for ctx in (compiled, thin):
+            assert ctx.regs.tobytes() == oracle.regs.tobytes(), label
+            assert ctx.preds.tobytes() == oracle.preds.tobytes(), label

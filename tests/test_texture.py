@@ -11,7 +11,7 @@ import pytest
 
 from repro import GPUSimPow
 from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
-from repro.sim import gt240, simulate
+from repro.sim import GPU, gt240, simulate
 
 TEX_CFG = gt240().scaled(tex_cache_size=8 * 1024)
 
@@ -68,6 +68,25 @@ class TestFunctional:
         launch, _ = blur_launch()
         with pytest.raises(RuntimeError, match="texture"):
             simulate(gt240(), launch)
+
+    @pytest.mark.parametrize("address", [-1, 64])
+    def test_out_of_bounds_fetch_faults(self, address):
+        """Like LDG and LDC, an LDT outside the global image faults
+        instead of wrapping (``gmem[-1]``) or escaping as a bare numpy
+        error; the message names the instruction."""
+        kb = KernelBuilder("tex_oob")
+        addr, value = kb.regs(2)
+        kb.mov(addr, float(address))
+        kb.ldt(value, addr)
+        kb.stg(value, addr)
+        kb.exit()
+        launch = KernelLaunch(kb.build(), Dim3(1), Dim3(32), gmem_words=64)
+        gpu = GPU(TEX_CFG)
+        with pytest.raises(IndexError, match=r"out of bounds in LDT r1 \[r0\]"):
+            gpu.run(launch)
+        # The fault comes before any texture-cache accounting.
+        ldst = gpu.cores[0].ldst
+        assert ldst.tex_requests == 0 and ldst.tex_cache.reads == 0
 
 
 class TestActivity:
