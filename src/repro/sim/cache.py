@@ -74,8 +74,9 @@ class SetAssocCache:
             if not hit:
                 self.read_misses += 1
         if hit:
-            ways.remove(tag)
-            ways.append(tag)
+            if ways[-1] != tag:     # already most recent: nothing moves
+                ways.remove(tag)
+                ways.append(tag)
         elif allocate:
             if len(ways) >= self.assoc:
                 ways.pop(0)

@@ -22,6 +22,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+try:  # the popcount itself, without numpy's dispatch wrapper
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero
+
 from ..isa.instructions import Instruction
 from ..isa.kernel import Kernel
 from ..isa.launch import KernelLaunch
@@ -131,15 +136,19 @@ class Core:
     """A single SIMT core executing warps of one kernel launch.
 
     A warp is *ready* when it is not done, not waiting at a barrier and
-    its ``blocked_until`` has passed.  The core keeps the ready warps'
-    indices (``_ready``, ascending) and a heap of the live warps blocked
-    past the current cycle (``_sleepers``); a sleeper rejoins the ready
-    set at the first step at or after its ``blocked_until``, a barrier
-    waiter when its barrier releases.  An issue slot visits the ready
-    warps in the scheduler's rotation order -- exactly the warps the
-    full scan would have tested, in the same order -- so issue choices
-    and the ``scoreboard_searches`` count do not depend on the
-    bookkeeping.
+    its ``blocked_until`` has passed.  The core keeps a list of warp
+    indices (``_ready``, ascending) that holds every ready warp, plus
+    the warps that issued under a scoreboard and so sleep one cycle;
+    the other live warps blocked past the current cycle wait in a heap
+    (``_sleepers``) and rejoin the list at the first step at or after
+    their ``blocked_until``, a barrier waiter when its barrier releases.
+    An issue slot visits the listed warps in the scheduler's rotation
+    order and counts a listed warp that is still blocked as a
+    ``dependency``, as it would a sleeper -- so it tests exactly the
+    warps the full scan would have tested, in the same order, and issue
+    choices, stall reasons and the ``scoreboard_searches`` count do not
+    depend on the bookkeeping.  A warp the scoreboard holds back keeps
+    that answer (:attr:`Warp.sb_held`) until one of its writes lands.
     """
 
     def __init__(self, core_id: int, config: GPUConfig,
@@ -192,7 +201,6 @@ class Core:
         self._extra_slots = range(config.issue_width - 1)
         # Statistics.
         self.busy_cycles = 0
-        self.issued = 0
         self.blocks_executed = 0
         #: Stall attribution: cycles the core was stepped but could not
         #: issue, by dominant reason.
@@ -202,10 +210,19 @@ class Core:
         }
         self.stack_pushes = 0
         self.stack_pops = 0
-        self.stack_reads = 0
         self.branches = 0
         self.divergent_branches = 0
         self.barriers = 0
+
+    @property
+    def issued(self) -> int:
+        """Warp instructions issued (the front end counts them)."""
+        return self.wcu.issues
+
+    @property
+    def stack_reads(self) -> int:
+        """Divergence-stack top reads: one per issued instruction."""
+        return self.wcu.issues
 
     # -- launch setup ---------------------------------------------------------
 
@@ -294,22 +311,6 @@ class Core:
         self._event_seq += 1
         heapq.heappush(self._events, (time, self._event_seq, warp, reg, is_mem))
 
-    def _drain_events(self, now: float) -> None:
-        events = self._events
-        scoreboard = self._scoreboard
-        while events and events[0][0] <= now:
-            _, _, warp, reg, is_mem = heapq.heappop(events)
-            # Writeback clears the scoreboard entry.
-            if reg is not None:
-                scoreboard.writes += 1
-            warp.release(reg)
-            if is_mem:
-                warp.outstanding_memory -= 1
-                if warp.outstanding_memory == 0 and warp.done:
-                    block = self.blocks.get(warp.block_slot)
-                    if block is not None and block.live_warps <= 0:
-                        self._retire_block(block, now)
-
     def _refresh_ready(self, now: float) -> None:
         """Rebuild the issue-loop bookkeeping from the warps' own flags.
 
@@ -320,6 +321,7 @@ class Core:
         sleepers: List[Tuple[float, int]] = []
         live = at_barrier = 0
         for index, warp in enumerate(self.warps):
+            warp.sb_held = None
             if warp.done:
                 continue
             live += 1
@@ -357,7 +359,26 @@ class Core:
         """
         events = self._events
         if events and events[0][0] <= now:
-            self._drain_events(now)
+            scoreboard = self._scoreboard
+            heappop = heapq.heappop
+            while events and events[0][0] <= now:
+                _, _, warp, reg, is_mem = heappop(events)
+                # Writeback clears the scoreboard entry (Warp.release).
+                if reg is not None:
+                    scoreboard.writes += 1
+                    warp.sb_held = None
+                    pending = warp.pending_writes
+                    count = pending.get(reg, 0)
+                    if count <= 1:
+                        pending.pop(reg, None)
+                    else:
+                        pending[reg] = count - 1
+                if is_mem:
+                    warp.outstanding_memory -= 1
+                    if warp.outstanding_memory == 0 and warp.done:
+                        block = self.blocks.get(warp.block_slot)
+                        if block is not None and block.live_warps <= 0:
+                            self._retire_block(block, now)
         if not self.warps:
             if events:
                 return events[0][0]
@@ -371,9 +392,7 @@ class Core:
                 ready.insert(bisect_left(ready, index), index)
 
         # The fetch and issue schedulers evaluate candidates this cycle.
-        wcu = self.wcu
-        wcu.fetch_scheduler_ops += 1
-        wcu.issue_scheduler_ops += 1
+        self.wcu.scheduler_ops += 1
         if not self._try_issue_one(now):
             return self._stall(now)
         for _ in self._extra_slots:
@@ -387,10 +406,10 @@ class Core:
         charge the skipped cycles to the dominant stall reason.
 
         Every live warp has one reason, as the full scan would record
-        it: ``barrier`` for barrier waiters, ``dependency`` for sleepers,
-        and for ready warps what the slot found.  The reason with the
-        most warps wins; a tie goes to the tied reason met first in the
-        slot's rotation order.
+        it: ``barrier`` for barrier waiters, ``dependency`` for sleepers
+        (in the heap or still listed), and for the other listed warps
+        what the slot found.  The reason with the most warps wins; a tie
+        goes to the tied reason met first in the slot's rotation order.
         """
         events = self._events
         if not self._live:
@@ -416,16 +435,22 @@ class Core:
             )
         wake = max(now + 1.0, wake)
         dependency, unit_busy, ldst_busy = self._stall_counts
-        counts = (self._at_barrier, len(sleepers) + dependency, unit_busy,
-                  ldst_busy)
-        top = max(counts)
-        if top == 0:
-            reason = "empty"
-        elif counts.count(top) == 1:
-            reason = _STALL_REASONS[counts.index(top)]
+        dependency += len(sleepers)
+        barrier = self._at_barrier
+        if (dependency > barrier and dependency > unit_busy
+                and dependency > ldst_busy):
+            reason = "dependency"
         else:
-            reason = self._first_in_rotation(
-                [r for r, n in zip(_STALL_REASONS, counts) if n == top], now)
+            counts = (barrier, dependency, unit_busy, ldst_busy)
+            top = max(counts)
+            if top == 0:
+                reason = "empty"
+            elif counts.count(top) == 1:
+                reason = _STALL_REASONS[counts.index(top)]
+            else:
+                reason = self._first_in_rotation(
+                    [r for r, n in zip(_STALL_REASONS, counts)
+                     if n == top], now)
         self.stall_cycles[reason] += max(1, round(wake - now))
         return wake
 
@@ -519,11 +544,28 @@ class Core:
             table = self._table
             for index in self._rotate(ready):
                 warp = warps[index]
+                if has_sb:
+                    held = warp.sb_held
+                    if held is not None:
+                        # Held by the scoreboard at an earlier test and
+                        # nothing written back since: the same answer,
+                        # and the same search count.
+                        searches += held
+                        dependency += 1
+                        continue
+                    blocked = warp.blocked_until
+                    if blocked > now:
+                        # Issued last cycle: a sleeper still listed.
+                        if blocked < wake:
+                            wake = blocked
+                        dependency += 1
+                        continue
                 entry = table[warp.stack._tokens[-1].pc]
                 unit, search, hazard = entry[0], entry[1], entry[2]
                 if has_sb:
                     pending = warp.pending_writes
                     if len(pending) >= sb_capacity:
+                        warp.sb_held = 0
                         dependency += 1
                         continue  # wake via writeback event
                     if search:
@@ -531,17 +573,20 @@ class Core:
                         # pending writes.
                         searches += 1
                         if pending and not pending.keys().isdisjoint(hazard):
+                            warp.sb_held = 1
                             dependency += 1
                             continue
                 if unit == "mem":
                     if ldst_free_at > now:
-                        wake = min(wake, ldst_free_at)
+                        if ldst_free_at < wake:
+                            wake = ldst_free_at
                         ldst_busy += 1
                         continue
                 elif search:
                     free_at = groups[unit].free_at
                     if free_at > now:
-                        wake = min(wake, free_at)
+                        if free_at < wake:
+                            wake = free_at
                         unit_busy += 1
                         continue
                 scoreboard.searches += searches
@@ -564,24 +609,18 @@ class Core:
         token = warp.stack._tokens[-1]
         pc = token.pc
         active = token.mask
-        self.stack_reads += 1
-        # Front end.  Fetch: WST read (master PC) + I-cache read +
-        # decode + buffer fill.  Issue: WST read (ready bits) + tagged
-        # buffer search + WST update; the slot frees again.
+        # Front end.  Fetch: stack top read + WST read (master PC) +
+        # I-cache read + decode + buffer fill.  Issue: WST read (ready
+        # bits) + tagged buffer search + WST update; the slot frees
+        # again.  The buffer's ``fills`` counts all but the I-cache
+        # read (WarpControlUnit derives the others from it).
         wcu = self.wcu
-        wcu.wst_reads += 2
-        wcu.wst_writes += 1
         wcu.icache.lookup(icache_addr)
-        wcu.fetches += 1
-        wcu.decodes += 1
         ibuffer = wcu.ibuffer
         slot = warp.warp_id % self._wst_entries
         if ibuffer.occupancy[slot] >= ibuffer.slots_per_warp:
             raise RuntimeError(f"instruction buffer overflow for warp {slot}")
-        ibuffer.writes += 1
-        ibuffer.searches += 1
-        self.issued += 1
-        warp.instructions_issued += 1
+        ibuffer.fills += 1
 
         if unit == "ctrl":
             self._issue_ctrl(warp, inst, pc, active, now)
@@ -603,7 +642,7 @@ class Core:
             pred, sense = guard
             pvals = ctx.preds[pred]
             mask = active & (pvals if sense else ~pvals)
-        lanes = np.count_nonzero(mask)
+        lanes = count_nonzero(mask)
         # Operand collection: each source register is one warp-wide
         # read over the banks its lanes touch, parked in a collector
         # entry, which then dispatches.
@@ -612,8 +651,6 @@ class Core:
         if n_reads:
             regfile.operand_reads += n_reads
             regfile.bank_accesses += n_reads * banks
-            regfile.collector_writes += n_reads
-            regfile.xbar_transfers += n_reads * banks
         regfile.collector_reads += 1
         is_mem = unit == "mem"
         if is_mem:
@@ -638,24 +675,30 @@ class Core:
             execute(ctx, mask, lanes)
         if dst is not None:
             # Writeback of one warp-wide result, reserved in the
-            # scoreboard until the completion event releases it.
+            # scoreboard (Warp.reserve) until the completion event
+            # (Core._schedule) releases it.
             regfile.operand_writes += 1
             regfile.bank_accesses += banks
-            regfile.xbar_transfers += banks
             self._scoreboard.writes += 1
-            warp.reserve(dst)
+            pending = warp.pending_writes
+            pending[dst] = pending.get(dst, 0) + 1
             if is_mem:
                 warp.outstanding_memory += 1
-            self._schedule(completion, warp, dst, is_mem)
+            self._event_seq = seq = self._event_seq + 1
+            heapq.heappush(self._events,
+                           (completion, seq, warp, dst, is_mem))
         # Sequential PC update; reaching the reconvergence point pops.
         token.pc = pc + 1
         if token.reconv_pc == pc + 1:
             warp.stack.pop_reconverged()
-        warp.blocked_until = blocked = (now + 1.0 if self._has_sb
-                                        else completion)
-        if blocked > now:
-            self._ready.remove(index)
-            heapq.heappush(self._sleepers, (blocked, index))
+        if self._has_sb:
+            # One cycle's sleep: the warp stays listed (see Core).
+            warp.blocked_until = now + 1.0
+        else:
+            warp.blocked_until = completion
+            if completion > now:
+                self._ready.remove(index)
+                heapq.heappush(self._sleepers, (completion, index))
 
     def _issue_ctrl(self, warp: Warp, inst: Instruction, pc: int,
                     active: np.ndarray, now: float) -> None:

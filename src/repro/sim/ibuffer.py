@@ -10,8 +10,11 @@ This class is the activity/occupancy model of that structure.  The
 simulated frontend fetches at most ``slots_per_warp`` instructions ahead
 per warp; each fetch writes a slot, each issue performs a warp-ID-tagged
 search and frees the slot.  Fetch and issue of one instruction are one
-combined event (:meth:`repro.sim.core.Core._issue` counts both and
-raises on an overflowing fill).
+combined event (:meth:`repro.sim.core.Core._issue` counts it once, as
+``fills``, and raises on an overflowing fill), so every issued
+instruction is one fill and one search, and the front end derives its
+own per-issue counts from ``fills`` too
+(:class:`~repro.sim.wcu.WarpControlUnit`).
 """
 
 from __future__ import annotations
@@ -27,9 +30,18 @@ class InstructionBuffer:
             raise ValueError("instruction buffer needs >= 1 slot per warp")
         self.slots_per_warp = slots_per_warp
         self.occupancy: Dict[int, int] = {w: 0 for w in range(n_warps)}
-        self.writes = 0
-        self.searches = 0
+        #: Instructions that passed through a slot: filled at fetch,
+        #: found by the tagged search at issue.
+        self.fills = 0
         self.flushes = 0
+
+    @property
+    def writes(self) -> int:
+        return self.fills
+
+    @property
+    def searches(self) -> int:
+        return self.fills
 
     def can_fetch(self, warp_id: int) -> bool:
         """Is a slot free for this warp?"""

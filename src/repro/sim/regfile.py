@@ -11,6 +11,8 @@ This class holds that activity: a warp-wide operand read touches several
 single-ported banks over several cycles; the collected words cross the
 crossbar into a collector entry; dispatch reads the collector.  The
 issue slot (:meth:`repro.sim.core.Core._issue`) does the counting.
+Every operand read parks in one collector entry and every bank access
+moves one word group over the crossbar, so those two counts are derived.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ class RegisterFile:
         self.operand_reads = 0       # warp-wide operand reads
         self.operand_writes = 0      # warp-wide writebacks
         self.bank_accesses = 0       # single-bank port activations
-        self.collector_writes = 0    # words parked in collector entries
         self.collector_reads = 0     # collector dispatches
-        self.xbar_transfers = 0      # crossbar word groups moved
+
+    @property
+    def collector_writes(self) -> int:
+        """Operands parked in collector entries."""
+        return self.operand_reads
+
+    @property
+    def xbar_transfers(self) -> int:
+        """Crossbar word groups moved."""
+        return self.bank_accesses

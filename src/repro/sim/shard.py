@@ -309,30 +309,32 @@ class ShardEngine:
         earliest = self._earliest
         cores_by_id = self.cores_by_id
         queue = self.queue
-        tracer = self.tracer
-        recorder = self.recorder
+        n_queued = len(queue)   # grants arrive only between epochs
+        # Looked up once per epoch, on the class: a wrapper patched onto
+        # Core.step still sees every step.
+        step = Core.step
         heappop = heapq.heappop
         heappush = heapq.heappush
         bound = math.inf if horizon is None else horizon
+        final_time = self.final_time
+        next_cut = self._next_cut()
         while heap and heap[0][0] <= bound:
             now, cid = heappop(heap)
-            if earliest.get(cid) != now:
+            if earliest[cid] != now:
                 continue  # superseded by an earlier barrier wake
             if now > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles:.0f} cycles "
                     f"(kernel {kernel_name!r})"
                 )
-            if tracer is not None and now > tracer.next_boundary:
-                tracer.cut(now)
-            if recorder is not None and now > recorder.next_boundary:
-                recorder.cut(now)
+            if now > next_cut:
+                next_cut = self._cut(now)
             core = cores_by_id[cid]
-            wake = core.step(now)
-            if now > self.final_time:
-                self.final_time = now
+            wake = step(core, now)
+            if now > final_time:
+                final_time = now
             # Feed newly freed slots.
-            while self.next_block < len(queue) and core.free_slots > 0 \
+            while self.next_block < n_queued and core.free_slots > 0 \
                     and core.ever_used:
                 self._assign(core, queue[self.next_block])
                 self.next_block += 1
@@ -342,8 +344,9 @@ class ShardEngine:
             earliest[cid] = wake
             if wake is not None:
                 heappush(heap, (wake, cid))
+        self.final_time = final_time
         if horizon is None:
-            self.clock = self.final_time
+            self.clock = final_time
         else:
             self.clock = horizon
             if self.recorder is not None:
@@ -351,6 +354,22 @@ class ShardEngine:
                 # local event lies strictly beyond them.
                 self.recorder.cut_through(horizon)
         return self.active
+
+    def _next_cut(self) -> float:
+        """The earliest window boundary a step may close (inf: none)."""
+        cut = math.inf
+        for cutter in (self.tracer, self.recorder):
+            if cutter is not None and cutter.next_boundary < cut:
+                cut = cutter.next_boundary
+        return cut
+
+    def _cut(self, now: float) -> float:
+        """Close every window boundary strictly before ``now``; returns
+        the next boundary a later step may close."""
+        for cutter in (self.tracer, self.recorder):
+            if cutter is not None and now > cutter.next_boundary:
+                cutter.cut(now)
+        return self._next_cut()
 
     def barrier_fill(self) -> None:
         """Place freshly granted blocks at the epoch barrier.

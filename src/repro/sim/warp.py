@@ -23,7 +23,7 @@ class Warp:
     __slots__ = (
         "warp_id", "block_slot", "block_id", "kernel", "ctx", "stack",
         "at_barrier", "done", "pending_writes", "blocked_until",
-        "outstanding_memory", "instructions_issued",
+        "outstanding_memory", "sb_held",
     )
 
     def __init__(self, warp_id: int, block_slot: int, block_id: int,
@@ -42,7 +42,11 @@ class Warp:
         #: barrel-processing block: warp may not issue before this time.
         self.blocked_until: float = 0.0
         self.outstanding_memory = 0
-        self.instructions_issued = 0
+        #: Set while the scoreboard holds the warp back: the searches
+        #: each further test counts (1 for a hazard, 0 for a full
+        #: table).  Only a change to ``pending_writes`` can free it, so
+        #: every such change resets it to None.
+        self.sb_held: Optional[int] = None
 
     @property
     def pc(self) -> int:
@@ -56,11 +60,13 @@ class Warp:
         """Mark ``reg`` as having an in-flight write."""
         if reg is not None:
             self.pending_writes[reg] = self.pending_writes.get(reg, 0) + 1
+            self.sb_held = None
 
     def release(self, reg: Optional[int]) -> None:
         """Clear one in-flight write of ``reg`` (writeback)."""
         if reg is None:
             return
+        self.sb_held = None
         count = self.pending_writes.get(reg, 0)
         if count <= 1:
             self.pending_writes.pop(reg, None)

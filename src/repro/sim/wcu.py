@@ -6,11 +6,13 @@ buffer and the scoreboard, and produces their activity counts.
 
 Because the simulated front-end is in-order and a warp's PC can only be
 changed by the issue stage, fetch and issue of one instruction are
-simulated as one combined event one pipeline beat apart; the activity
-accounting (:meth:`repro.sim.core.Core._issue`) still records the
-individual structure accesses (WST reads for fetch and issue, I-cache
-read, decode, buffer fill + tagged search) exactly as the hardware would
-perform them.
+simulated as one combined event one pipeline beat apart.  Every issued
+instruction makes the same structure accesses (two WST reads, for fetch
+and issue, one WST update, one fetch, one decode, one instruction-buffer
+fill and one tagged search), so one count backs all of them: the
+instruction buffer's ``fills``, which :meth:`repro.sim.core.Core._issue`
+bumps once per issue.  Only the I-cache, whose hits depend on the
+address, is driven per access.
 """
 
 from __future__ import annotations
@@ -35,10 +37,38 @@ class WarpControlUnit:
                                      config.scoreboard_dst_per_warp)
         self.icache = SetAssocCache(config.icache_size, config.icache_line,
                                     config.icache_assoc, name="I$")
-        # Warp status table and scheduler activity.
-        self.wst_reads = 0
-        self.wst_writes = 0
-        self.fetch_scheduler_ops = 0
-        self.issue_scheduler_ops = 0
-        self.fetches = 0
-        self.decodes = 0
+        #: Cycles in which the fetch and the issue scheduler each
+        #: evaluated their candidates (they always run together).
+        self.scheduler_ops = 0
+
+    # Per-structure counts, derived from ``ibuffer.fills`` and
+    # ``scheduler_ops``.
+
+    @property
+    def issues(self) -> int:
+        """Instructions fetched, decoded and issued."""
+        return self.ibuffer.fills
+
+    @property
+    def wst_reads(self) -> int:
+        return 2 * self.issues
+
+    @property
+    def wst_writes(self) -> int:
+        return self.issues
+
+    @property
+    def fetches(self) -> int:
+        return self.issues
+
+    @property
+    def decodes(self) -> int:
+        return self.issues
+
+    @property
+    def fetch_scheduler_ops(self) -> int:
+        return self.scheduler_ops
+
+    @property
+    def issue_scheduler_ops(self) -> int:
+        return self.scheduler_ops

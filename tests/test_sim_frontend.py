@@ -175,6 +175,20 @@ class TestScoreboard:
         assert core.wcu.scoreboard.writes == 0   # predicate destination
         assert core.wcu.scoreboard.searches == 1
 
+    def test_held_warp_counts_a_search_every_test(self):
+        # IADD r0, r1, r2 waits on r1, written back at cycle 4: the
+        # warp is tested again at every step, one search each time.
+        core = scoreboard_core()
+        warp, = core.warps
+        warp.reserve(1)
+        core._schedule(4.0, warp, 1, is_mem=False)
+        sb = core.wcu.scoreboard
+        for now, searches in ((0.0, 1), (1.0, 2), (2.0, 3)):
+            assert core.step(now) == 4.0
+            assert (core.issued, sb.searches) == (0, searches)
+        core.step(4.0)   # the writeback frees it
+        assert (core.issued, sb.searches) == (1, 4)
+
     def test_can_reserve_capacity(self):
         core = scoreboard_core(scoreboard_dst_per_warp=2)
         warp, = core.warps

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import gt240, simulate
-from repro.workloads import all_kernel_launches
+from tests.conftest import build_tiny_core
 
 REASONS = ("dependency", "unit_busy", "ldst_busy", "barrier", "empty")
 
@@ -49,3 +49,24 @@ class TestStallCounters:
         # The scoreboard lets independent instructions of the same warp
         # proceed, shifting stalls from dependencies to busy units.
         assert dep_share(sb) < dep_share(barrel)
+
+
+class TestSteppedTwiceAtOneCycle:
+    """An epoch-barrier wake can land on a cycle the core already
+    stepped at, so a core may be stepped twice at one ``now``."""
+
+    def test_warp_that_just_issued_sleeps_one_cycle(self):
+        now = 5.0
+        core = build_tiny_core(has_scoreboard=True)
+        scoreboard = core.wcu.scoreboard
+        assert core.step(now) == now + 1.0
+        assert core.issued == 1
+        assert scoreboard.searches == 1
+        # Again at the same cycle: the warp issued there, so it sleeps.
+        assert core.step(now) == now + 1.0
+        assert core.issued == 1
+        assert scoreboard.searches == 1
+        assert {r: n for r, n in core.stall_cycles.items() if n} == {
+            "dependency": 1}
+        core.step(now + 1.0)
+        assert core.issued == 2   # the EXIT
