@@ -24,8 +24,11 @@ import numpy as np
 
 try:  # the popcount itself, without numpy's dispatch wrapper
     from numpy._core.multiarray import count_nonzero
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import count_nonzero
+except ImportError:
+    try:  # numpy < 2
+        from numpy.core.multiarray import count_nonzero
+    except ImportError:  # neither private module exports it
+        count_nonzero = np.count_nonzero
 
 from ..isa.instructions import Instruction
 from ..isa.kernel import Kernel
@@ -363,16 +366,10 @@ class Core:
             heappop = heapq.heappop
             while events and events[0][0] <= now:
                 _, _, warp, reg, is_mem = heappop(events)
-                # Writeback clears the scoreboard entry (Warp.release).
+                # Writeback clears the scoreboard entry.
                 if reg is not None:
                     scoreboard.writes += 1
-                    warp.sb_held = None
-                    pending = warp.pending_writes
-                    count = pending.get(reg, 0)
-                    if count <= 1:
-                        pending.pop(reg, None)
-                    else:
-                        pending[reg] = count - 1
+                    warp.release(reg)
                 if is_mem:
                     warp.outstanding_memory -= 1
                     if warp.outstanding_memory == 0 and warp.done:
@@ -435,22 +432,16 @@ class Core:
             )
         wake = max(now + 1.0, wake)
         dependency, unit_busy, ldst_busy = self._stall_counts
-        dependency += len(sleepers)
-        barrier = self._at_barrier
-        if (dependency > barrier and dependency > unit_busy
-                and dependency > ldst_busy):
-            reason = "dependency"
+        counts = (self._at_barrier, len(sleepers) + dependency, unit_busy,
+                  ldst_busy)
+        top = max(counts)
+        if top == 0:
+            reason = "empty"
+        elif counts.count(top) == 1:
+            reason = _STALL_REASONS[counts.index(top)]
         else:
-            counts = (barrier, dependency, unit_busy, ldst_busy)
-            top = max(counts)
-            if top == 0:
-                reason = "empty"
-            elif counts.count(top) == 1:
-                reason = _STALL_REASONS[counts.index(top)]
-            else:
-                reason = self._first_in_rotation(
-                    [r for r, n in zip(_STALL_REASONS, counts)
-                     if n == top], now)
+            reason = self._first_in_rotation(
+                [r for r, n in zip(_STALL_REASONS, counts) if n == top], now)
         self.stall_cycles[reason] += max(1, round(wake - now))
         return wake
 
@@ -675,18 +666,14 @@ class Core:
             execute(ctx, mask, lanes)
         if dst is not None:
             # Writeback of one warp-wide result, reserved in the
-            # scoreboard (Warp.reserve) until the completion event
-            # (Core._schedule) releases it.
+            # scoreboard until the completion event releases it.
             regfile.operand_writes += 1
             regfile.bank_accesses += banks
             self._scoreboard.writes += 1
-            pending = warp.pending_writes
-            pending[dst] = pending.get(dst, 0) + 1
+            warp.reserve(dst)
             if is_mem:
                 warp.outstanding_memory += 1
-            self._event_seq = seq = self._event_seq + 1
-            heapq.heappush(self._events,
-                           (completion, seq, warp, dst, is_mem))
+            self._schedule(completion, warp, dst, is_mem)
         # Sequential PC update; reaching the reconvergence point pops.
         token.pc = pc + 1
         if token.reconv_pc == pc + 1:

@@ -46,14 +46,11 @@ class SharedMemory:
         # np.unique on 32-lane vectors.
         distinct = set(word_addresses)
         n_banks = self.n_banks
-        if len({addr % n_banks for addr in distinct}) == len(distinct):
-            phases = 1      # every address in its own bank
-        else:
-            per_bank: Dict[int, int] = {}
-            for addr in distinct:
-                bank = addr % n_banks
-                per_bank[bank] = per_bank.get(bank, 0) + 1
-            phases = max(per_bank.values())
+        per_bank: Dict[int, int] = {}
+        for addr in distinct:
+            bank = addr % n_banks
+            per_bank[bank] = per_bank.get(bank, 0) + 1
+        phases = max(per_bank.values())
         self.bank_accesses += len(distinct)
         self.conflict_phases += phases - 1
         self.xbar_transfers += len(word_addresses)

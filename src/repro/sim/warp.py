@@ -45,7 +45,7 @@ class Warp:
         #: Set while the scoreboard holds the warp back: the searches
         #: each further test counts (1 for a hazard, 0 for a full
         #: table).  Only a change to ``pending_writes`` can free it, so
-        #: every such change resets it to None.
+        #: :meth:`reserve` and :meth:`release` reset it to None.
         self.sb_held: Optional[int] = None
 
     @property
