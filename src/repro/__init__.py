@@ -32,9 +32,11 @@ Package map:
 * :mod:`repro.experiments` -- per-table/figure reproduction drivers
 """
 
-#: Simulator-semantics version tag, embedded in every runner cache key
-#: (defined *before* the subpackage imports below so that
-#: :mod:`repro.runner` can read it during package initialisation).
+from ._lazy import lazy_exports
+
+#: Simulator-semantics version tag, embedded in every runner cache key.
+#: The package imports nothing else eagerly, so any module can read it
+#: (``from .. import SIM_VERSION``) without loading the subpackages.
 #:
 #: Bump rule: increment whenever a change alters simulation *results* --
 #: activity counters, timing, functional values, or anything else the
@@ -43,44 +45,36 @@ Package map:
 #: stale entries can never silently poison validation numbers.
 SIM_VERSION = "2013.1"
 
-from .analysis import (AnalysisResult, Diagnostic, FuzzReport, LaunchShape,
-                       Severity, analyze_kernel, analyze_launch,
-                       compare_static_dynamic, grade_rules, run_fuzz)
-from .backends import (AUTO_BACKEND, BackendInfo, SimulationBackend,
-                       escalation_path, get_backend, ladder,
-                       list_backends, register_backend, resolve_backend)
-from .core.gpusimpow import ArchitectureReport, GPUSimPow, SimulationResult
-from .core.validation import SuiteValidation, validate_suite
-from .fleet import (FleetLedger, FleetReport, FleetScenario, TenantProfile,
-                    run_scenario)
-from .power.chip import Chip
-from .power.result import PowerNode, PowerReport
-from .request import SimRequest
-from .runner import (JobFailure, JobResult, ResultCache, RunnerError,
-                     SimJob, run_jobs, set_fault_plan)
-from .sim.config import GPUConfig, gt240, gtx580, preset
-from .sim.sanitizer import Sanitizer
-from .telemetry import (ActivityTracer, ActivityWindow, CollectingSink,
-                        NullSink, PowerSample, PowerTrace, TraceSink,
-                        sum_windows)
-
 __version__ = "1.10.0"
 
-__all__ = [
-    "AnalysisResult", "Diagnostic", "FuzzReport", "LaunchShape",
-    "Sanitizer", "Severity",
-    "analyze_kernel", "analyze_launch", "compare_static_dynamic",
-    "grade_rules", "run_fuzz",
-    "ArchitectureReport", "GPUSimPow", "SimulationResult",
-    "SuiteValidation", "validate_suite", "Chip", "PowerNode",
-    "PowerReport", "GPUConfig", "gt240", "gtx580", "preset",
-    "SimRequest", "SimJob", "JobResult", "JobFailure", "ResultCache",
-    "RunnerError", "run_jobs", "set_fault_plan", "SIM_VERSION",
-    "SimulationBackend", "register_backend", "get_backend",
-    "list_backends", "AUTO_BACKEND", "BackendInfo", "ladder",
-    "escalation_path", "resolve_backend",
-    "ActivityTracer", "ActivityWindow", "TraceSink", "NullSink",
-    "CollectingSink", "PowerSample", "PowerTrace", "sum_windows",
-    "FleetLedger", "FleetReport", "FleetScenario", "TenantProfile",
-    "run_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".analysis": ("analyze_kernel", "analyze_launch"),
+    ".analysis.crosscheck": ("compare_static_dynamic", "grade_rules"),
+    ".analysis.diagnostics": ("Diagnostic", "Severity"),
+    ".analysis.framework": ("AnalysisResult", "LaunchShape"),
+    ".analysis.fuzz": ("FuzzReport", "run_fuzz"),
+    ".backends.base": ("AUTO_BACKEND", "BackendInfo", "SimulationBackend",
+                       "escalation_path", "get_backend", "ladder",
+                       "list_backends", "register_backend",
+                       "resolve_backend"),
+    ".core.gpusimpow": ("ArchitectureReport", "GPUSimPow",
+                        "SimulationResult"),
+    ".core.validation": ("SuiteValidation", "validate_suite"),
+    ".fleet.ledger": ("FleetLedger",),
+    ".fleet.load": ("TenantProfile",),
+    ".fleet.report": ("FleetReport",),
+    ".fleet.scenario": ("FleetScenario", "run_scenario"),
+    ".power.chip": ("Chip",),
+    ".power.result": ("PowerNode", "PowerReport"),
+    ".request": ("SimRequest",),
+    ".runner.cache": ("ResultCache",),
+    ".runner.engine": ("RunnerError", "run_jobs", "set_fault_plan"),
+    ".runner.job": ("JobFailure", "JobResult", "SimJob"),
+    ".sim.config": ("GPUConfig", "gt240", "gtx580", "preset"),
+    ".sim.sanitizer": ("Sanitizer",),
+    ".telemetry.sink": ("ActivityTracer", "CollectingSink", "NullSink",
+                        "TraceSink"),
+    ".telemetry.trace": ("PowerSample", "PowerTrace"),
+    ".telemetry.window": ("ActivityWindow", "sum_windows"),
+})
+__all__.append("SIM_VERSION")

@@ -19,41 +19,40 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+from .._lazy import lazy_exports
 from ..isa.launch import KernelLaunch
 from ..isa.serialize import kernel_digest
 from ..sim.config import GPUConfig
-from .crosscheck import (RULE_GROUPS, RULE_PAIRS, CrossCheckResult,
-                         compare_static_dynamic, grade_rules,
-                         shape_for_launch)
-from .diagnostics import (RULES, Diagnostic, Rule, Severity, diag,
-                          diagnostics_to_json, format_diagnostics,
-                          has_errors, max_severity)
+from .framework import (AnalysisResult, LaunchShape, Pass, run_passes,
+                        shape_for_launch)
+# The default pipeline's passes load with the package: analyze_launch
+# (below) runs them, and the service lints every submission with it.
 from .divergence import DivergencePass
-from .framework import (AnalysisManager, AnalysisResult, LaunchShape,
-                        Pass, default_passes, run_passes)
-from .fuzz import FuzzCase, FuzzReport, KernelFuzzer, run_fuzz
-from .memlints import (MemoryLintPass, SitePrediction, StaticMemReport,
-                       predict_memory)
+from .memlints import MemoryLintPass
 from .races import SmemRacePass
-from .symeval import (BarrierFact, BranchFact, MemAccess, SymbolicEvaluator,
-                      SymbolicFacts)
 from .uninit import UninitSharedPass
 from .verifier import CfgVerifierPass, StructuralVerifierPass
 
-__all__ = [
-    "AnalysisManager", "AnalysisResult", "BarrierFact", "BranchFact",
-    "CfgVerifierPass", "CrossCheckResult", "Diagnostic",
-    "DivergencePass", "FuzzCase", "FuzzReport", "KernelFuzzer",
-    "LaunchShape", "MemAccess", "MemoryLintPass",
-    "Pass", "RULES", "RULE_GROUPS", "RULE_PAIRS", "Rule", "Severity",
-    "SitePrediction", "SmemRacePass", "StaticMemReport",
-    "StructuralVerifierPass", "SymbolicEvaluator", "SymbolicFacts",
-    "UninitSharedPass", "analyze_kernel",
-    "analyze_launch", "compare_static_dynamic", "default_passes",
-    "diag", "diagnostics_to_json", "format_diagnostics", "grade_rules",
-    "has_errors", "max_severity", "predict_memory", "run_fuzz",
-    "run_passes", "shape_for_launch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".crosscheck": ("RULE_GROUPS", "RULE_PAIRS", "CrossCheckResult",
+                    "compare_static_dynamic", "grade_rules"),
+    ".diagnostics": ("RULES", "Diagnostic", "Rule", "Severity", "diag",
+                     "diagnostics_to_json", "format_diagnostics",
+                     "has_errors", "max_severity"),
+    ".divergence": ("DivergencePass",),
+    ".framework": ("AnalysisManager", "AnalysisResult", "LaunchShape",
+                   "Pass", "default_passes", "run_passes",
+                   "shape_for_launch"),
+    ".fuzz": ("FuzzCase", "FuzzReport", "KernelFuzzer", "run_fuzz"),
+    ".memlints": ("MemoryLintPass", "SitePrediction", "StaticMemReport",
+                  "predict_memory"),
+    ".races": ("SmemRacePass",),
+    ".symeval": ("BarrierFact", "BranchFact", "MemAccess",
+                 "SymbolicEvaluator", "SymbolicFacts"),
+    ".uninit": ("UninitSharedPass",),
+    ".verifier": ("CfgVerifierPass", "StructuralVerifierPass"),
+})
+__all__ += ["analyze_kernel", "analyze_launch"]
 
 
 def analyze_kernel(kernel, shape: LaunchShape,

@@ -26,20 +26,8 @@ from typing import Any, Dict, List, Optional
 from ..backends.base import DEFAULT_BACKEND, get_backend
 from ..isa.launch import KernelLaunch
 from ..sim.config import GPUConfig
-from .framework import AnalysisManager, LaunchShape
+from .framework import AnalysisManager, shape_for_launch
 from .memlints import StaticMemReport, predict_memory
-
-
-def shape_for_launch(launch: KernelLaunch,
-                     config: GPUConfig) -> LaunchShape:
-    """Launch geometry + the config knobs the memory models use."""
-    return LaunchShape(
-        n_threads=launch.block.count,
-        grid=launch.grid.count,
-        warp_size=config.warp_size,
-        smem_banks=config.smem_banks,
-        coalesce_segment_bytes=config.coalesce_segment_bytes,
-    )
 
 
 @dataclass

@@ -25,6 +25,8 @@ from ..isa.cfg import (EXIT_PC_SENTINEL, basic_block_leaders, build_cfg,
                        post_dominators, predecessors)
 from ..isa.instructions import Instruction, Pred, Reg
 from ..isa.kernel import Kernel
+from ..isa.launch import KernelLaunch
+from ..sim.config import GPUConfig
 from .diagnostics import Diagnostic, Severity
 from .symeval import SymbolicEvaluator, SymbolicFacts
 
@@ -51,6 +53,18 @@ class LaunchShape:
     smem_banks: int = 16
     coalesce_segment_bytes: int = 128
     word_bytes: int = 4
+
+
+def shape_for_launch(launch: KernelLaunch,
+                     config: GPUConfig) -> LaunchShape:
+    """Launch geometry + the config knobs the memory models use."""
+    return LaunchShape(
+        n_threads=launch.block.count,
+        grid=launch.grid.count,
+        warp_size=config.warp_size,
+        smem_banks=config.smem_banks,
+        coalesce_segment_bytes=config.coalesce_segment_bytes,
+    )
 
 
 @dataclass(frozen=True)

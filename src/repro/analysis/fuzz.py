@@ -41,12 +41,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..isa import KernelBuilder, Sreg
+from ..isa.instructions import Sreg
+from ..isa.kernel import KernelBuilder
 from ..isa.launch import Dim3, KernelLaunch
 from ..sim.config import GPUConfig
-from .crosscheck import grade_rules, shape_for_launch
+from .crosscheck import grade_rules
 from .diagnostics import Severity
-from .framework import run_passes
+from .framework import run_passes, shape_for_launch
 
 #: Fuzz flavors with their selection weights.
 FLAVORS: Tuple[Tuple[str, int], ...] = (
@@ -273,7 +274,7 @@ def _execute(backend_name: str, config: GPUConfig, launch: KernelLaunch,
     out-of-bounds aborts (IndexError) and barrier deadlocks.  Anything
     else is a harness bug and propagates.
     """
-    from ..backends import get_backend
+    from ..backends.base import get_backend
     from ..sim.core import SimulationDeadlock
     try:
         return get_backend(backend_name).simulate(config, launch,
@@ -310,7 +311,7 @@ def run_fuzz(seed: int = 1337, count: int = 200,
         progress: Optional callback ``(done, total)``.
     """
     if config is None:
-        from ..sim import gt240
+        from ..sim.config import gt240
         config = gt240()
     fuzzer = KernelFuzzer(seed)
     report = FuzzReport(seed=int(seed), requested=int(count))

@@ -29,35 +29,34 @@ whose promised error fits, escalating
 (and sweeps the whole ladder).
 """
 
+from .._lazy import lazy_exports
 from .analytical import AnalyticalBackend
-from .base import (AUTO_BACKEND, DEFAULT_BACKEND, BackendCapabilities,
-                   BackendError, BackendInfo, SimulationBackend,
-                   all_backends, escalation_path, get_backend, ladder,
-                   list_backends, register_backend, resolve_backend)
+from .base import register_backend
 from .cycle import CycleBackend, FunctionalRefBackend
-from .parallel_cycle import ParallelCycleBackend, ShardWorkerError
-from .surrogate import (CalibrationStore, CalibrationTable,
-                        SurrogateBackend, calibrate_surrogate)
-from .validation import (BackendComparison, CounterDelta, KernelComparison,
-                         LadderRung, compare_backends, sweep_ladder)
+from .parallel_cycle import ParallelCycleBackend
+from .surrogate import SurrogateBackend
 
 #: The built-in backends, registered eagerly so any importer of this
-#: package (the runner's workers included) sees a populated registry.
+#: package or of any module in it (the runner's workers included) sees a
+#: populated registry.
 CYCLE = register_backend(CycleBackend())
 FUNCTIONAL_REF = register_backend(FunctionalRefBackend())
 ANALYTICAL = register_backend(AnalyticalBackend())
 PARALLEL_CYCLE = register_backend(ParallelCycleBackend())
 SURROGATE = register_backend(SurrogateBackend())
 
-__all__ = [
-    "SimulationBackend", "BackendCapabilities", "BackendInfo",
-    "BackendError", "DEFAULT_BACKEND", "AUTO_BACKEND",
-    "register_backend", "get_backend", "list_backends", "all_backends",
-    "ladder", "escalation_path", "resolve_backend",
-    "CycleBackend", "FunctionalRefBackend",
-    "AnalyticalBackend", "ParallelCycleBackend", "ShardWorkerError",
-    "SurrogateBackend", "CalibrationStore", "CalibrationTable",
-    "calibrate_surrogate",
-    "BackendComparison", "KernelComparison",
-    "CounterDelta", "compare_backends", "LadderRung", "sweep_ladder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("SimulationBackend", "BackendCapabilities", "BackendInfo",
+              "BackendError", "DEFAULT_BACKEND", "AUTO_BACKEND",
+              "register_backend", "get_backend", "list_backends",
+              "all_backends", "ladder", "escalation_path",
+              "resolve_backend"),
+    ".cycle": ("CycleBackend", "FunctionalRefBackend"),
+    ".analytical": ("AnalyticalBackend",),
+    ".parallel_cycle": ("ParallelCycleBackend", "ShardWorkerError"),
+    ".surrogate": ("SurrogateBackend", "CalibrationStore",
+                   "CalibrationTable", "calibrate_surrogate"),
+    ".validation": ("BackendComparison", "KernelComparison",
+                    "CounterDelta", "compare_backends", "LadderRung",
+                    "sweep_ladder"),
+})

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -229,7 +230,7 @@ class _ProcShard:
     """Forked shard driver speaking the epoch protocol over a pipe."""
 
     def __init__(self, ctx, *args) -> None:
-        self.conn, child = ctx.Pipe(duplex=True)
+        self.conn, child = connection.Pipe(duplex=True)
         self.proc = ctx.Process(target=_shard_worker_main,
                                 args=(child,) + args, daemon=True)
         self.proc.start()

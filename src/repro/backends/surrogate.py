@@ -142,7 +142,8 @@ def kernel_features(launch: KernelLaunch,
     params or ``gmem_words`` have identical features (which is how the
     memo, keyed on :func:`_memo_key`, exploits this).
     """
-    from ..analysis import AnalysisManager, predict_memory, shape_for_launch
+    from ..analysis.framework import AnalysisManager, shape_for_launch
+    from ..analysis.memlints import predict_memory
     from ..sim.core import max_resident_blocks
 
     kernel = launch.kernel
@@ -485,7 +486,7 @@ def calibrate_surrogate(config: GPUConfig,
     """
     from ..power.chip import Chip
     from ..request import SimRequest
-    from ..runner import run_jobs
+    from ..runner.engine import run_jobs
     from ..workloads import all_kernel_launches
     from .. import SIM_VERSION
 

@@ -192,7 +192,7 @@ def compare_backends(config: GPUConfig,
     the reference backend always runs with its defaults.
     """
     from ..request import SimRequest
-    from ..runner import run_jobs
+    from ..runner.engine import run_jobs
     # Touch the registry up front so an unknown name fails before any
     # simulation is paid for.
     get_backend(backend_a)

@@ -40,7 +40,9 @@ from typing import Optional
 
 from .core.gpusimpow import GPUSimPow
 from .request import SimRequest
-from .runner import JobFailure, ResultCache, run_jobs
+from .runner.cache import ResultCache
+from .runner.engine import run_jobs
+from .runner.job import JobFailure
 from .sim.activity import ActivityReport
 from .sim.config import GPUConfig, preset
 from .workloads import all_kernel_launches, benchmark_info, benchmark_names
@@ -85,7 +87,7 @@ def _runner_options(args):
 def _check_backend(name: str) -> int:
     """0 when ``name`` is registered (or 'auto'), else prints the
     choices and 2."""
-    from .backends import AUTO_BACKEND, list_backends
+    from .backends.base import AUTO_BACKEND, list_backends
     if name != AUTO_BACKEND and name not in list_backends():
         print(f"unknown backend {name!r}; "
               f"registered: {', '.join(list_backends())} "
@@ -137,7 +139,7 @@ def _request_from_args(args) -> Optional[SimRequest]:
         return None
     if args.backend != "auto":
         # (auto resolution itself narrows to tracing-capable tiers)
-        from .backends import get_backend
+        from .backends.base import get_backend
         caps = get_backend(args.backend).capabilities
         for flag, asked, able in (
                 ("--trace-interval", args.trace_interval is not None,
@@ -175,7 +177,7 @@ def _cmd_list(args) -> int:
         print(f"{info.name:<14s}{info.n_kernels:>8d}  {info.origin:<10s}"
               f"{info.description}")
     print("\nkernel labels:", ", ".join(sorted(all_kernel_launches())))
-    from .backends import all_backends
+    from .backends.base import all_backends
     print("backends:", ", ".join(
         f"{name} (v{b.version}{', exact' if b.capabilities.exact else ''})"
         for name, b in sorted(all_backends().items())))
@@ -184,7 +186,7 @@ def _cmd_list(args) -> int:
 
 def _ladder_table() -> str:
     """The fidelity ladder, one row per backend (cheapest tier first)."""
-    from .backends import escalation_path, ladder
+    from .backends.base import escalation_path, ladder
     auto_names = {b.name for b in escalation_path()}
     lines = [f"{'tier':>4s}  {'backend':<16s}{'version':<9s}"
              f"{'exp.error':>9s}  {'rel.cost':>8s}  capabilities"]
@@ -253,7 +255,7 @@ def _cmd_run(args) -> int:
         # this process (no cache, no pool -- a cache hit or a
         # worker-side run would leave nothing to measure).
         import cProfile
-        from .backends import resolve_backend
+        from .backends.base import resolve_backend
         used, promised = resolve_backend(request)
         profiler = cProfile.Profile()
         profiler.enable()
@@ -299,14 +301,14 @@ def _cmd_run(args) -> int:
     elif isinstance(args.profile, str):
         print(f"  cProfile stats written to {args.profile}")
     if result.trace is not None:
-        from .telemetry import render_trace
+        from .telemetry.export import render_trace
         print()
         print(render_trace(result.trace))
     if args.trace_out:
         if result.trace is None:
             print("--trace-out needs --trace-interval", file=sys.stderr)
             return 2
-        from .telemetry import write_chrome_trace, write_trace_json
+        from .telemetry.export import write_chrome_trace, write_trace_json
         if args.trace_format == "chrome":
             write_chrome_trace(result.trace, args.trace_out)
         else:
@@ -353,7 +355,8 @@ def _cmd_lint(args) -> int:
     error-severity diagnostics (the CI gate); without it the command
     is informational and always exits 0.
     """
-    from .analysis import Severity, analyze_launch, diagnostics_to_json
+    from .analysis import analyze_launch
+    from .analysis.diagnostics import Severity, diagnostics_to_json
     config = _load_config(args)
     launches = all_kernel_launches()
     if args.kernels:
@@ -459,8 +462,8 @@ def _cmd_experiments(args) -> int:
         print(f"unknown experiment(s) {unknown}; "
               f"have {sorted(experiments)}", file=sys.stderr)
         return 2
-    from .runner import (set_default_cache, set_default_jobs,
-                         set_default_timeout)
+    from .runner.engine import (set_default_cache, set_default_jobs,
+                                set_default_timeout)
     if args.jobs is not None:
         set_default_jobs(args.jobs)
     if args.timeout is not None:
@@ -538,8 +541,8 @@ def _cmd_serve(args) -> int:
     """Run the power-estimation service daemon until interrupted."""
     import asyncio
 
-    from .runner import AUTO
-    from .service import PowerService
+    from .runner.engine import AUTO
+    from .service.core import PowerService
     from .service.daemon import ServiceDaemon
     cache = None if args.no_cache else (args.cache or AUTO)
     service = PowerService(cache=cache,

@@ -1,14 +1,12 @@
 """GPUSimPow public API: the coupled performance + power simulator."""
 
-from .gpusimpow import (ArchitectureReport, BenchmarkResult, GPUSimPow,
-                        SimulationResult)
-from .metrics import EfficiencyMetrics, UtilizationMetrics, compare_energy
-from .statmodel import StatisticalPowerModel
-from .validation import SuiteValidation, validate_suite
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArchitectureReport", "BenchmarkResult", "GPUSimPow",
-    "SimulationResult",
-    "EfficiencyMetrics", "UtilizationMetrics", "compare_energy",
-    "StatisticalPowerModel", "SuiteValidation", "validate_suite",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".gpusimpow": ("ArchitectureReport", "BenchmarkResult", "GPUSimPow",
+                   "SimulationResult"),
+    ".metrics": ("EfficiencyMetrics", "UtilizationMetrics",
+                 "compare_energy"),
+    ".statmodel": ("StatisticalPowerModel",),
+    ".validation": ("SuiteValidation", "validate_suite"),
+})

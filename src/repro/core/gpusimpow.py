@@ -8,20 +8,21 @@ area results.  This is the class downstream users interact with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
+from ..backends.base import get_backend, resolve_backend
 from ..isa.launch import KernelLaunch
 from ..power.chip import Chip
 from ..power.result import PowerReport
+from ..request import SimRequest
 from ..serialize import Serializable
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimulationOutput
-from ..telemetry import (ActivityWindow, PowerTrace, TraceSink,
-                         windows_from_dicts, windows_to_dicts)
-
-if TYPE_CHECKING:
-    from ..request import SimRequest
+from ..telemetry.sink import TraceSink
+from ..telemetry.trace import PowerTrace
+from ..telemetry.window import (ActivityWindow, windows_from_dicts,
+                                windows_to_dicts)
 
 
 @dataclass
@@ -150,13 +151,12 @@ class GPUSimPow:
             peak_dynamic_w=self.chip.peak_dynamic_w(),
         )
 
-    def _request(self, request: Union["SimRequest", KernelLaunch, str],
-                 wrap_as: str) -> "SimRequest":
+    def _request(self, request: Union[SimRequest, KernelLaunch, str],
+                 wrap_as: str) -> SimRequest:
         """``request`` as a :class:`~repro.request.SimRequest` for this
         simulator; anything else becomes field ``wrap_as`` of a default
         request.  A request bound to a different config is rejected
         (the chip model was built for ``self.config``)."""
-        from ..request import SimRequest
         if not isinstance(request, SimRequest):
             return SimRequest(config=self.config, **{wrap_as: request})
         if request.config != self.config:
@@ -165,7 +165,7 @@ class GPUSimPow:
                 f"but this simulator models {self.config.name!r}")
         return request
 
-    def run(self, request: Union["SimRequest", KernelLaunch],
+    def run(self, request: Union[SimRequest, KernelLaunch],
             activity: Optional[ActivityReport] = None,
             windows: Optional[List[ActivityWindow]] = None,
             *, sink: Optional[TraceSink] = None) -> SimulationResult:
@@ -188,7 +188,6 @@ class GPUSimPow:
         ``backend`` names the concrete backend that produced the report
         (``JobResult.backend``); ``"auto"`` is not resolved again.
         """
-        from ..backends import get_backend, resolve_backend
         req = self._request(request, "launch")
         run_launch = req.resolve_launch()
         if activity is None:
@@ -205,7 +204,7 @@ class GPUSimPow:
         return self._result(req, perf, get_backend(req.backend).name, None,
                             replayed=True)
 
-    def run_benchmark(self, request: Union["SimRequest", str], *,
+    def run_benchmark(self, request: Union[SimRequest, str], *,
                       sink: Optional[TraceSink] = None,
                       ) -> "BenchmarkResult":
         """Run all kernels of a Table I benchmark as a dependent chain.
@@ -218,7 +217,6 @@ class GPUSimPow:
         evaluation -- and its own power trace when traced -- and the
         totals aggregate the whole benchmark.
         """
-        from ..backends import resolve_backend
         req = self._request(request, "kernel")
         if not req.kernel:
             raise ValueError("run_benchmark needs a benchmark name")
@@ -231,7 +229,7 @@ class GPUSimPow:
             kernels=[self._result(req, perf, resolved, promised)
                      for perf in outputs])
 
-    def _result(self, req: "SimRequest", perf: SimulationOutput,
+    def _result(self, req: SimRequest, perf: SimulationOutput,
                 backend: str, promised: Optional[float],
                 replayed: bool = False) -> SimulationResult:
         """Power-evaluate one kernel's performance output.

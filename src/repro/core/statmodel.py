@@ -27,7 +27,7 @@ from ..hw.measure import MeasurementTool
 from ..hw.testbed import Testbed
 from ..hw.virtual_gpu import VirtualGPU
 from ..request import SimRequest
-from ..runner import AUTO, run_jobs
+from ..runner.engine import AUTO, run_jobs
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
 from ..workloads import all_kernel_launches

@@ -25,7 +25,7 @@ from ..hw.testbed import Testbed
 from ..hw.virtual_gpu import UnsupportedByDriver, VirtualGPU
 from ..isa.launch import KernelLaunch
 from ..request import SimRequest
-from ..runner import AUTO, run_jobs
+from ..runner.engine import AUTO, run_jobs
 from ..sim.config import GPUConfig
 from ..workloads import all_kernel_launches
 from .gpusimpow import GPUSimPow

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from ..runner import AUTO
+from ..runner.engine import AUTO
 
 RenderFn = Callable[[Any], str]
 ArtifactsFn = Callable[[Any, Path], List[Path]]

@@ -21,7 +21,7 @@ from typing import Dict, List
 from ..core.gpusimpow import GPUSimPow
 from ..power.chip import Chip
 from ..request import SimRequest
-from ..runner import AUTO, run_jobs
+from ..runner.engine import AUTO, run_jobs
 from ..sim.config import GPUConfig, gt240
 from ..workloads import all_kernel_launches
 

@@ -18,7 +18,9 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List
 
-from ..analysis import Severity, analyze_launch, compare_static_dynamic
+from ..analysis import analyze_launch
+from ..analysis.crosscheck import compare_static_dynamic
+from ..analysis.diagnostics import Severity
 from ..sim.config import preset
 from ..workloads import all_kernel_launches
 from .base import Experiment, register

@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from ..backends.validation import (BackendComparison, LadderRung,
                                    compare_backends, sweep_ladder)
-from ..runner import AUTO
+from ..runner.engine import AUTO
 from ..sim.config import gt240, gtx580
 
 from . import base

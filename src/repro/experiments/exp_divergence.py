@@ -26,7 +26,9 @@ from typing import Dict, List
 import numpy as np
 
 from ..core.gpusimpow import GPUSimPow
-from ..isa import Dim3, KernelBuilder, KernelLaunch, Sreg
+from ..isa.instructions import Sreg
+from ..isa.kernel import KernelBuilder
+from ..isa.launch import Dim3, KernelLaunch
 from ..sim.config import gt240
 
 from . import base

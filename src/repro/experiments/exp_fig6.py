@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.validation import SuiteValidation, validate_suite
-from ..runner import AUTO
+from ..runner.engine import AUTO
 from ..sim.config import gt240, gtx580
 
 from . import base

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..fleet import FleetReport, FleetScenario, run_scenario
-from ..runner import AUTO
+from ..runner.engine import AUTO
 
 from . import base
 

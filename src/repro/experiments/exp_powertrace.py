@@ -17,10 +17,11 @@ from typing import List, Optional
 
 from ..core.gpusimpow import GPUSimPow
 from ..request import SimRequest
-from ..runner import AUTO, run_jobs
+from ..runner.engine import AUTO, run_jobs
 from ..sim.config import gt240
-from ..telemetry import (PowerTrace, render_trace, write_chrome_trace,
-                         write_trace_json)
+from ..telemetry.export import (render_trace, write_chrome_trace,
+                                write_trace_json)
+from ..telemetry.trace import PowerTrace
 from ..workloads import all_kernel_launches
 
 from . import base

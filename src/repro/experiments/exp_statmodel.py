@@ -23,7 +23,7 @@ from typing import Dict, List
 
 from ..core.statmodel import (ModelEvaluation, StatisticalPowerModel,
                               evaluate_gpusimpow, evaluate_statistical)
-from ..runner import AUTO
+from ..runner.engine import AUTO
 from ..sim.config import gt240, gtx580
 
 from . import base

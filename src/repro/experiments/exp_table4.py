@@ -16,7 +16,7 @@ from ..hw.static_power import (static_power_by_extrapolation,
                                static_power_by_idle_ratio)
 from ..hw.virtual_gpu import UnsupportedByDriver
 from ..request import SimRequest
-from ..runner import AUTO, run_jobs
+from ..runner.engine import AUTO, run_jobs
 from ..sim.config import gt240, gtx580
 from ..workloads import all_kernel_launches
 

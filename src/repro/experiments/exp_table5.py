@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 
 from ..core.gpusimpow import GPUSimPow
 from ..request import SimRequest
-from ..runner import AUTO, run_jobs
+from ..runner.engine import AUTO, run_jobs
 from ..sim.config import gt240
 from ..workloads import all_kernel_launches
 

@@ -26,9 +26,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..power.chip import Chip
 from ..request import SimRequest
-from ..runner import ResultCache, run_jobs
+from ..runner.engine import run_jobs
 from ..serialize import Serializable
-from ..sim import GPUConfig, preset
+from ..sim.config import GPUConfig, preset
 
 #: Power-tree nodes whose dynamic power the ledger books as the
 #: "memory" phase (plus external DRAM dynamic).  Nodes a preset lacks

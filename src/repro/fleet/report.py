@@ -30,7 +30,7 @@ def _backend_tier(name: str) -> Optional[int]:
     """Ladder tier of a backend name (None for unknown/empty)."""
     if not name:
         return None
-    from ..backends import BackendError, get_backend
+    from ..backends.base import BackendError, get_backend
     try:
         return get_backend(name).info.tier
     except BackendError:

@@ -21,7 +21,7 @@ from math import isfinite
 from typing import Any, Callable, Dict, List, Optional
 
 from ..serialize import Serializable
-from ..sim import preset
+from ..sim.config import preset
 from .costs import idle_card_w, resolve_costs
 from .dispatch import dispatch
 from .ledger import build_ledgers

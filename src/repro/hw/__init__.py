@@ -1,21 +1,16 @@
 """Virtual hardware and the power-measurement testbed (Section IV)."""
 
-from .daq import DAQ, SAMPLE_RATE_HZ
-from .measure import KernelMeasurement, MeasurementTool
-from .microbench import (EnergyPerOpResult, derive_energy_per_op,
-                         run_cluster_staircase)
-from .sensors import ResistiveDivider, ShuntMonitor
-from .static_power import (gt240_static_idle_ratio,
-                           static_power_by_extrapolation,
-                           static_power_by_idle_ratio)
-from .testbed import MeasurementCapture, Testbed
-from .virtual_gpu import CARDS, UnsupportedByDriver, VirtualGPU
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DAQ", "SAMPLE_RATE_HZ", "KernelMeasurement", "MeasurementTool",
-    "EnergyPerOpResult", "derive_energy_per_op", "run_cluster_staircase",
-    "ResistiveDivider", "ShuntMonitor", "gt240_static_idle_ratio",
-    "static_power_by_extrapolation", "static_power_by_idle_ratio",
-    "MeasurementCapture", "Testbed", "CARDS", "UnsupportedByDriver",
-    "VirtualGPU",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".daq": ("DAQ", "SAMPLE_RATE_HZ"),
+    ".measure": ("KernelMeasurement", "MeasurementTool"),
+    ".microbench": ("EnergyPerOpResult", "derive_energy_per_op",
+                    "run_cluster_staircase"),
+    ".sensors": ("ResistiveDivider", "ShuntMonitor"),
+    ".static_power": ("gt240_static_idle_ratio",
+                      "static_power_by_extrapolation",
+                      "static_power_by_idle_ratio"),
+    ".testbed": ("MeasurementCapture", "Testbed"),
+    ".virtual_gpu": ("CARDS", "UnsupportedByDriver", "VirtualGPU"),
+})

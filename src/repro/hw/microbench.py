@@ -26,7 +26,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..isa import Dim3, Imm, KernelBuilder, KernelLaunch, Sreg
+from ..isa.instructions import Sreg
+from ..isa.kernel import KernelBuilder
+from ..isa.launch import Dim3, KernelLaunch
 from ..sim.config import GPUConfig
 from ..sim.gpu import GPU
 from .measure import MeasurementTool

@@ -350,7 +350,8 @@ class KernelBuilder:
         if verify:
             # Imported here: repro.analysis depends on repro.isa, so a
             # module-level import would be circular.
-            from ..analysis import LaunchShape, Severity, run_passes
+            from ..analysis.diagnostics import Severity
+            from ..analysis.framework import LaunchShape, run_passes
             from ..analysis.verifier import (CfgVerifierPass,
                                              StructuralVerifierPass)
             result = run_passes(

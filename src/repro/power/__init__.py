@@ -1,7 +1,9 @@
 """GPGPU-Pow: hierarchical (technology/circuit/architecture) power model."""
 
-from .chip import Chip
-from .result import PowerNode, PowerReport
-from .tech import TechNode, tech_node
+from .._lazy import lazy_exports
 
-__all__ = ["Chip", "PowerNode", "PowerReport", "TechNode", "tech_node"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".chip": ("Chip",),
+    ".result": ("PowerNode", "PowerReport"),
+    ".tech": ("TechNode", "tech_node"),
+})

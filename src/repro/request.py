@@ -33,9 +33,9 @@ from .serialize import Serializable
 from .sim.config import GPUConfig
 
 if TYPE_CHECKING:
-    from .backends import SimulationBackend
+    from .backends.base import SimulationBackend
     from .sim.gpu import SimulationOutput
-    from .telemetry import TraceSink
+    from .telemetry.sink import TraceSink
 
 #: Default simulation watchdog (forwarded to the backend).
 DEFAULT_MAX_CYCLES = 5e8
@@ -202,7 +202,7 @@ class SimRequest(Serializable):
         the only place an :class:`~repro.telemetry.ActivityTracer` is
         built from a request.
         """
-        from .backends import AUTO_BACKEND, get_backend, resolve_backend
+        from .backends.base import AUTO_BACKEND, get_backend, resolve_backend
         name = self.backend
         if name == AUTO_BACKEND:
             name, _ = resolve_backend(self)
@@ -212,7 +212,7 @@ class SimRequest(Serializable):
         if self.sanitize:
             kwargs["sanitize"] = True
         if self.trace_interval is not None or sink is not None:
-            from .telemetry import ActivityTracer
+            from .telemetry.sink import ActivityTracer
             kwargs["tracer"] = ActivityTracer(self.trace_interval or 1000.0,
                                               sink=sink)
             backend.check_tracer(kwargs["tracer"])

@@ -28,19 +28,15 @@ Quickstart::
         print(r.label, r.cycles, r.activity.issued_instructions)
 """
 
-from .cache import (ResultCache, config_signature, launch_signature,
-                    request_key, request_signature)
-from .engine import (AUTO, FAULT_PLAN_ENV, MELTDOWN_AFTER, TIMEOUT_ENV,
-                     RunnerError, resolve_cache, resolve_jobs,
-                     resolve_timeout, run_jobs, set_default_cache,
-                     set_default_jobs, set_default_timeout, set_fault_plan)
-from .job import JobFailure, JobResult, SimJob
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AUTO", "FAULT_PLAN_ENV", "JobFailure", "JobResult", "MELTDOWN_AFTER",
-    "ResultCache", "RunnerError", "SimJob", "TIMEOUT_ENV",
-    "config_signature", "launch_signature", "request_key",
-    "request_signature", "resolve_cache", "resolve_jobs",
-    "resolve_timeout", "run_jobs", "set_default_cache",
-    "set_default_jobs", "set_default_timeout", "set_fault_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": ("ResultCache", "config_signature", "launch_signature",
+               "request_key", "request_signature"),
+    ".engine": ("AUTO", "FAULT_PLAN_ENV", "MELTDOWN_AFTER", "TIMEOUT_ENV",
+                "RunnerError", "resolve_cache", "resolve_jobs",
+                "resolve_timeout", "run_jobs", "set_default_cache",
+                "set_default_jobs", "set_default_timeout",
+                "set_fault_plan"),
+    ".job": ("JobFailure", "JobResult", "SimJob"),
+})

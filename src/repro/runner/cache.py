@@ -119,7 +119,7 @@ def request_signature(request) -> Dict[str, Any]:
     """
     backend_name = getattr(request, "backend", "cycle")
     if backend_name == "auto":  # AUTO_BACKEND (import kept lazy)
-        from ..backends import resolve_backend
+        from ..backends.base import resolve_backend
         backend_name, _ = resolve_backend(request)
     payload: Dict[str, Any] = {
         "sim_version": _version_tag(),
@@ -131,7 +131,7 @@ def request_signature(request) -> Dict[str, Any]:
         payload["trace_interval"] = repr(float(request.trace_interval))
     if backend_name != "cycle" \
             or getattr(request, "backend_options", None):
-        from ..backends import get_backend
+        from ..backends.base import get_backend
         payload["backend"] = \
             get_backend(backend_name).cache_signature(request)
     return payload
@@ -180,7 +180,7 @@ def _write_json(path: Path, data: Any) -> None:
 
 
 def _backend_is_exact(name: str) -> bool:
-    from ..backends import all_backends
+    from ..backends.base import all_backends
     backend = all_backends().get(name)
     return bool(backend is not None and backend.capabilities.exact)
 
@@ -244,7 +244,7 @@ class ResultCache:
         backend).  A corrupt entry is unlinked so the re-simulated
         result is re-stored cleanly.
         """
-        from ..backends import resolve_backend
+        from ..backends.base import resolve_backend
         resolved, _ = resolve_backend(job)
         if key is None:
             key = request_key(job)
@@ -274,7 +274,7 @@ class ResultCache:
                 # A traced job must come back with its windows; an entry
                 # without them (shouldn't exist, given the key includes
                 # the interval) degrades to a miss.
-                from ..telemetry import windows_from_dicts
+                from ..telemetry.window import windows_from_dicts
                 windows = windows_from_dicts(entry["windows"])
             promised = entry.get("promised_error")
             achieved = entry.get("achieved_error")
@@ -312,7 +312,7 @@ class ResultCache:
         against an exact entry that already exists.  Plain ``cycle``
         entries keep their exact pre-ladder shape.
         """
-        from ..backends import resolve_backend
+        from ..backends.base import resolve_backend
         resolved, promised = resolve_backend(job)
         if key is None:
             key = request_key(job)
@@ -327,7 +327,7 @@ class ResultCache:
             "activity": activity.to_dict(),
         }
         if windows is not None:
-            from ..telemetry import windows_to_dicts
+            from ..telemetry.window import windows_to_dicts
             entry["windows"] = windows_to_dicts(windows)
         exact = _backend_is_exact(resolved)
         base = None

@@ -317,7 +317,7 @@ def _execute_job(payload):
         out = job.execute()
         windows = None
         if out.windows is not None:
-            from ..telemetry import windows_to_dicts
+            from ..telemetry.window import windows_to_dicts
             windows = windows_to_dicts(out.windows)
         return (index, out.activity.to_dict(), windows,
                 getattr(out, "diagnostics", None), float(out.cycles),
@@ -437,12 +437,12 @@ def run_jobs(jobs: Sequence[SimRequest],
         activity = ActivityReport.from_dict(act_dict)
         windows = None
         if windows_dicts is not None:
-            from ..telemetry import windows_from_dicts
+            from ..telemetry.window import windows_from_dicts
             windows = windows_from_dicts(windows_dicts)
         if store is not None and keys[index] is not None:
             store.put(job, activity, cycles, key=keys[index],
                       windows=windows)
-        from ..backends import resolve_backend
+        from ..backends.base import resolve_backend
         backend_used, promised = resolve_backend(job)
         result = JobResult(job=job, activity=activity, cycles=cycles,
                            cached=False, duration_s=duration, worker=pid,

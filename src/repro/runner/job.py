@@ -19,7 +19,7 @@ from ..request import SimRequest
 from ..sim.activity import ActivityReport
 
 if TYPE_CHECKING:
-    from ..telemetry import ActivityWindow
+    from ..telemetry.window import ActivityWindow
 
 
 @dataclass

@@ -31,12 +31,11 @@ Quickstart::
           --kernel vectorAdd --gpu GT240 --wait
 """
 
-from .client import ServiceClient, ServiceError
-from .core import PowerService, ServiceStats
-from .daemon import ServiceDaemon
-from .journal import Journal
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Journal", "PowerService", "ServiceClient", "ServiceDaemon",
-    "ServiceError", "ServiceStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".client": ("ServiceClient", "ServiceError"),
+    ".core": ("PowerService", "ServiceStats"),
+    ".daemon": ("ServiceDaemon",),
+    ".journal": ("Journal",),
+})

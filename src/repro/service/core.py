@@ -46,14 +46,16 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from ..analysis import Severity, analyze_launch
-from ..backends import BackendError, get_backend, resolve_backend
+from ..analysis import analyze_launch
+from ..analysis.diagnostics import Severity
+from ..backends.base import BackendError, get_backend, resolve_backend
 from ..core.gpusimpow import GPUSimPow
 from ..request import SimRequest
-from ..runner import AUTO, ResultCache, RunnerError, run_jobs
-from ..runner.engine import resolve_cache
+from ..runner.cache import ResultCache
+from ..runner.engine import AUTO, RunnerError, resolve_cache, run_jobs
 from ..runner.job import JobResult
-from ..telemetry import TraceSink, windows_to_dicts
+from ..telemetry.sink import TraceSink
+from ..telemetry.window import windows_to_dicts
 from .journal import Journal
 
 #: Default per-tenant cap on live (queued + running) submissions.
@@ -700,7 +702,7 @@ class PowerService:
         result = GPUSimPow(request.config).run(
             replace(request, backend=backend_used), activity=activity,
             windows=list(windows) if windows else None)
-        from ..backends import all_backends
+        from ..backends.base import all_backends
         info = getattr(all_backends().get(backend_used), "info", None)
         payload = {
             "kernel": result.kernel_name,

@@ -1,13 +1,11 @@
 """Cycle-level SIMT GPU performance simulator (GPGPU-Sim substitute)."""
 
-from .activity import ActivityReport
-from .config import GPUConfig, gt240, gtx580, preset
-from .core import Core, SimulationDeadlock
-from .gpu import GPU, SimulationOutput, simulate
-from .sanitizer import Sanitizer, attach_diagnostics
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ActivityReport", "GPUConfig", "gt240", "gtx580", "preset",
-    "Core", "SimulationDeadlock", "GPU", "SimulationOutput",
-    "Sanitizer", "attach_diagnostics", "simulate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".activity": ("ActivityReport",),
+    ".config": ("GPUConfig", "gt240", "gtx580", "preset"),
+    ".core": ("Core", "SimulationDeadlock"),
+    ".gpu": ("GPU", "SimulationOutput", "simulate"),
+    ".sanitizer": ("Sanitizer", "attach_diagnostics"),
+})

@@ -28,7 +28,8 @@ from .memsys import MemorySystem
 from .shard import ShardEngine, accumulate_core, accumulate_memsys
 
 if TYPE_CHECKING:  # telemetry imports sim, never the other way around
-    from ..telemetry import ActivityTracer, ActivityWindow
+    from ..telemetry.sink import ActivityTracer
+    from ..telemetry.window import ActivityWindow
 
 
 @dataclass

@@ -16,31 +16,14 @@ tracing is off.  Summed window deltas reconstruct the aggregate
 :func:`sum_windows`).
 """
 
-from .sink import ActivityTracer, CollectingSink, NullSink, TraceSink
-from .trace import PowerSample, PowerTrace
-from .window import (ActivityWindow, DERIVED_FIELDS, ENVELOPE_FIELDS,
-                     sum_windows, window_delta, windows_from_dicts,
-                     windows_to_dicts)
-from .export import (chrome_trace, render_trace, sparkline,
-                     write_chrome_trace, write_trace_json)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ActivityTracer",
-    "ActivityWindow",
-    "CollectingSink",
-    "DERIVED_FIELDS",
-    "ENVELOPE_FIELDS",
-    "NullSink",
-    "PowerSample",
-    "PowerTrace",
-    "TraceSink",
-    "chrome_trace",
-    "render_trace",
-    "sparkline",
-    "sum_windows",
-    "window_delta",
-    "windows_from_dicts",
-    "windows_to_dicts",
-    "write_chrome_trace",
-    "write_trace_json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".sink": ("ActivityTracer", "CollectingSink", "NullSink", "TraceSink"),
+    ".trace": ("PowerSample", "PowerTrace"),
+    ".window": ("ActivityWindow", "DERIVED_FIELDS", "ENVELOPE_FIELDS",
+                "sum_windows", "window_delta", "windows_from_dicts",
+                "windows_to_dicts"),
+    ".export": ("chrome_trace", "render_trace", "sparkline",
+                "write_chrome_trace", "write_trace_json"),
+})

@@ -17,7 +17,9 @@ from typing import List
 
 import numpy as np
 
-from ..isa import Dim3, KernelBuilder, KernelLaunch, Sreg
+from ..isa.instructions import Sreg
+from ..isa.kernel import KernelBuilder
+from ..isa.launch import Dim3, KernelLaunch
 from .common import BenchmarkInfo, register, rng
 
 N_INPUT = 256

@@ -6,12 +6,35 @@ session scope so the many tests that inspect them don't re-simulate.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
 from repro.sim import GPU, gt240, gtx580
 from repro.workloads import all_kernel_launches
+
+#: The repository root and the directory holding the ``repro`` package.
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(repro.__file__).resolve().parent.parent
+
+
+def fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter (cwd: the repository root, so
+    ``tests`` imports too) and return its stdout; fails on a non-zero
+    exit."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([path] if path else [])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(autouse=True)
