@@ -23,7 +23,7 @@ itself is wrong -- that is the invariant the cross-check harness
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

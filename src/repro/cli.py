@@ -873,7 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "REPRO_CACHE_DIR or ~/.cache/gpusimpow)")
     p_serve.add_argument("--max-parallel", type=int, default=2,
                          metavar="N",
-                         help="concurrent simulation slots "
+                         help="concurrent simulation slots; above 1, "
+                              "every simulation runs on a warm worker "
+                              "process, 1 simulates inside the daemon "
                               "(default: 2)")
     p_serve.add_argument("--quota", type=int, default=8, metavar="N",
                          help="per-tenant live-submission cap; beyond "

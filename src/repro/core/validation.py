@@ -14,16 +14,14 @@ through the testbed, then computes the paper's error statistics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 from ..hw.measure import MeasurementTool
-from ..hw.static_power import (gt240_static_idle_ratio,
-                               static_power_by_extrapolation,
+from ..hw.static_power import (static_power_by_extrapolation,
                                static_power_by_idle_ratio)
 from ..hw.testbed import Testbed
 from ..hw.virtual_gpu import UnsupportedByDriver, VirtualGPU
-from ..isa.launch import KernelLaunch
 from ..request import SimRequest
 from ..runner.engine import AUTO, run_jobs
 from ..sim.config import GPUConfig

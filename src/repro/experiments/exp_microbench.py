@@ -10,7 +10,6 @@ instructions are using about 75 pJ per instruction.  NVIDIA reports
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..hw.microbench import EnergyPerOpResult, derive_energy_per_op
 from ..sim.config import GPUConfig, gt240

@@ -19,7 +19,6 @@ measurements, then scores three scenarios:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 from ..core.statmodel import (ModelEvaluation, StatisticalPowerModel,
                               evaluate_gpusimpow, evaluate_statistical)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..workloads import (all_kernel_launches, benchmark_info,
-                         benchmark_names, build_benchmark)
+from ..workloads import benchmark_info, benchmark_names, build_benchmark
 
 from . import base
 

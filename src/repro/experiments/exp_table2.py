@@ -6,7 +6,7 @@ objects, so any drift between the presets and the paper is visible.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..sim.config import GPUConfig, gt240, gtx580
 

@@ -9,7 +9,7 @@ separately, matching the paper's footnote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..core.gpusimpow import GPUSimPow

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 #: Glyphs for the stacked Fig. 6 bars.
 SIM_STATIC, SIM_DYNAMIC = "#", "+"

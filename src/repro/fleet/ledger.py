@@ -31,7 +31,7 @@ energy equals the fleet rollup" holds bit-exactly, always.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from ..serialize import Serializable
 from .dispatch import DispatchResult

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
 
 from ..isa.instructions import Sreg
 from ..isa.kernel import KernelBuilder

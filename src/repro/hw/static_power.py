@@ -14,13 +14,13 @@ Two methodologies, exactly as the paper used them:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
 from .measure import MeasurementTool
 from .testbed import Testbed
-from .virtual_gpu import UnsupportedByDriver, VirtualGPU
+from .virtual_gpu import VirtualGPU
 
 
 def static_power_by_extrapolation(config: GPUConfig,

@@ -11,12 +11,11 @@ profiler, exactly as the paper's measurement tool uses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.activity import ActivityReport
 from .daq import DAQ
 from .sensors import (ResistiveDivider, ShuntMonitor, make_divider,
                       make_monitor)

@@ -30,7 +30,7 @@ actually measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..sim.activity import ActivityReport

@@ -8,12 +8,11 @@ immutable :class:`Kernel` the simulator can execute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from .cfg import attach_reconvergence_pcs
-from .instructions import (Imm, Instruction, Operand, Pred, Reg, Sreg,
-                           PREDICATE_SETTERS)
+from .instructions import Imm, Instruction, Operand, Pred, Reg, Sreg
 
 Number = Union[int, float]
 

@@ -12,7 +12,7 @@ instruction sequence, and leaves results in documented registers.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .instructions import Pred, Reg, Sreg
 from .kernel import KernelBuilder

@@ -4,9 +4,12 @@
 jobs and returns their :class:`JobResult`\\ s *in job order*,
 regardless of how many worker processes ran them or which finished
 first.  Cache hits are resolved in the calling process; only misses fan
-out to the pool, and the pool is skipped entirely for a single job or
-``jobs=1`` (the serial fallback -- no multiprocessing machinery in the
-way of debugging or profiling).
+out to the pool.  Pool or in-process follows the *requested* worker
+count: ``jobs=1`` skips the pool entirely (the serial fallback -- no
+multiprocessing machinery in the way of debugging or profiling), while
+any larger request runs even a single miss on a pool worker, where a
+timeout can preempt it and the caller's interpreter stays free.  The
+number of workers used is capped by the number of misses.
 
 Workers receive only the picklable request, whose
 :meth:`~repro.request.SimRequest.execute` constructs the ``GPU`` there;
@@ -362,7 +365,10 @@ def run_jobs(jobs: Sequence[SimRequest],
     Args:
         jobs: The simulations to run.
         n_jobs: Worker processes.  ``None`` resolves through
-            :func:`resolve_jobs`; ``1`` runs serially in-process.
+            :func:`resolve_jobs`; ``1`` runs serially in-process.  Any
+            larger count runs every miss on the warm pool -- a single
+            one included -- on at most as many workers as there are
+            misses.
         cache: A :class:`ResultCache`, a cache directory path, ``None``
             (disabled), or :data:`AUTO` (configured/environment
             default).  Hits skip simulation; misses are stored after.
@@ -375,9 +381,9 @@ def run_jobs(jobs: Sequence[SimRequest],
         timeout_s: Default per-job wall-clock budget in seconds;
             ``None`` resolves through :func:`resolve_timeout`
             (``$REPRO_JOB_TIMEOUT``).  A job's own ``timeout_s`` takes
-            precedence.  Pooled attempts are killed at the deadline;
-            serial attempts are checked after the fact (an in-process
-            simulation cannot be preempted).
+            precedence.  Pooled attempts (``n_jobs > 1``) are killed at
+            the deadline; serial ones (``n_jobs=1``) are checked after
+            the fact (an in-process simulation cannot be preempted).
         retries: Extra attempts granted on *transient* failures (worker
             crash, timeout).  Worker-side exceptions are deterministic
             and never retried.
@@ -664,11 +670,11 @@ def run_jobs(jobs: Sequence[SimRequest],
                 reap(task_id)
             raise
 
-    workers = min(workers, len(misses)) if misses else 1
     queue: Deque[Tuple[int, int]] = deque((i, 1) for i in misses)
-    if workers <= 1:
+    if workers <= 1 or not misses:
         run_serial(queue, fail_fast=True)
     else:
+        workers = min(workers, len(misses))
         if not run_pool(queue):
             # Graceful degradation: the pool melted down (repeated
             # worker crashes or unspawnable workers); finish the

@@ -14,16 +14,36 @@ abandoned is discarded (killed) instead of recycled, so every failure
 mode stays observable.
 
 Workers are daemonic, so an exiting parent never leaks them; an idle
-warm worker costs one sleeping process.
+warm worker costs one sleeping process.  Two things make that hold for
+any parent: a worker drops its copy of the parent's end of its pipe,
+so a parent that dies without cleanup reaches it as EOF; and it
+restores the default SIGTERM/SIGINT handling, because a worker forked
+from an asyncio daemon would otherwise inherit the loop's handlers,
+which only write to the parent's wakeup fd -- ``terminate()`` at the
+parent's exit would then be ignored and the exit would hang.
+
+The pool is thread-safe: the service daemon drives it from several
+executor threads at once.  One lock guards the idle list and the
+counters; forking a new worker happens outside it, so a slow spawn
+never blocks another thread's recycle.  Spawns take a lock of their
+own, so a worker forked by one thread never inherits the child ends
+of a sibling's pipes mid-spawn (which would hide that sibling's death
+from its pipe and sentinel).
 """
 
 from __future__ import annotations
 
+import signal
+import threading
 from typing import List, Optional
 
 
-def _pool_worker_main(conn) -> None:
+def _pool_worker_main(conn, parent_end) -> None:
     """Worker body: serve job payloads until ``None`` or EOF."""
+    parent_end.close()
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     from .engine import _execute_job
     try:
         while True:
@@ -37,13 +57,17 @@ def _pool_worker_main(conn) -> None:
         conn.close()
 
 
+#: Serialises worker forks across threads (see the module docstring).
+_spawn_lock = threading.Lock()
+
+
 class PoolWorker:
     """One warm worker process and its duplex pipe."""
 
     def __init__(self, ctx) -> None:
         self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(target=_pool_worker_main, args=(child,),
-                                daemon=True)
+        self.proc = ctx.Process(target=_pool_worker_main,
+                                args=(child, self.conn), daemon=True)
         self.proc.start()
         child.close()
 
@@ -95,6 +119,7 @@ class WarmPool:
     def __init__(self, max_idle: int = 16) -> None:
         self.max_idle = max_idle
         self._idle: List[PoolWorker] = []
+        self._lock = threading.Lock()
         self.spawned = 0
         self.recycled = 0
 
@@ -104,25 +129,32 @@ class WarmPool:
         Raises ``OSError`` when a needed spawn fails (the engine treats
         that as pool meltdown and degrades to serial execution).
         """
-        while self._idle:
-            worker = self._idle.pop()
-            if worker.alive:
-                self.recycled += 1
-                return worker
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                worker = self._idle.pop()
+                if worker.alive:
+                    self.recycled += 1
+                    return worker
             worker.kill()
-        worker = PoolWorker(ctx)
-        self.spawned += 1
+        with _spawn_lock:
+            worker = PoolWorker(ctx)
+        with self._lock:
+            self.spawned += 1
         return worker
 
     def release(self, worker: PoolWorker) -> None:
         """Return a worker whose last job completed cleanly."""
-        if not worker.alive:
-            worker.kill()
-            return
-        if len(self._idle) >= self.max_idle:
+        alive = worker.alive
+        with self._lock:
+            if alive and len(self._idle) < self.max_idle:
+                self._idle.append(worker)
+                return
+        if alive:
             worker.stop()
-            return
-        self._idle.append(worker)
+        else:
+            worker.kill()
 
     def discard(self, worker: PoolWorker) -> None:
         """Destroy a worker after a crash, timeout or abandonment."""
@@ -134,25 +166,30 @@ class WarmPool:
 
     def shutdown(self) -> None:
         """Stop every idle worker (in-flight ones belong to the engine)."""
-        while self._idle:
-            self._idle.pop().stop()
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.stop()
 
 
 #: The process-wide pool shared by every ``run_jobs`` call.
 _shared: Optional[WarmPool] = None
+_shared_lock = threading.Lock()
 
 
 def shared_pool() -> WarmPool:
     """The process-wide warm pool (created on first use)."""
     global _shared
-    if _shared is None:
-        _shared = WarmPool()
-    return _shared
+    with _shared_lock:
+        if _shared is None:
+            _shared = WarmPool()
+        return _shared
 
 
 def shutdown_shared_pool() -> None:
     """Stop all idle shared workers (tests, interpreter teardown)."""
     global _shared
-    if _shared is not None:
-        _shared.shutdown()
-        _shared = None
+    with _shared_lock:
+        pool, _shared = _shared, None
+    if pool is not None:
+        pool.shutdown()

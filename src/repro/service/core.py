@@ -29,9 +29,14 @@ submission's life:
    runner as capacity frees up.
 
 Untraced tasks dispatch in batches through one
-:func:`repro.runner.run_jobs` call -- inheriting its warm pool,
-per-job timeouts, retries and crash supervision -- with per-task
-completion fanned out from the progress callback.  Traced tasks
+:func:`repro.runner.run_jobs` call that requests ``max_parallel``
+workers, so every batch -- a one-task batch included -- simulates on
+the runner's warm pool, inheriting its preemptive per-job timeouts,
+retries and crash supervision, while the daemon's own interpreter stays
+free for HTTP, lint and cache probes.  Per-task completion fans out
+from the progress callback.  With ``max_parallel=1`` the runner
+simulates in-process instead, as ``gpusimpow run --jobs 1`` does, and a
+timeout is then only checked after the fact.  Traced tasks
 (``trace_interval`` set) run in-process in their own executor thread
 so a forwarding :class:`~repro.telemetry.TraceSink` can stream each
 :class:`~repro.telemetry.ActivityWindow` to subscribers the moment it
@@ -81,6 +86,9 @@ class ServiceStats:
     queue_rejections: int = 0
     failures: int = 0
     replayed: int = 0
+    #: Fresh untraced simulations that ran on a pool worker process
+    #: (``JobResult.worker != -1``) rather than in the daemon.
+    pooled_simulations: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -93,6 +101,7 @@ class ServiceStats:
             "queue_rejections": self.queue_rejections,
             "failures": self.failures,
             "replayed": self.replayed,
+            "pooled_simulations": self.pooled_simulations,
         }
 
 
@@ -559,9 +568,10 @@ class PowerService:
                     promised=outcome.promised_error,
                     achieved=outcome.achieved_error,
                     diagnostics=outcome.diagnostics)
+                pooled = outcome.worker != -1
                 loop.call_soon_threadsafe(self._finish_task, task,
                                           payload, None,
-                                          outcome.cached, False)
+                                          outcome.cached, False, pooled)
             else:
                 task = by_key.get(outcome.label)
                 if task is None:
@@ -573,7 +583,7 @@ class PowerService:
                                           None, failure, False, False)
 
         try:
-            run_jobs(jobs, n_jobs=min(len(jobs), self.max_parallel),
+            run_jobs(jobs, n_jobs=self.max_parallel,
                      cache=self.cache, progress=on_outcome,
                      timeout_s=self.timeout_s)
         except RunnerError:
@@ -641,13 +651,14 @@ class PowerService:
     def _finish_task(self, task: SimTask,
                      payload: Optional[Dict[str, Any]],
                      failure: Optional[Dict[str, Any]],
-                     cached: bool, release: bool = True) -> None:
+                     cached: bool, release: bool = True,
+                     pooled: bool = False) -> None:
         """Fan one task's terminal state out to every submission.
 
         The same ``payload`` object reaches every subscriber, so fanned
         results are bit-identical by construction.  ``release`` is set
         by callers that do not manage the running-slot count
-        themselves.
+        themselves; ``pooled`` marks a result a pool worker simulated.
         """
         if task.state in ("done", "failed"):
             return
@@ -657,6 +668,7 @@ class PowerService:
         task.failure = failure
         if ok and not cached:
             self.stats.simulations += 1
+            self.stats.pooled_simulations += int(pooled)
         if ok and cached:
             self.stats.cache_hits += 1
         if not ok:

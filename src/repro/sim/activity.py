@@ -14,7 +14,7 @@ one integer instruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict
 
 from ..serialize import (Serializable, scalar_fields_from_dict,

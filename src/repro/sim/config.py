@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict
 
 from ..serialize import (Serializable, keyword_only, scalar_fields_from_dict,

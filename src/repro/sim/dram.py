@@ -15,7 +15,7 @@ resource (``busy_until``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from .config import GPUConfig

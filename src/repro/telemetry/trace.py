@@ -12,7 +12,7 @@ cycle-window, not just as one kernel-wide average.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..serialize import Serializable
 from ..sim.activity import ActivityReport

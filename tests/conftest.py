@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
-from repro.sim import GPU, gt240, gtx580
+from repro.sim import gt240, gtx580
 from repro.workloads import all_kernel_launches
 
 #: The repository root and the directory holding the ``repro`` package.

@@ -26,7 +26,6 @@ from repro.isa.instructions import Instruction
 from repro.isa.kernel import Kernel, KernelVerificationError
 from repro.request import SimRequest
 from repro.runner import request_key
-from repro.sim import gt240
 from repro.workloads import all_kernel_launches
 
 SHAPE32 = LaunchShape(n_threads=32)

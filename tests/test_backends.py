@@ -17,7 +17,7 @@ from repro.core.gpusimpow import GPUSimPow, SimulationResult
 from repro.request import SimRequest
 from repro.runner import ResultCache, SimJob, run_jobs
 from repro.runner.cache import request_key
-from repro.sim import gt240, simulate
+from repro.sim import simulate
 from repro.telemetry import ActivityTracer
 from tests.conftest import build_vecadd_launch
 

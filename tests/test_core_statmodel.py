@@ -1,6 +1,5 @@
 """Tests for the statistical power model and the Section II comparison."""
 
-import numpy as np
 import pytest
 
 from repro.core.statmodel import (FEATURES, StatisticalPowerModel,

@@ -3,7 +3,6 @@
 import csv
 import io
 
-import pytest
 
 from repro.core.validation import KernelValidation
 from repro.experiments.figures import (fig4_chart, fig4_csv, fig6_chart,

@@ -21,7 +21,7 @@ from repro.fleet import (DiurnalCurve, FleetReport, FleetScenario,
                          TenantProfile, dispatch, generate_requests,
                          parse_gpu_spec, resolve_costs, run_scenario)
 from repro.fleet.ledger import PHASES
-from repro.sim import gt240, gtx580
+from repro.sim import gt240
 from repro.workloads import all_kernel_launches
 
 #: Cheap scenario for pipeline tests: surrogate-resolved costs, small

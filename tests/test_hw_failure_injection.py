@@ -9,10 +9,9 @@ errors the real testbed was built to avoid.
 """
 
 import numpy as np
-import pytest
 
 from repro.hw.measure import MeasurementTool
-from repro.hw.sensors import ResistiveDivider, ShuntMonitor
+from repro.hw.sensors import ShuntMonitor
 from repro.hw.testbed import MeasurementCapture, Testbed
 from repro.hw.virtual_gpu import VirtualGPU
 from repro.sim.activity import ActivityReport

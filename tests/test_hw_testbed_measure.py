@@ -1,6 +1,5 @@
 """Integration tests for the testbed + measurement tool chain."""
 
-import numpy as np
 import pytest
 
 from repro.hw.measure import MeasurementTool

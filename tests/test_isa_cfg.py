@@ -2,7 +2,7 @@
 
 from repro.isa.cfg import (EXIT_PC_SENTINEL, basic_block_leaders, build_cfg,
                            immediate_post_dominators, post_dominators)
-from repro.isa.instructions import Instruction, Pred, Reg
+from repro.isa.instructions import Instruction, Pred
 
 
 def straightline(n):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.isa import Imm, KernelBuilder, Reg, Sreg
-from repro.isa.kernel import Kernel
+from repro.isa import Imm, KernelBuilder
 
 
 class TestRegisterAllocation:

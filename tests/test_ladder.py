@@ -26,7 +26,6 @@ from repro.runner import run_jobs
 from repro.runner.cache import (ResultCache, base_request_key,
                                 request_key, request_signature)
 from repro.runner.job import SimJob
-from repro.sim import gt240, gtx580
 from tests.conftest import build_vecadd_launch
 
 #: Small kernel set for calibration-from-scratch tests (cheap on GT240).

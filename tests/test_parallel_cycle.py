@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.backends import ShardWorkerError, get_backend
-from repro.backends.parallel_cycle import ParallelCycleBackend
 from repro.request import SimRequest
 from repro.runner import SimJob, run_jobs
 from repro.runner.cache import request_key

@@ -10,7 +10,7 @@ from repro.power.circuits import (ArrayOrganisation, cam_array, clock_network,
                                   merge_estimates, priority_encoder,
                                   repeated_wire, rotating_priority_scheduler,
                                   sram_array)
-from repro.power.circuits.base import CircuitEstimate, energies_only
+from repro.power.circuits.base import energies_only
 from repro.power.tech import tech_node
 
 T40 = tech_node(40)

@@ -1,13 +1,12 @@
 """Unit tests for the technology tier and Eq. 1 primitives."""
 
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.power import eq1
-from repro.power.tech import TABULATED_NODES, TechNode, tech_node
+from repro.power.tech import TABULATED_NODES, tech_node
 
 
 class TestTechNode:

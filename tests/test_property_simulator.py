@@ -14,7 +14,6 @@ invariants that must hold for *any* program:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Unit tests for repro.runner: jobs, cache keys, cache, and the engine."""
 
-import os
 
 import numpy as np
 import pytest

@@ -158,6 +158,26 @@ class TestTimeouts:
         assert fault.attempt_durations[0] > 1.0
         assert_bit_identical(results[0], clean_result)
 
+    def test_single_pooled_miss_is_preempted(self):
+        """Pool or in-process follows the requested workers, not the
+        miss count: a lone miss under ``n_jobs=2`` runs on a worker,
+        so every attempt is cut at the budget instead of running its
+        full course."""
+        jobs = tiny_jobs(1)
+        set_fault_plan({"j0": ["delay:5"] * 3})
+        budget, slack = 0.3, 0.5
+        start = time.monotonic()
+        with pytest.raises(RunnerError) as exc:
+            run_jobs(jobs, n_jobs=2, cache=None, timeout_s=budget,
+                     backoff_s=0.0)
+        assert time.monotonic() - start < 5  # one delay would take 5s
+        failure, = exc.value.failures
+        assert failure.kind == "timeout"
+        assert failure.attempts == 3
+        assert len(failure.attempt_durations) == 3
+        assert all(budget <= d < budget + slack
+                   for d in failure.attempt_durations)
+
     def test_job_level_timeout_overrides_default(self):
         jobs = tiny_jobs(1, timeout_s=1.0)
         set_fault_plan({"j0": ["delay:1.5"]})
@@ -187,6 +207,27 @@ class TestTimeouts:
             tiny_jobs(1, timeout_s=0.0)
         with pytest.raises(ValueError):
             resolve_timeout(-1.0)
+
+
+class TestPlacement:
+    def test_single_miss_with_two_workers_is_pooled(self, clean_result):
+        result, = run_jobs(tiny_jobs(1), n_jobs=2, cache=None)
+        assert result.worker not in (-1, os.getpid())
+        assert_bit_identical(result, clean_result)
+
+    def test_one_worker_runs_in_process(self, clean_result):
+        result, = run_jobs(tiny_jobs(1), n_jobs=1, cache=None)
+        assert result.worker == -1
+        assert_bit_identical(result, clean_result)
+
+    def test_single_kill_fault_fires_with_two_workers(self, clean_result):
+        """``kill`` needs a worker to die; a lone miss now has one."""
+        set_fault_plan({"j0": ["kill"]})
+        result, = run_jobs(tiny_jobs(1), n_jobs=2, cache=None,
+                           backoff_s=0.0)
+        assert result.attempts == 2
+        assert [f.kind for f in result.faults] == ["worker-crash"]
+        assert_bit_identical(result, clean_result)
 
 
 class TestRetryExhaustion:

@@ -11,6 +11,7 @@ side is plain blocking calls.
 import asyncio
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -330,7 +331,6 @@ class TestDedup:
                 deadline_stats = harness.client.status()
                 if deadline_stats["stats"]["submissions"] >= 8:
                     break
-                import time
                 time.sleep(0.05)
             assert deadline_stats["stats"]["submissions"] >= 8
             harness.client.resume()
@@ -514,6 +514,25 @@ class TestGracefulShutdown:
         assert [p["sub"] for p in pending] == \
             [p["submission"] for p in subs]
 
+    def test_sigterm_after_a_pooled_simulation_exits(self, tmp_path):
+        # The simulation forks a pool worker from an executor thread;
+        # SIGTERM must still end the daemon, whose exit terminates it.
+        import signal
+
+        proc, port = self._start_serve(tmp_path / "journal.jsonl")
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{port}",
+                                   tenant="test")
+            client.submit(tiny_request(), wait=True, wait_timeout_s=120)
+            assert client.status()["stats"]["pooled_simulations"] == 1
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
+
     def test_journal_append_after_close_is_dropped(self, tmp_path):
         # A completion racing shutdown must not raise into the
         # finishing task nor corrupt the sealed log.
@@ -540,8 +559,7 @@ class TestGracefulShutdown:
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             future = pool.submit(drain)
-            import time as _time
-            _time.sleep(0.3)  # let the stream attach
+            time.sleep(0.3)  # let the stream attach
             harness.stop()
             events = future.result(timeout=30)
         assert all(e["event"] != "result" for e in events)
@@ -636,3 +654,51 @@ class TestSanitizedSubmissions:
         assert done["result"]["sanitizer"]["clean"] is True
         plain_done = harness.client.wait(plain["submission"])
         assert "sanitizer" not in plain_done["result"]
+
+
+class TestPooledExecution:
+    """Untraced simulations run on the runner's warm pool, one-task
+    batches included, so the daemon's interpreter stays free and a
+    timeout preempts the simulation."""
+
+    def test_pooled_simulations_counts_every_untraced_run(
+            self, daemon_factory):
+        harness = daemon_factory()  # the default max_parallel=2
+        for n in (64, 128, 192):
+            launch, _, _ = build_vecadd_launch(n=n, block=64, grid=1)
+            harness.client.submit(tiny_request(launch=launch), wait=True,
+                                  wait_timeout_s=120)
+        stats = harness.client.status()["stats"]
+        assert stats["simulations"] == 3
+        assert stats["pooled_simulations"] == stats["simulations"]
+        assert all(type(v) is int for v in stats.values())
+
+    def test_one_slot_simulates_in_the_daemon(self, daemon_factory):
+        harness = daemon_factory(max_parallel=1)
+        harness.client.submit(tiny_request(), wait=True,
+                              wait_timeout_s=120)
+        stats = harness.client.status()["stats"]
+        assert stats["simulations"] == 1
+        assert stats["pooled_simulations"] == 0
+
+    def test_timeout_preempts_a_slow_labelled_request(
+            self, daemon_factory):
+        budget, slack = 0.4, 0.6
+        harness = daemon_factory(timeout_s=budget)
+        slow = SimRequest(config=gt240(), kernel="matrixMul")  # ~2.5 s
+        accepted = harness.client.submit(slow)
+        health_s = []
+        while harness.client.status()["running_tasks"]:
+            start = time.monotonic()
+            assert harness.client.healthz()["ok"] is True
+            health_s.append(time.monotonic() - start)
+            time.sleep(0.05)
+        with pytest.raises(ServiceError) as err:
+            harness.client.wait(accepted["submission"], timeout_s=60)
+        assert err.value.status == 500
+        failure = err.value.payload["failure"]
+        assert failure["kind"] == "timeout"
+        assert failure["attempts"] == 3
+        assert all(d < budget + slack
+                   for d in failure["attempt_durations"])
+        assert health_s and max(health_s) < 0.5

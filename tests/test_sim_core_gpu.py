@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
-from repro.sim import GPU, SimulationDeadlock, gt240, gtx580, simulate
+from repro.sim import GPU, gt240, gtx580, simulate
 from tests.conftest import build_vecadd_launch
 
 

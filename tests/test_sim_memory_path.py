@@ -1,7 +1,6 @@
 """Unit tests for the memory path: AGU, coalescer, shared memory banks."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

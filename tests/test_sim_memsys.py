@@ -1,6 +1,5 @@
 """Unit tests for the shared uncore memory system."""
 
-import pytest
 
 from repro.sim.config import gt240, gtx580
 from repro.sim.memsys import MemorySystem

@@ -6,7 +6,7 @@ import pytest
 from repro.sim import gt240, simulate
 from repro.sim.core import Core
 from repro.sim.memsys import MemorySystem
-from repro.workloads import all_kernel_launches, matmul
+from repro.workloads import matmul
 from tests.conftest import build_vecadd_launch
 
 POLICIES = ("rr", "gto", "two_level")

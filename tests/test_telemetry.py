@@ -16,13 +16,12 @@ from repro.core import GPUSimPow
 from repro.request import SimRequest
 from repro.runner import SimJob, run_jobs
 from repro.runner.cache import ResultCache, request_key
-from repro.sim import gt240
 from repro.sim.activity import ActivityReport
 from repro.sim.gpu import SimulationOutput, simulate
-from repro.telemetry import (ActivityTracer, ActivityWindow, CollectingSink,
-                             NullSink, PowerTrace, TraceSink, chrome_trace,
-                             render_trace, sparkline, sum_windows,
-                             windows_from_dicts, windows_to_dicts)
+from repro.telemetry import (ActivityTracer, CollectingSink, NullSink,
+                             PowerTrace, TraceSink, chrome_trace, render_trace,
+                             sparkline, sum_windows, windows_from_dicts,
+                             windows_to_dicts)
 from repro.workloads import build_benchmark
 
 from tests.conftest import build_vecadd_launch

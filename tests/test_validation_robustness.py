@@ -6,7 +6,6 @@ different manufactured channels and noise must leave the per-kernel
 errors nearly unchanged.
 """
 
-import numpy as np
 import pytest
 
 from repro import gt240, validate_suite
