@@ -16,10 +16,14 @@ ReconvergenceStack`) measures them exactly for the sampled warps, and
 GPU kernels are overwhelmingly homogeneous across blocks -- the paper's
 own Table I workloads all are.
 
-Per-component activity counts mirror the cycle simulator's accounting
-formulas (one warp-wide operand read touches ``ceil(lanes/4)`` banks,
-one issue costs two WST reads and one write, a coalesced access emits
-one transaction per distinct segment, ...) so the produced
+The memory-path counts *are* the cycle simulator's: each sampled block
+drives a real :class:`~repro.sim.ldst.LoadStoreUnit` (AGU, coalescer,
+bank-conflict unit, L1/constant/texture caches) in front of a
+contention-free L2/DRAM counting model, and its counters are read with
+the cycle engine's :func:`~repro.sim.shard.accumulate_ldst`.  The
+remaining counts follow the cycle simulator's formulas (one warp-wide
+operand read touches ``ceil(lanes/4)`` banks, one issue costs two WST
+reads and one write, ...), so the produced
 :class:`~repro.sim.activity.ActivityReport` feeds the unchanged power
 model.  The cycle estimate is::
 
@@ -55,10 +59,19 @@ from ..sim.dram import refresh_operations
 from ..sim.functional import (WarpContext, branch_taken_mask,
                               memory_addresses)
 from ..sim.gpu import SimulationOutput
+from ..sim.ldst import LoadStoreUnit
+from ..sim.shard import accumulate_ldst
 from ..sim.stack import ReconvergenceStack
 from ..sim.wcu import INSTRUCTION_BYTES
 from .base import (BackendCapabilities, BackendError, BackendInfo,
                    SimulationBackend)
+
+
+#: Blocks and warps per block the profile executes, and its budget of
+#: dynamic warp instructions over all of them.
+MAX_SAMPLE_BLOCKS = 2
+MAX_SAMPLE_WARPS = 1
+MAX_PROFILE_INSTRUCTIONS = 2_000_000
 
 
 def _sample_indices(n: int, k: int) -> List[int]:
@@ -101,57 +114,16 @@ class _WarpState:
 class _Tally:
     """Raw counts accumulated over all sampled warps (pre-scaling)."""
 
-    issued: int = 0
     warps_profiled: int = 0
-    branches: int = 0
-    divergent: int = 0
-    barriers: int = 0
-    stack_pushes: int = 0
-    stack_pops: int = 0
-    stack_reads: int = 0
-    dst_writes: int = 0               # instructions writing a register
-    unit_warp: Dict[str, int] = field(
-        default_factory=lambda: {"int": 0, "fp": 0, "sfu": 0})
+    #: Counted events named as in the report: issue, stack and register
+    #: file from the warps, the rest from the sampled blocks' LDST units
+    #: and the uncore model.
+    counts: ActivityReport = field(default_factory=ActivityReport)
     unit_lanes: Dict[str, int] = field(
         default_factory=lambda: {"int": 0, "fp": 0, "sfu": 0})
     unit_occ: Dict[str, float] = field(
         default_factory=lambda: {"int": 0.0, "fp": 0.0, "sfu": 0.0})
-    # Register file.
-    rf_reads: int = 0
-    rf_writes: int = 0
-    rf_bank: int = 0
-    coll_reads: int = 0
-    coll_writes: int = 0
-    rf_xbar: int = 0
-    # LDST.
-    mem_insts: int = 0
-    agu_ops: int = 0
     ldst_occ: float = 0.0             # cycles the LDSTU is occupied
-    coal_accesses: int = 0
-    coal_prt: int = 0
-    mem_txns: int = 0
-    l1_reads: int = 0
-    l1_writes: int = 0
-    l1_misses: int = 0
-    const_reads: int = 0
-    const_misses: int = 0
-    tex_requests: int = 0
-    tex_accesses: int = 0
-    tex_misses: int = 0
-    smem_accesses: int = 0
-    smem_conflicts: int = 0
-    smem_xbar: int = 0
-    smem_checks: int = 0
-    # Uncore.
-    noc_flits: int = 0
-    l2_reads: int = 0
-    l2_writes: int = 0
-    l2_misses: int = 0
-    mc_accesses: int = 0
-    dram_reads: int = 0
-    dram_writes: int = 0
-    dram_activates: int = 0
-    dram_precharges: int = 0
     dram_bytes: float = 0.0           # data moved to/from DRAM
     chain_total: float = 0.0          # sum of per-warp chain estimates
 
@@ -172,13 +144,6 @@ class AnalyticalBackend(SimulationBackend):
         auto=True,
         description="sampled-profile closed-form estimator")
 
-    def __init__(self, max_sample_blocks: int = 2,
-                 max_sample_warps: int = 1,
-                 max_profile_instructions: int = 2_000_000) -> None:
-        self.max_sample_blocks = max_sample_blocks
-        self.max_sample_warps = max_sample_warps
-        self.max_profile_instructions = max_profile_instructions
-
     # -- entry point --------------------------------------------------------
 
     def simulate(self, config: GPUConfig, launch: KernelLaunch, *,
@@ -189,27 +154,23 @@ class AnalyticalBackend(SimulationBackend):
         kernel = launch.kernel
         if gmem is None:
             gmem = launch.build_global_memory()
-        cmem = launch.const_init
-        if cmem is None:
-            cmem = np.zeros(1, dtype=np.float64)
 
         n_blocks = launch.grid.count
         threads = launch.block.count
         warp_size = config.warp_size
         warps_per_block = -(-threads // warp_size)
 
-        block_ids = _sample_indices(n_blocks, self.max_sample_blocks)
-        warp_ids = _sample_indices(warps_per_block, self.max_sample_warps)
+        block_ids = _sample_indices(n_blocks, MAX_SAMPLE_BLOCKS)
+        warp_ids = _sample_indices(warps_per_block, MAX_SAMPLE_WARPS)
 
         tally = _Tally()
-        mc_cold = _UncoreState(config)
-        budget = [self.max_profile_instructions]
+        mc_cold = _UncoreState(config, tally)
+        budget = [MAX_PROFILE_INSTRUCTIONS]
         # The cycle engine's decode: the same compiled ALU executors.
         table = decode_kernel(kernel, warp_size)
         for block_id in block_ids:
             self._profile_block(tally, mc_cold, config, kernel, table,
-                                launch, block_id, gmem, cmem, warp_ids,
-                                budget)
+                                launch, block_id, gmem, warp_ids, budget)
 
         activity, cycles = self._extrapolate(
             tally, config, launch, n_sampled_blocks=len(block_ids),
@@ -231,13 +192,15 @@ class AnalyticalBackend(SimulationBackend):
                        config: GPUConfig, kernel: Kernel,
                        table: DecodeTable,
                        launch: KernelLaunch, block_id: int,
-                       gmem: np.ndarray, cmem: np.ndarray,
-                       warp_ids: List[int], budget: List[int]) -> None:
+                       gmem: np.ndarray, warp_ids: List[int],
+                       budget: List[int]) -> None:
         threads = launch.block.count
         warp_size = config.warp_size
         smem = np.zeros(max(1, kernel.smem_words), dtype=np.float64)
         lane = np.arange(warp_size, dtype=np.float64)
-        caches = _CoreCaches(config)
+        # A fresh unit per block, like a cold core: cross-block reuse
+        # inside one core is ignored (a first-order approximation).
+        ldst = LoadStoreUnit(config, uncore, gmem, launch.const_init)
 
         warps: List[_WarpState] = []
         for w in warp_ids:
@@ -264,8 +227,8 @@ class AnalyticalBackend(SimulationBackend):
         while live:
             for ws in live:
                 if not ws.at_barrier:
-                    self._run_warp(ws, tally, uncore, caches, config,
-                                   kernel, table, gmem, cmem, smem, budget)
+                    self._run_warp(ws, tally, ldst, config, kernel, table,
+                                   smem, budget)
             live = [w for w in live if not w.done]
             if live:
                 if not all(w.at_barrier for w in live):
@@ -280,21 +243,17 @@ class AnalyticalBackend(SimulationBackend):
                     w.at_barrier = False
                     w.t = t_sync
 
+        counts = tally.counts
         for ws in warps:
             tally.warps_profiled += 1
-            tally.stack_pushes += ws.stack.pushes
-            tally.stack_pops += ws.stack.pops
+            counts.stack_pushes += ws.stack.pushes
+            counts.stack_pops += ws.stack.pops
             tally.chain_total += ws.t
-        tally.l1_reads += caches.l1_reads
-        tally.l1_writes += caches.l1_writes
-        tally.l1_misses += caches.l1_misses
-        tally.const_misses += caches.const_misses
-        tally.tex_misses += caches.tex_misses
+        accumulate_ldst(counts, ldst)
 
     def _run_warp(self, ws: _WarpState, tally: _Tally,
-                  uncore: "_UncoreState", caches: "_CoreCaches",
-                  config: GPUConfig, kernel: Kernel, table: DecodeTable,
-                  gmem: np.ndarray, cmem: np.ndarray, smem: np.ndarray,
+                  ldst: LoadStoreUnit, config: GPUConfig, kernel: Kernel,
+                  table: DecodeTable, smem: np.ndarray,
                   budget: List[int]) -> None:
         """Execute one warp until it exits or reaches a barrier.
 
@@ -319,31 +278,29 @@ class AnalyticalBackend(SimulationBackend):
             u: occ + (config.sfu_latency_cycles if u == "sfu"
                       else config.alu_latency_cycles)
             for u, occ in occ_by_unit.items()}
-        unit_warp, unit_lanes, unit_occ = (tally.unit_warp,
-                                           tally.unit_lanes,
-                                           tally.unit_occ)
+        unit_lanes, unit_occ = tally.unit_lanes, tally.unit_occ
         stack_advance = stack.advance
         guard_mask = ctx.guard_mask
         tokens = stack._tokens
         left = budget[0]
         n_issued = n_branch = n_div = rf_reads = rf_bank = 0
-        coll_reads = coll_writes = rf_xbar = rf_writes = dst_writes = 0
+        coll_reads = coll_writes = rf_xbar = rf_writes = 0
         last_mask = None
         last_lanes = 0
 
         def flush() -> None:
             budget[0] = left
-            tally.issued += n_issued
-            tally.stack_reads += n_issued
-            tally.branches += n_branch
-            tally.divergent += n_div
-            tally.rf_reads += rf_reads
-            tally.rf_writes += rf_writes
-            tally.rf_bank += rf_bank
-            tally.coll_reads += coll_reads
-            tally.coll_writes += coll_writes
-            tally.rf_xbar += rf_xbar
-            tally.dst_writes += dst_writes
+            counts = tally.counts
+            counts.issued_instructions += n_issued
+            counts.stack_reads += n_issued
+            counts.branches += n_branch
+            counts.divergent_branches += n_div
+            counts.rf_reads += rf_reads
+            counts.rf_writes += rf_writes
+            counts.rf_bank_accesses += rf_bank
+            counts.collector_reads += coll_reads
+            counts.collector_writes += coll_writes
+            counts.rf_xbar_transfers += rf_xbar
             ws.t = t
 
         while True:
@@ -361,7 +318,7 @@ class AnalyticalBackend(SimulationBackend):
             if left < 0:
                 raise BackendError(
                     f"analytical profile exceeded "
-                    f"{self.max_profile_instructions} instructions in "
+                    f"{MAX_PROFILE_INSTRUCTIONS} instructions in "
                     f"kernel {kernel.name!r} -- kernel too irregular for "
                     f"the sampled estimator"
                 )
@@ -390,7 +347,7 @@ class AnalyticalBackend(SimulationBackend):
                         n_div += 1
                     t += branch_latency
                 elif op == "BAR":
-                    tally.barriers += 1
+                    tally.counts.barriers += 1
                     stack_advance(pc + 1)
                     ws.at_barrier = True
                     flush()
@@ -430,15 +387,11 @@ class AnalyticalBackend(SimulationBackend):
                 rf_writes += 1
                 rf_bank += per_op
                 rf_xbar += per_op
-                dst_writes += 1
 
             if unit == "mem":
-                latency = self._mem_access(inst, ctx, mask, lanes, tally,
-                                           uncore, caches, config, gmem,
-                                           cmem, smem)
+                latency = _mem_access(ldst, inst, ctx, mask, smem, tally)
                 stack_advance(pc + 1)
             else:
-                unit_warp[unit] += 1
                 unit_lanes[unit] += lanes
                 unit_occ[unit] += occ_by_unit[unit]
                 latency = lat_by_unit[unit]
@@ -460,157 +413,6 @@ class AnalyticalBackend(SimulationBackend):
                 # No scoreboard: the warp blocks until completion, so
                 # the full latency lands on the issue chain itself.
                 t = start + latency
-
-    # -- memory-path accounting ---------------------------------------------
-
-    @staticmethod
-    def _clamped(addrs, limit: int):
-        """(address list, min, max) clamped into ``[0, limit)``.
-
-        Sampled warps can chase values other (unsampled) warps would
-        have produced; clamp rather than fault -- this is an estimator,
-        not a functional checker.  The Python-list round trip is
-        deliberate: every downstream consumer (sets, per-address cache
-        lookups) wants scalars, and ``tolist`` once beats ``np.unique``
-        / ``np.clip`` on warp-sized arrays by an order of magnitude.
-        """
-        alist = addrs.tolist()
-        lo = min(alist)
-        hi = max(alist)
-        if lo < 0 or hi >= limit:
-            top = limit - 1
-            alist = [0 if a < 0 else (top if a > top else a) for a in alist]
-            lo = max(0, min(lo, top))
-            hi = max(0, min(hi, top))
-        return alist, lo, hi
-
-    def _mem_access(self, inst, ctx, mask, lanes, tally: _Tally,
-                    uncore: "_UncoreState", caches: "_CoreCaches",
-                    config: GPUConfig, gmem, cmem, smem) -> float:
-        """Account one memory instruction; returns its latency estimate."""
-        tally.mem_insts += 1
-        addrs = memory_addresses(inst, ctx, mask)
-        n_addr = len(addrs)
-        agu_cycles = 0
-        if n_addr > 0:
-            activations = math.ceil(n_addr / config.sub_agu_width)
-            tally.agu_ops += activations
-            agu_cycles = math.ceil(activations / config.n_sub_agus)
-        space = inst.mem_space
-
-        if space == "global":
-            is_write = inst.is_store
-            occupancy = 0
-            latency = 1.0
-            if n_addr:
-                alist, _, _ = self._clamped(addrs, len(gmem))
-                size = (config.coalesce_segment_bytes
-                        if config.coalescing_enabled else 32)
-                bases = sorted({(a * 4) // size for a in alist})
-                n_txn = len(bases)
-                tally.coal_accesses += 1
-                tally.coal_prt += n_txn
-                tally.mem_txns += n_txn
-                occupancy = n_txn
-                # Load latency is the worst tier any segment reaches:
-                # L1 hit, L2 hit, or the full DRAM round trip.
-                latency = (config.l1_latency_shader_cycles
-                           if caches.l1 is not None else 1.0)
-                for seg in bases:
-                    base = seg * size
-                    served_by_l1 = False
-                    if caches.l1 is not None:
-                        if is_write:
-                            # Write-through, no-write-allocate.
-                            caches.l1.lookup(base, is_write=True,
-                                             allocate=False)
-                        elif caches.l1.lookup(base, is_write=False):
-                            served_by_l1 = True
-                    if not served_by_l1:
-                        in_l2 = uncore.transaction(base, size, is_write,
-                                                   tally)
-                        tier = (uncore.l2_latency if in_l2
-                                else uncore.global_latency)
-                        if tier > latency:
-                            latency = tier
-            if is_write:
-                if n_addr:
-                    gmem[alist] = ctx.read(inst.srcs[1])[mask]
-                latency = 4.0  # store-buffer handoff, not DRAM completion
-            elif n_addr:
-                ctx.regs[inst.dst.index][mask] = gmem[alist]
-            tally.ldst_occ += max(agu_cycles, occupancy, 1)
-
-        elif space == "shared":
-            occupancy = 1
-            latency = float(config.smem_latency_cycles)
-            if n_addr:
-                alist, lo, hi = self._clamped(addrs, len(smem))
-                distinct = set(alist)
-                n_banks = config.smem_banks
-                if len(distinct) <= n_banks and hi - lo + 1 == len(distinct):
-                    # Contiguous range no wider than the bank count:
-                    # every address maps to a different bank.
-                    phases = 1
-                else:
-                    per_bank: Dict[int, int] = {}
-                    for a in distinct:
-                        bank = a % n_banks
-                        per_bank[bank] = per_bank.get(bank, 0) + 1
-                    phases = max(per_bank.values())
-                tally.smem_checks += 1
-                tally.smem_accesses += len(distinct)
-                tally.smem_conflicts += phases - 1
-                tally.smem_xbar += n_addr
-                occupancy = max(1, phases)
-                latency += phases - 1
-                if inst.is_store:
-                    smem[alist] = ctx.read(inst.srcs[1])[mask]
-                else:
-                    ctx.regs[inst.dst.index][mask] = smem[alist]
-            tally.ldst_occ += max(agu_cycles, occupancy, 1)
-
-        elif space == "const":
-            occupancy = 1
-            latency = float(config.l1_latency_shader_cycles)
-            if n_addr:
-                alist, _, _ = self._clamped(addrs, len(cmem))
-                distinct = sorted(set(alist))
-                tally.const_reads += len(distinct)
-                occupancy = max(1, len(distinct))
-                for addr in distinct:
-                    base = addr * 4
-                    if not caches.const.lookup(base, is_write=False):
-                        uncore.transaction(base, config.const_cache_line,
-                                           False, tally)
-                ctx.regs[inst.dst.index][mask] = cmem[alist]
-            tally.ldst_occ += max(agu_cycles, occupancy, 1)
-
-        elif space == "texture":
-            if caches.tex is None:
-                raise BackendError(
-                    "texture fetch on a configuration without a texture "
-                    "cache (set tex_cache_size > 0)"
-                )
-            occupancy = 1
-            latency = float(config.l1_latency_shader_cycles)
-            if n_addr:
-                alist, _, _ = self._clamped(addrs, len(gmem))
-                tex_line = config.tex_cache_line
-                lines = sorted({(a * 4) // tex_line for a in alist})
-                tally.tex_requests += n_addr
-                tally.tex_accesses += len(lines)
-                occupancy = max(1, len(lines))
-                for line in lines:
-                    base = line * tex_line
-                    if not caches.tex.lookup(base, is_write=False):
-                        uncore.transaction(base, tex_line, False, tally)
-                ctx.regs[inst.dst.index][mask] = gmem[alist]
-            tally.ldst_occ += max(agu_cycles, occupancy, 1)
-        else:
-            raise BackendError(f"unknown memory space {space!r}")
-
-        return latency
 
     # -- extrapolation -------------------------------------------------------
 
@@ -637,7 +439,8 @@ class AnalyticalBackend(SimulationBackend):
         # Per-block averages from the sample (warp-extrapolated).
         warp_scale = warps_per_block / n_sampled_warps
         per_block = warp_scale / max(1, n_sampled_blocks)
-        issue_block = tally.issued * per_block
+        counts = tally.counts
+        issue_block = counts.issued_instructions * per_block
         ldst_block = tally.ldst_occ * per_block
         unit_block = {u: tally.unit_occ[u] * per_block
                       for u in tally.unit_occ}
@@ -667,8 +470,10 @@ class AnalyticalBackend(SimulationBackend):
         act.active_cores = n_active
         act.active_clusters = min(config.n_clusters, n_blocks)
 
-        issued = tally.issued * f
-        act.issued_instructions = issued
+        # Every counted event scales from the sample to the grid.
+        for name in _COUNTED:
+            setattr(act, name, getattr(counts, name) * f)
+        issued = act.issued_instructions
         act.fetches = issued
         act.decodes = issued
         act.icache_reads = issued
@@ -681,7 +486,7 @@ class AnalyticalBackend(SimulationBackend):
         act.ibuffer_searches = issued
         act.ibuffer_writes = issued
         # reserve + release each write once per register-writing inst.
-        act.scoreboard_writes = 2.0 * tally.dst_writes * f
+        act.scoreboard_writes = 2.0 * counts.rf_writes * f
         act.scoreboard_searches = issued if config.has_scoreboard else 0.0
 
         busy_per_core = min(
@@ -693,106 +498,77 @@ class AnalyticalBackend(SimulationBackend):
         act.fetch_scheduler_ops = act.core_busy_cycles + stall
         act.issue_scheduler_ops = act.core_busy_cycles + stall
 
-        act.stack_pushes = tally.stack_pushes * f
-        act.stack_pops = tally.stack_pops * f
-        act.stack_reads = tally.stack_reads * f
-        act.branches = tally.branches * f
-        act.divergent_branches = tally.divergent * f
-        act.barriers = tally.barriers * f
-
         act.int_ops = tally.unit_lanes["int"] * f
         act.fp_ops = tally.unit_lanes["fp"] * f
         act.sfu_ops = tally.unit_lanes["sfu"] * f
 
-        act.rf_reads = tally.rf_reads * f
-        act.rf_writes = tally.rf_writes * f
-        act.rf_bank_accesses = tally.rf_bank * f
-        act.collector_reads = tally.coll_reads * f
-        act.collector_writes = tally.coll_writes * f
-        act.rf_xbar_transfers = tally.rf_xbar * f
-
-        act.mem_instructions = tally.mem_insts * f
-        act.agu_ops = tally.agu_ops * f
-        act.coalescer_accesses = tally.coal_accesses * f
-        act.coalescer_prt_writes = tally.coal_prt * f
-        act.mem_transactions = tally.mem_txns * f
-        act.smem_accesses = tally.smem_accesses * f
-        act.smem_conflict_cycles = tally.smem_conflicts * f
-        act.smem_xbar_transfers = tally.smem_xbar * f
-        act.bank_conflict_checks = tally.smem_checks * f
-        act.l1_reads = tally.l1_reads * f
-        act.l1_writes = tally.l1_writes * f
-        act.l1_misses = min(tally.l1_misses * f,
-                            act.l1_reads + act.l1_writes)
-        act.const_reads = tally.const_reads * f
-        act.const_misses = min(tally.const_misses * f, act.const_reads)
-        act.tex_requests = tally.tex_requests * f
-        act.tex_accesses = tally.tex_accesses * f
-        act.tex_misses = min(tally.tex_misses * f, act.tex_accesses)
-
-        act.noc_flits = tally.noc_flits * f
-        act.l2_reads = tally.l2_reads * f
-        act.l2_writes = tally.l2_writes * f
-        act.l2_misses = min(tally.l2_misses * f,
-                            act.l2_reads + act.l2_writes)
-        act.mc_accesses = tally.mc_accesses * f
-        act.dram_reads = tally.dram_reads * f
-        act.dram_writes = tally.dram_writes * f
-        act.dram_activates = tally.dram_activates * f
-        act.dram_precharges = min(tally.dram_precharges * f,
-                                  act.dram_activates)
+        act.l1_misses = min(act.l1_misses, act.l1_reads + act.l1_writes)
+        act.const_misses = min(act.const_misses, act.const_reads)
+        act.tex_misses = min(act.tex_misses, act.tex_accesses)
+        act.l2_misses = min(act.l2_misses, act.l2_reads + act.l2_writes)
+        act.dram_precharges = min(act.dram_precharges, act.dram_activates)
         act.dram_refreshes = refresh_operations(config, act.runtime_s)
         return act, cycles
 
 
-class _CoreCaches:
-    """Per-sampled-block cache models (fresh per block, like a cold core).
+#: The events ``_Tally.counts`` holds.
+_COUNTED = (
+    "issued_instructions", "stack_pushes", "stack_pops", "stack_reads",
+    "branches", "divergent_branches", "barriers", "rf_reads", "rf_writes",
+    "rf_bank_accesses", "collector_reads", "collector_writes",
+    "rf_xbar_transfers",
+    "mem_instructions", "agu_ops", "coalescer_accesses",
+    "coalescer_prt_writes", "mem_transactions", "smem_accesses",
+    "smem_conflict_cycles", "smem_xbar_transfers", "bank_conflict_checks",
+    "l1_reads", "l1_writes", "l1_misses", "const_reads", "const_misses",
+    "tex_requests", "tex_accesses", "tex_misses",
+    "noc_flits", "l2_reads", "l2_writes", "l2_misses", "mc_accesses",
+    "dram_reads", "dram_writes", "dram_activates", "dram_precharges",
+)
 
-    The counters mirror what one core's LDSTU caches would record for
-    this block; cross-block reuse inside one core is ignored -- a
-    first-order approximation the validation harness quantifies.
+
+def _mem_access(ldst: LoadStoreUnit, inst, ctx: WarpContext, mask,
+                smem: np.ndarray, tally: _Tally) -> float:
+    """Run one memory instruction through the sampled block's LDST unit
+    and return its latency estimate.
+
+    Three rules are the estimator's own.  A sampled warp can chase
+    values that unsampled warps would have produced, so an address
+    outside the space is clamped into it rather than faulted on.  A
+    constant or texture fetch costs the L1 latency even when it misses.
+    A space the unit cannot serve (a texture fetch without a texture
+    cache) is a :class:`BackendError`.
     """
-
-    def __init__(self, config: GPUConfig) -> None:
-        self.l1: Optional[SetAssocCache] = None
-        if config.l1_size > 0:
-            self.l1 = SetAssocCache(config.l1_size, config.l1_line,
-                                    config.l1_assoc, name="L1D~")
-        self.const = SetAssocCache(config.const_cache_size,
-                                   config.const_cache_line,
-                                   config.const_cache_assoc, name="constL1~")
-        self.tex: Optional[SetAssocCache] = None
-        if config.tex_cache_size > 0:
-            self.tex = SetAssocCache(config.tex_cache_size,
-                                     config.tex_cache_line,
-                                     config.tex_cache_assoc, name="texL1~")
-
-    @property
-    def l1_reads(self) -> int:
-        return self.l1.reads if self.l1 is not None else 0
-
-    @property
-    def l1_writes(self) -> int:
-        return self.l1.writes if self.l1 is not None else 0
-
-    @property
-    def l1_misses(self) -> int:
-        return self.l1.misses if self.l1 is not None else 0
-
-    @property
-    def const_misses(self) -> int:
-        return self.const.misses
-
-    @property
-    def tex_misses(self) -> int:
-        return self.tex.misses if self.tex is not None else 0
+    space = inst.mem_space
+    try:
+        memory = ldst.memory_for(space, smem)
+    except (RuntimeError, ValueError) as exc:
+        raise BackendError(str(exc)) from exc
+    addrs = memory_addresses(inst, ctx, mask)
+    words = addrs.tolist()
+    top = len(memory) - 1
+    if words and (min(words) < 0 or max(words) > top):
+        words = [0 if a < 0 else (top if a > top else a) for a in words]
+        addrs = words
+    # Time 0: the completion is the latency itself.
+    completion, busy = ldst.access(inst, ctx, mask, addrs, words, memory,
+                                   0.0)
+    tally.ldst_occ += busy
+    if space == "const" or space == "texture":
+        return float(ldst.config.l1_latency_shader_cycles)
+    return completion
 
 
 class _UncoreState:
-    """Shared L2 / memory-controller / DRAM open-row counting model."""
+    """Shared L2 / memory-controller / DRAM open-row counting model.
 
-    def __init__(self, config: GPUConfig) -> None:
+    Stands in for :class:`~repro.sim.memsys.MemorySystem` behind the
+    sampled blocks' load/store units: the same counts, no contention.
+    """
+
+    def __init__(self, config: GPUConfig, tally: _Tally) -> None:
         self.config = config
+        self.tally = tally
         self.l2: Optional[List[SetAssocCache]] = None
         if config.has_l2:
             per_bank = config.l2_size // config.n_mem_partitions
@@ -814,33 +590,36 @@ class _UncoreState:
             + noc_round_trip
         )
 
-    def transaction(self, addr: int, size: int, is_write: bool,
-                    tally: _Tally) -> bool:
-        """One post-L1 memory transaction (mirrors MemorySystem counts).
+    def transaction(self, addr: int, size: int, now: float,
+                    is_write: bool) -> float:
+        """One post-L1 memory transaction; returns its completion time.
 
-        Returns True when the L2 served it (no DRAM involvement).
+        Counts what :meth:`MemorySystem.transaction` counts and answers
+        ``now`` plus the round trip of the tier that served it: the L2
+        on a hit, DRAM otherwise.
         """
         cfg = self.config
+        mem = self.tally.counts
         request_bytes = size if is_write else 8
-        tally.noc_flits += 1 + -(-request_bytes // cfg.noc_flit_bytes)
+        mem.noc_flits += 1 + -(-request_bytes // cfg.noc_flit_bytes)
         if self.l2 is not None:
             partition = (addr // cfg.l2_line) % cfg.n_mem_partitions
             bank = self.l2[partition]
             hit = bank.lookup(addr, is_write=is_write, allocate=not is_write)
             if is_write:
-                tally.l2_writes += 1
+                mem.l2_writes += 1
             else:
-                tally.l2_reads += 1
+                mem.l2_reads += 1
             if hit:
-                return True
-            tally.l2_misses += 1
-        tally.mc_accesses += 1
-        self._dram_fill(addr, size, is_write, tally)
-        return False
+                return now + self.l2_latency
+            mem.l2_misses += 1
+        mem.mc_accesses += 1
+        self._dram_fill(addr, size, is_write)
+        return now + self.global_latency
 
-    def _dram_fill(self, addr: int, size: int, is_write: bool,
-                   tally: _Tally) -> None:
+    def _dram_fill(self, addr: int, size: int, is_write: bool) -> None:
         cfg = self.config
+        mem = self.tally.counts
         burst = cfg.dram_burst_bytes
         offset = 0
         while offset < size:
@@ -854,12 +633,12 @@ class _UncoreState:
             open_row = self.open_rows.get(key, -1)
             if open_row != row_id:
                 if open_row >= 0:
-                    tally.dram_precharges += 1
-                tally.dram_activates += 1
+                    mem.dram_precharges += 1
+                mem.dram_activates += 1
                 self.open_rows[key] = row_id
             if is_write:
-                tally.dram_writes += 1
+                mem.dram_writes += 1
             else:
-                tally.dram_reads += 1
-            tally.dram_bytes += min(burst, size - offset)
+                mem.dram_reads += 1
+            self.tally.dram_bytes += min(burst, size - offset)
             offset += burst

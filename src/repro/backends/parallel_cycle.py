@@ -48,7 +48,8 @@ from ..sim.core import Core, max_resident_blocks
 from ..sim.dram import refresh_operations
 from ..sim.gpu import GPU, SimulationOutput
 from ..sim.memsys import MemorySystem
-from ..sim.shard import BoundaryRecorder, ShardEngine, plan_initial_placement
+from ..sim.shard import (BoundaryRecorder, ShardEngine, dispatch_order,
+                         plan_initial_placement)
 from ..telemetry.window import _COUNTER_FIELDS
 from .base import BackendCapabilities, BackendInfo, SimulationBackend
 
@@ -69,15 +70,6 @@ RATIO_CAP = 8.0
 #: coordinator replace the symmetry prior (everyone looks like me) with
 #: a measured traffic ratio soon after launch, even for large epochs.
 WARMUP_CYCLES = 32.0
-
-
-def _dispatch_order(config: GPUConfig) -> List[int]:
-    """The Fig. 4 breadth-first-over-clusters global dispatch order."""
-    return [
-        cluster * config.cores_per_cluster + slot
-        for slot in range(config.cores_per_cluster)
-        for cluster in range(config.n_clusters)
-    ]
 
 
 def _shard_core_ids(config: GPUConfig, n_shards: int) -> List[List[int]]:
@@ -366,7 +358,7 @@ class ParallelCycleBackend(SimulationBackend):
     def _run_sharded(self, config, launch, max_cycles, gmem, tracer,
                      epoch, n_shards, use_procs,
                      sanitize=False) -> SimulationOutput:
-        order = _dispatch_order(config)
+        order = dispatch_order(config)
         core_sets = _shard_core_ids(config, n_shards)
         owner = {cid: k for k, ids in enumerate(core_sets) for cid in ids}
 

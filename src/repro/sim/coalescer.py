@@ -30,21 +30,21 @@ class Coalescer:
         self.transactions = 0      # memory transactions emitted
         self.addresses = 0         # lane addresses examined
 
-    def coalesce(self, byte_addresses: Sequence[int]) -> List[Tuple[int, int]]:
+    def coalesce(self, words: Sequence[int]) -> List[Tuple[int, int]]:
         """Coalesce one warp's lane addresses.
 
         Args:
-            byte_addresses: byte address per participating lane (the
+            words: 32-bit word address per participating lane (the
                 load/store unit passes a list).
 
         Returns:
             List of ``(segment_base_byte_address, size_bytes)``
             transactions, one per distinct segment.
         """
-        if len(byte_addresses) == 0:
+        if len(words) == 0:
             return []
         self.accesses += 1
-        self.addresses += len(byte_addresses)
+        self.addresses += len(words)
         if not self.config.coalescing_enabled:
             # Ablation mode: every distinct address becomes its own
             # 32-byte transaction (pre-coalescing GPU behaviour).
@@ -52,8 +52,11 @@ class Coalescer:
         else:
             size = self.segment_bytes
         # Distinct segments in ascending order (np.unique's order; a
-        # set is cheaper on 32-lane vectors).
-        segments = sorted({a // size for a in byte_addresses})
+        # set is cheaper on 32-lane vectors).  Segment sizes are whole
+        # words, so dividing word addresses by the words per segment
+        # gives each lane's segment without a byte address.
+        per_segment = size // 4
+        segments = sorted({a // per_segment for a in words})
         n = len(segments)
         self.prt_writes += n
         self.transactions += n

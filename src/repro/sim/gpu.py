@@ -22,10 +22,11 @@ import numpy as np
 from ..isa.launch import KernelLaunch
 from .activity import ActivityReport
 from .config import GPUConfig
-from .core import Core, SimulationDeadlock
+from .core import Core, SimulationDeadlock, max_resident_blocks
 from .functional import VECTORIZED, FunctionalBinding
 from .memsys import MemorySystem
-from .shard import ShardEngine, accumulate_core, accumulate_memsys
+from .shard import (ShardEngine, accumulate_core, accumulate_memsys,
+                    dispatch_order, plan_initial_placement)
 
 if TYPE_CHECKING:  # telemetry imports sim, never the other way around
     from ..telemetry.sink import ActivityTracer
@@ -101,13 +102,7 @@ class GPU:
             Core(i, config, self.memsys, functional)
             for i in range(config.n_cores)
         ]
-        # Breadth-first-over-clusters dispatch order (Fig. 4 policy):
-        # core 0 of every cluster, then core 1 of every cluster, ...
-        self._dispatch_order = [
-            cluster * config.cores_per_cluster + slot
-            for slot in range(config.cores_per_cluster)
-            for cluster in range(config.n_clusters)
-        ]
+        self._dispatch_order = dispatch_order(config)
 
     def run(self, launch: KernelLaunch, max_cycles: float = 5e8,
             gmem: Optional[np.ndarray] = None,
@@ -153,8 +148,12 @@ class GPU:
             for core in self.cores:
                 core.sanitizer = sanitizer
 
-        engine.extend_queue(range(launch.grid.count))
-        engine.place_initial()
+        capacity = max_resident_blocks(config, launch.kernel,
+                                       launch.block.count)
+        placed, n_placed = plan_initial_placement(
+            self._dispatch_order, capacity, launch.grid.count)
+        engine.load_assignments(placed)
+        engine.extend_queue(range(n_placed, launch.grid.count))
         engine.seed()
         try:
             engine.step_epoch(None, max_cycles, launch.kernel.name)

@@ -13,7 +13,7 @@ functional access (values) and the timing accounting.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class LoadStoreUnit:
         self.tex_requests = 0
         self.tex_accesses = 0
         self.tex_misses = 0
+        self._by_space = {"global": self._global_access,
+                          "shared": self._shared_access,
+                          "const": self._const_access,
+                          "texture": self._texture_access}
 
     def execute(self, inst: Instruction, ctx: WarpContext,
                 mask: np.ndarray, smem: np.ndarray, now: float) -> float:
@@ -76,46 +80,59 @@ class LoadStoreUnit:
         """
         if self.busy_until > now:
             raise RuntimeError("LDST unit busy")
-        self.instructions += 1
         addrs = memory_addresses(inst, ctx, mask)
         # One Python list feeds the bounds check and the bank-conflict,
         # coalescing and cache-line models (sets and per-address
         # lookups want scalars).
         words = addrs.tolist()
-        agu_cycles = self.agu.generate(len(words))
+        memory = self.memory_for(inst.mem_space, smem)
+        if words and (min(words) < 0 or max(words) >= len(memory)):
+            raise _out_of_bounds(inst, inst.mem_space, words, len(memory))
+        completion, busy = self.access(inst, ctx, mask, addrs, words,
+                                       memory, now)
+        self.busy_until = now + busy
+        return completion
 
-        space = inst.mem_space
+    def memory_for(self, space: str, smem: np.ndarray) -> np.ndarray:
+        """The word array a ``space`` access reads and writes."""
         if space == "global":
-            memory, access = self.gmem, self._global_access
-        elif space == "shared":
-            memory, access = smem, self._shared_access
-        elif space == "const":
-            memory, access = self.cmem, self._const_access
-        elif space == "texture":
+            return self.gmem
+        if space == "shared":
+            return smem
+        if space == "const":
+            return self.cmem
+        if space == "texture":
             if self.tex_cache is None:
                 raise RuntimeError(
                     "texture fetch on a configuration without a texture "
                     "cache (set tex_cache_size > 0)"
                 )
-            memory, access = self.gmem, self._texture_access
-        else:
-            raise ValueError(f"unknown memory space {space!r}")
-        if words and (min(words) < 0 or max(words) >= len(memory)):
-            raise _out_of_bounds(inst, space, words, len(memory))
-        completion, occupancy = access(inst, ctx, mask, addrs, words,
-                                       memory, now)
+            return self.gmem
+        raise ValueError(f"unknown memory space {space!r}")
 
-        self.busy_until = now + max(agu_cycles, occupancy, 1)
-        return completion
+    def access(self, inst: Instruction, ctx: WarpContext,
+               mask: np.ndarray, addrs, words: List[int],
+               memory: np.ndarray, now: float) -> Tuple[float, int]:
+        """Count and perform one in-bounds access of ``memory``.
+
+        ``addrs`` indexes ``memory`` for the values; ``words`` (the same
+        word addresses as a list) drives the AGU, bank-conflict,
+        coalescing and cache models.  Returns ``(completion,
+        busy_cycles)``: when the destination register is written back,
+        and how long the unit stays occupied.  The cycle engine comes
+        here through :meth:`execute`; the analytical estimator calls it
+        directly, with its own out-of-range rule.
+        """
+        self.instructions += 1
+        agu_cycles = self.agu.generate(len(words))
+        completion, occupancy = self._by_space[inst.mem_space](
+            inst, ctx, mask, addrs, words, memory, now)
+        return completion, max(agu_cycles, occupancy, 1)
 
     # -- global memory ------------------------------------------------------
 
-    # Each space's access takes the lane word addresses as an array
-    # (``addrs``, for the functional access into ``memory``) and as a
-    # list (``words``, for the timing models).
-
     def _global_access(self, inst, ctx, mask, addrs, words, memory, now):
-        transactions = self.coalescer.coalesce([a * 4 for a in words])
+        transactions = self.coalescer.coalesce(words)
         is_write = inst.is_store
         completion = now + 1.0
         for base, size in transactions:

@@ -34,17 +34,30 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .activity import ActivityReport
 from .config import GPUConfig
 from .core import Core, decode_kernel
+from .ldst import LoadStoreUnit
 from .memsys import MemorySystem
+
+
+def dispatch_order(config: GPUConfig) -> List[int]:
+    """The Fig. 4 breadth-first-over-clusters global dispatch order:
+    core 0 of every cluster, then core 1 of every cluster, ..."""
+    return [
+        cluster * config.cores_per_cluster + slot
+        for slot in range(config.cores_per_cluster)
+        for cluster in range(config.n_clusters)
+    ]
 
 
 def plan_initial_placement(order: Sequence[int], capacity: int,
                            n_blocks: int) -> Tuple[List[Tuple[int, int]], int]:
     """Plan the Fig. 4 breadth-first initial placement without cores.
 
-    Mirrors :meth:`ShardEngine.place_initial` exactly for the uniform
-    per-core ``capacity`` that :func:`repro.sim.core.max_resident_blocks`
-    computes: repeated passes over ``order`` assign one block per core
-    per pass until a pass places nothing or blocks run out.
+    Every core holds the same ``capacity`` blocks of a launch
+    (:func:`repro.sim.core.max_resident_blocks`), so the placement
+    needs no core state: repeated passes over ``order`` assign one
+    block per core per pass until a pass places nothing or blocks run
+    out.  ``GPU.run`` and the ``parallel_cycle`` coordinator both place
+    through it.
 
     Returns ``(assignments, n_placed)`` where ``assignments`` is the
     ``(core_id, block_id)`` list in global placement order.
@@ -102,26 +115,32 @@ def accumulate_core(act: ActivityReport, core: Core) -> None:
     act.collector_reads += rf.collector_reads
     act.collector_writes += rf.collector_writes
     act.rf_xbar_transfers += rf.xbar_transfers
-    ldst = core.ldst
-    if ldst is not None:
-        act.mem_instructions += ldst.instructions
-        act.agu_ops += ldst.agu.sub_agu_ops
-        act.coalescer_accesses += ldst.coalescer.accesses
-        act.coalescer_prt_writes += ldst.coalescer.prt_writes
-        act.mem_transactions += ldst.coalescer.transactions
-        act.smem_accesses += ldst.smem_unit.bank_accesses
-        act.smem_conflict_cycles += ldst.smem_unit.conflict_phases
-        act.smem_xbar_transfers += ldst.smem_unit.xbar_transfers
-        act.bank_conflict_checks += ldst.smem_unit.conflict_checks
-        if ldst.l1 is not None:
-            act.l1_reads += ldst.l1.reads
-            act.l1_writes += ldst.l1.writes
-            act.l1_misses += ldst.l1.misses
-        act.const_reads += ldst.const_requests
-        act.const_misses += ldst.const_misses
-        act.tex_requests += ldst.tex_requests
-        act.tex_accesses += ldst.tex_accesses
-        act.tex_misses += ldst.tex_misses
+    if core.ldst is not None:
+        accumulate_ldst(act, core.ldst)
+
+
+def accumulate_ldst(act: ActivityReport, ldst: LoadStoreUnit) -> None:
+    """Add one load/store unit's counters into ``act`` (the cycle
+    engine's per-core report and the analytical estimator's sampled
+    blocks read the unit through this one function)."""
+    act.mem_instructions += ldst.instructions
+    act.agu_ops += ldst.agu.sub_agu_ops
+    act.coalescer_accesses += ldst.coalescer.accesses
+    act.coalescer_prt_writes += ldst.coalescer.prt_writes
+    act.mem_transactions += ldst.coalescer.transactions
+    act.smem_accesses += ldst.smem_unit.bank_accesses
+    act.smem_conflict_cycles += ldst.smem_unit.conflict_phases
+    act.smem_xbar_transfers += ldst.smem_unit.xbar_transfers
+    act.bank_conflict_checks += ldst.smem_unit.conflict_checks
+    if ldst.l1 is not None:
+        act.l1_reads += ldst.l1.reads
+        act.l1_writes += ldst.l1.writes
+        act.l1_misses += ldst.l1.misses
+    act.const_reads += ldst.const_requests
+    act.const_misses += ldst.const_misses
+    act.tex_requests += ldst.tex_requests
+    act.tex_accesses += ldst.tex_accesses
+    act.tex_misses += ldst.tex_misses
 
 
 def accumulate_memsys(act: ActivityReport, mem: MemorySystem) -> None:
@@ -234,25 +253,6 @@ class ShardEngine:
         """Apply a pre-planned initial placement (``(core_id, block)``)."""
         for cid, block in assignments:
             self._assign(self.cores_by_id[cid], block)
-
-    def place_initial(self) -> None:
-        """Fig. 4 breadth-first placement from the local queue.
-
-        One block per core per pass over the dispatch order, repeated
-        until a full pass places nothing -- state-identical to the two
-        placement loops ``GPU.run`` used to inline.
-        """
-        filling = True
-        while filling and self.next_block < len(self.queue):
-            filling = False
-            for cid in self.dispatch_order:
-                if self.next_block >= len(self.queue):
-                    break
-                core = self.cores_by_id[cid]
-                if core.free_slots > 0:
-                    self._assign(core, self.queue[self.next_block])
-                    self.next_block += 1
-                    filling = True
 
     def seed(self) -> None:
         """Arm the event heap: every core holding work wakes at cycle 0."""

@@ -39,25 +39,25 @@ class TestCoalescer:
 
     def test_fully_coalesced_single_transaction(self):
         c = self.make()
-        byte_addrs = np.arange(32) * 4  # 128 consecutive bytes, aligned
-        txns = c.coalesce(byte_addrs)
+        words = np.arange(32)  # 128 consecutive bytes, aligned
+        txns = c.coalesce(words)
         assert len(txns) == 1
         assert txns[0] == (0, 128)
 
     def test_strided_access_degenerates(self):
         c = self.make()
-        byte_addrs = np.arange(32) * 128  # one segment per lane
-        assert len(c.coalesce(byte_addrs)) == 32
+        words = np.arange(32) * 32  # one segment per lane
+        assert len(c.coalesce(words)) == 32
 
     def test_unaligned_spans_two_segments(self):
         c = self.make()
-        byte_addrs = np.arange(32) * 4 + 64
-        assert len(c.coalesce(byte_addrs)) == 2
+        words = np.arange(32) + 16
+        assert len(c.coalesce(words)) == 2
 
     def test_same_address_broadcast(self):
         c = self.make()
-        byte_addrs = np.zeros(32, dtype=np.int64)
-        assert len(c.coalesce(byte_addrs)) == 1
+        words = np.zeros(32, dtype=np.int64)
+        assert len(c.coalesce(words)) == 1
 
     def test_empty_access(self):
         c = self.make()
@@ -66,7 +66,7 @@ class TestCoalescer:
 
     def test_counters(self):
         c = self.make()
-        c.coalesce(np.arange(32) * 4)
+        c.coalesce(np.arange(32))
         assert c.accesses == 1
         assert c.transactions == 1
         assert c.prt_writes == 1
@@ -74,18 +74,18 @@ class TestCoalescer:
 
     def test_efficiency(self):
         c = self.make()
-        c.coalesce(np.arange(32) * 4)
+        c.coalesce(np.arange(32))
         assert c.efficiency() == 32.0
 
     def test_segment_size_respected(self):
         c = self.make(coalesce_segment_bytes=32)
-        txns = c.coalesce(np.arange(32) * 4)
+        txns = c.coalesce(np.arange(32))
         assert len(txns) == 4
         assert all(size == 32 for _, size in txns)
 
     def test_coalescing_disabled(self):
         c = self.make(coalescing_enabled=False)
-        txns = c.coalesce(np.arange(32) * 4)
+        txns = c.coalesce(np.arange(32))
         assert len(txns) == 4  # 128 bytes in 32-byte pieces
         assert all(size == 32 for _, size in txns)
 
@@ -93,10 +93,10 @@ class TestCoalescer:
     @settings(max_examples=50, deadline=None)
     def test_transactions_cover_all_addresses(self, addrs):
         c = self.make()
-        byte_addrs = np.array(addrs, dtype=np.int64)
-        txns = c.coalesce(byte_addrs)
+        words = np.array(addrs, dtype=np.int64)
+        txns = c.coalesce(words)
         for a in addrs:
-            assert any(base <= a < base + size for base, size in txns)
+            assert any(base <= a * 4 < base + size for base, size in txns)
 
     @given(addrs=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=32))
     @settings(max_examples=50, deadline=None)
