@@ -353,7 +353,7 @@ class ParallelCycleBackend(SimulationBackend):
                                      tracer, epoch, shards, False,
                                      sanitize)
 
-    # -- coordinator -------------------------------------------------------------
+    # -- coordinator ----------------------------------------------------------
 
     def _run_sharded(self, config, launch, max_cycles, gmem, tracer,
                      epoch, n_shards, use_procs,
@@ -457,7 +457,7 @@ class ParallelCycleBackend(SimulationBackend):
             d.send_finish()
         return [d.recv() for d in drivers]
 
-    # -- merge -------------------------------------------------------------------
+    # -- merge ----------------------------------------------------------------
 
     @staticmethod
     def _merge_cumulative(config: GPUConfig, t: float,

@@ -168,7 +168,8 @@ class BackendComparison:
         }
 
 
-def _activity_deltas(a: ActivityReport, b: ActivityReport) -> List[CounterDelta]:
+def _activity_deltas(a: ActivityReport,
+                     b: ActivityReport) -> List[CounterDelta]:
     da, db = a.to_dict(), b.to_dict()
     return [CounterDelta(counter=name, a=da[name], b=db[name])
             for name in da]

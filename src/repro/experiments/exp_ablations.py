@@ -40,7 +40,8 @@ class AblationPoint:
     energy_mj: float
 
     @classmethod
-    def measure(cls, label: str, config: GPUConfig, kernel: str) -> "AblationPoint":
+    def measure(cls, label: str, config: GPUConfig,
+                kernel: str) -> "AblationPoint":
         return _measure([(label, config, kernel)])[0]
 
 
@@ -175,13 +176,15 @@ def format_table(results: Dict[str, list]) -> str:
         lines.append(f"-- {name}")
         if name == "node_scaling":
             for p in points:
-                lines.append(f"   {p.node_nm:4.0f} nm: static {p.static_w:6.2f} W"
+                lines.append(f"   {p.node_nm:4.0f} nm: "
+                             f"static {p.static_w:6.2f} W"
                              f"  area {p.area_mm2:6.1f} mm^2"
                              f"  peak dyn {p.peak_dynamic_w:6.1f} W")
         else:
             for p in points:
                 lines.append(f"   {p.label:<24s} [{p.kernel}] "
-                             f"cycles {p.cycles:9.0f}  dyn {p.chip_dynamic_w:6.2f} W"
+                             f"cycles {p.cycles:9.0f}"
+                             f"  dyn {p.chip_dynamic_w:6.2f} W"
                              f"  total {p.chip_total_w:6.2f} W"
                              f"  energy {p.energy_mj:7.3f} mJ")
     return "\n".join(lines)

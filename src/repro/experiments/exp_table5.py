@@ -99,7 +99,8 @@ def format_table(t: Table5) -> str:
         return 100.0 * (s + d) / total
 
     lines = [f"Table V: {t.kernel} power breakdown on GT240",
-             f"{'Component':<22s}{'Static [W]':>12s}{'Dynamic [W]':>13s}{'Percent':>9s}",
+             f"{'Component':<22s}{'Static [W]':>12s}"
+             f"{'Dynamic [W]':>13s}{'Percent':>9s}",
              "GPU"]
     for name, (s, d) in t.gpu_level.items():
         lines.append(f"  {name:<20s}{s:>12.3f}{d:>13.3f}"

@@ -149,8 +149,9 @@ def derive_energy_per_op(config: GPUConfig, kind: str,
     results = {m.name: m for m in tool.kernel_measurements()}
     # Normalise both phases to the same wall duration (they have the
     # same per-run execution time; repeats may differ).
-    e_hi = results["hi"].avg_power_w * results["hi"].duration_s / results["hi"].repeats
-    e_lo = results["lo"].avg_power_w * results["lo"].duration_s / results["lo"].repeats
+    hi, lo = results["hi"], results["lo"]
+    e_hi = hi.avg_power_w * hi.duration_s / hi.repeats
+    e_lo = lo.avg_power_w * lo.duration_s / lo.repeats
 
     counter = "int_ops" if kind == "int" else "fp_ops"
     ops_diff = (getattr(activities[31], counter)

@@ -23,9 +23,9 @@ from .testbed import Testbed
 from .virtual_gpu import VirtualGPU
 
 
-def static_power_by_extrapolation(config: GPUConfig,
-                                  activity: ActivityReport,
-                                  seed: int = 11) -> Tuple[float, float, float]:
+def static_power_by_extrapolation(
+        config: GPUConfig, activity: ActivityReport,
+        seed: int = 11) -> Tuple[float, float, float]:
     """Frequency-scaling static power estimate.
 
     Runs the benchmark at stock clock and at 80% clock on the virtual

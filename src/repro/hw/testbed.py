@@ -86,14 +86,15 @@ class Testbed:
         self._channels: List[Tuple[str, float, float, ShuntMonitor,
                                    ResistiveDivider]] = []
         for name, volts, frac in vgpu.rail_split():
-            shunt = SLOT_SHUNT_OHM if name.startswith("slot") else EXT_SHUNT_OHM
+            shunt = (SLOT_SHUNT_OHM if name.startswith("slot")
+                     else EXT_SHUNT_OHM)
             self._channels.append((
                 name, volts, frac,
                 make_monitor(self.rng, shunt),
                 make_divider(self.rng, volts),
             ))
 
-    # -- session ---------------------------------------------------------------
+    # -- session --------------------------------------------------------------
 
     def run_session(
         self,
@@ -146,7 +147,7 @@ class Testbed:
             duration_s=t,
         )
 
-    # -- internals -----------------------------------------------------------------
+    # -- internals ------------------------------------------------------------
 
     def _waveform(self, times: np.ndarray,
                   phases: List[Tuple[float, float]]) -> np.ndarray:

@@ -150,7 +150,7 @@ class VirtualGPU:
             raise ValueError("clock scale out of supported range")
         self.clock_scale = clock_scale
 
-    # -- steady-state card states -------------------------------------------------
+    # -- steady-state card states ---------------------------------------------
 
     @property
     def gated_idle_w(self) -> float:

@@ -63,9 +63,11 @@ def build_cfg(instructions: Sequence[Instruction]) -> Dict[int, List[int]]:
         if last.op == "EXIT":
             succs.append(EXIT_PC_SENTINEL)
         elif last.op == "JMP":
-            succs.append(last.target if last.target in leader_set else EXIT_PC_SENTINEL)
+            succs.append(last.target if last.target in leader_set
+                         else EXIT_PC_SENTINEL)
         elif last.op == "BRA":
-            succs.append(last.target if last.target in leader_set else EXIT_PC_SENTINEL)
+            succs.append(last.target if last.target in leader_set
+                         else EXIT_PC_SENTINEL)
             succs.append(end if end in leader_set else EXIT_PC_SENTINEL)
         else:
             succs.append(end if end in leader_set else EXIT_PC_SENTINEL)
@@ -156,7 +158,8 @@ def immediate_post_dominators(cfg: Dict[int, List[int]]) -> Dict[int, int]:
     return ipdom
 
 
-def dominators(cfg: Dict[int, List[int]], entry: int = 0) -> Dict[int, Set[int]]:
+def dominators(cfg: Dict[int, List[int]],
+               entry: int = 0) -> Dict[int, Set[int]]:
     """Forward dominator sets over the block CFG.
 
     ``d`` dominates ``n`` when every path from ``entry`` to ``n`` passes

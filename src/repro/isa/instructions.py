@@ -98,7 +98,8 @@ FP_OPS = frozenset({
 
 #: Special-function-unit opcodes (transcendentals, per the paper: sine,
 #: cosine, reciprocal, square root).
-SFU_OPS = frozenset({"RCP", "RSQRT", "SQRT", "SIN", "COS", "EXP2", "LOG2", "FDIV"})
+SFU_OPS = frozenset({"RCP", "RSQRT", "SQRT", "SIN", "COS", "EXP2", "LOG2",
+                     "FDIV"})
 
 #: Memory opcodes with their address space.
 MEM_OPS = frozenset({"LDG", "STG", "LDS", "STS", "LDC", "LDT"})

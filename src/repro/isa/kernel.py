@@ -265,7 +265,8 @@ class KernelBuilder:
         self._op("FDIV", d, [a, b], guard)
 
     # Comparisons (integer and float share comparison semantics here).
-    def setp(self, cmp: str, p: Pred, a, b, guard=None, fp: bool = False) -> None:
+    def setp(self, cmp: str, p: Pred, a, b, guard=None,
+             fp: bool = False) -> None:
         """Set predicate ``p`` to ``a <cmp> b``; cmp in lt/le/gt/ge/eq/ne."""
         op = ("FSETP." if fp else "SETP.") + cmp.upper()
         self._op(op, p, [a, b], guard)
@@ -293,7 +294,8 @@ class KernelBuilder:
         self._op("LDT", d, [addr], guard, offset=offset)
 
     # Control flow.
-    def bra(self, label: str, pred: Optional[Pred] = None, sense: bool = True) -> None:
+    def bra(self, label: str, pred: Optional[Pred] = None,
+            sense: bool = True) -> None:
         """Conditional branch to ``label`` where ``pred == sense``.
 
         Without a predicate the branch is still encoded as BRA (always

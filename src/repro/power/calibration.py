@@ -24,7 +24,7 @@ L2_ENERGY = 1.0
 NOC_FLIT_ENERGY = 1.0
 MC_ACCESS_ENERGY = 1.0
 
-# -- leakage calibration ---------------------------------------------------------
+# -- leakage calibration ------------------------------------------------------
 WCU_LEAKAGE = 31.5
 RF_LEAKAGE = 14.4
 LDST_LEAKAGE = 29.7
@@ -32,10 +32,10 @@ L2_LEAKAGE = 10.0
 NOC_LEAKAGE = 1.0
 MC_LEAKAGE = 1.0
 
-# -- area calibration --------------------------------------------------------------
+# -- area calibration ---------------------------------------------------------
 AREA = 4.5
 
-# -- empirical per-event energies (J), GPU-uncore structures -------------------
+# -- empirical per-event energies (J), GPU-uncore structures ------------------
 #: Energy of moving one flit through the NoC (router + link), 40 nm.
 NOC_FLIT_ENERGY_J = 120e-12
 #: Energy of one memory-controller access (scheduling + PHY launch), 40 nm.

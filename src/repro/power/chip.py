@@ -55,7 +55,7 @@ class Chip:
             self.uncore_components.append(L2Power(config, t))
         self.dram = DRAMPower(config, t)
 
-    # -- architecture statistics (workload independent) -------------------------
+    # -- architecture statistics (workload independent) -----------------------
 
     def area_mm2(self) -> float:
         """Total modeled chip area in mm^2."""
@@ -73,7 +73,7 @@ class Chip:
         scc = 1.0 + self.tech.short_circuit_frac
         return sum(c.peak_dynamic_w() for c in parts) * scc
 
-    # -- runtime evaluation -----------------------------------------------------
+    # -- runtime evaluation ---------------------------------------------------
 
     def evaluate(self, activity: ActivityReport) -> PowerReport:
         """Produce the full power profile for one kernel's activity."""

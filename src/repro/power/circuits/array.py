@@ -107,7 +107,8 @@ def _bank_geometry(words_per_bank: int, bits: int) -> tuple[int, int]:
     return best
 
 
-def sram_array(name: str, org: ArrayOrganisation, tech: TechNode) -> CircuitEstimate:
+def sram_array(name: str, org: ArrayOrganisation,
+               tech: TechNode) -> CircuitEstimate:
     """Model an SRAM array; returns area, read/write energy, leakage.
 
     The returned estimate defines two operations: ``"read"`` and
@@ -135,16 +136,19 @@ def sram_array(name: str, org: ArrayOrganisation, tech: TechNode) -> CircuitEsti
     addr_bits = max(1, math.ceil(math.log2(max(2, rows))))
     # Predecode + final row decode: ~4 gate equivalents per address bit
     # plus one driver per row fanout stage.
-    decoder_cap = (4 * addr_bits + math.log2(max(2, rows)) * 2) * tech.logic_gate_cap
+    decoder_cap = ((4 * addr_bits + math.log2(max(2, rows)) * 2)
+                   * tech.logic_gate_cap)
     e_decode = tech.energy_cv2(decoder_cap)
 
     # --- Wordline -------------------------------------------------------
     access_gate_cap = tech.cap_gate_per_um * (2.0 * tech.feature_nm * 1e-3)
-    wordline_cap = cols * 2 * access_gate_cap + row_length * tech.wire_cap_per_m
+    wordline_cap = (cols * 2 * access_gate_cap
+                    + row_length * tech.wire_cap_per_m)
     e_wordline = tech.energy_cv2(wordline_cap)
 
     # --- Bitlines -------------------------------------------------------
-    bitline_cap_per_line = rows * tech.sram_cell_cap + col_length * tech.wire_cap_per_m
+    bitline_cap_per_line = (rows * tech.sram_cell_cap
+                            + col_length * tech.wire_cap_per_m)
     # A read precharges/discharges both lines of the sensed pair through a
     # partial swing on every physical column.
     e_bitline_read = cols * 2 * tech.energy_cv2(
@@ -154,7 +158,8 @@ def sram_array(name: str, org: ArrayOrganisation, tech: TechNode) -> CircuitEsti
     e_bitline_write = org.bits_per_word * tech.energy_cv2(bitline_cap_per_line)
 
     # --- Sense amps & output drivers -------------------------------------
-    e_sense = org.bits_per_word * _SENSE_AMP_GATE_EQ * tech.energy_cv2(tech.logic_gate_cap)
+    e_sense = (org.bits_per_word * _SENSE_AMP_GATE_EQ
+               * tech.energy_cv2(tech.logic_gate_cap))
     e_output = org.bits_per_word * 2.0 * tech.energy_cv2(tech.logic_gate_cap)
 
     e_read = e_decode + e_wordline + e_bitline_read + e_sense + e_output

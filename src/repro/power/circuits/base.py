@@ -65,7 +65,8 @@ def energies_only(circuit: CircuitEstimate) -> CircuitEstimate:
     )
 
 
-def merge_estimates(name: str, parts: list[CircuitEstimate]) -> CircuitEstimate:
+def merge_estimates(name: str,
+                    parts: list[CircuitEstimate]) -> CircuitEstimate:
     """Aggregate circuit estimates into one (areas and leakages add).
 
     Energies are merged by key; duplicate keys add, which is the right

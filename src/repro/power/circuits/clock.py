@@ -39,7 +39,8 @@ def clock_network(name: str, spanned_area_m2: float, endpoints: float,
     tree_cap = tree_len * tech.wire_cap_per_m * 1.6  # shielded, repeated
     endpoint_cap = endpoints * _ENDPOINT_GATE_EQ * tech.logic_gate_cap
     # The tree itself is never gated; endpoints partially are.
-    e_cycle = tech.energy_cv2(tree_cap) + _UNGATED_FRACTION * tech.energy_cv2(endpoint_cap)
+    e_cycle = (tech.energy_cv2(tree_cap)
+               + _UNGATED_FRACTION * tech.energy_cv2(endpoint_cap))
 
     buffers = max(1.0, tree_len / 200e-6) * 4.0
     leak = buffers * tech.logic_gate_leak * tech.vdd

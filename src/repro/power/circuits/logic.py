@@ -50,7 +50,8 @@ def priority_encoder(name: str, width: int, tech: TechNode) -> CircuitEstimate:
     return logic_block(name, gates, tech, activity_gates=0.4 * gates)
 
 
-def rotating_priority_scheduler(name: str, width: int, tech: TechNode) -> CircuitEstimate:
+def rotating_priority_scheduler(name: str, width: int,
+                                tech: TechNode) -> CircuitEstimate:
     """Round-robin (rotating priority) scheduler for ``width`` warps.
 
     Per the paper: "a set of inverters, a wide priority encoder, and a
@@ -74,7 +75,8 @@ def rotating_priority_scheduler(name: str, width: int, tech: TechNode) -> Circui
     )
 
 
-def instruction_decoder(name: str, opcode_bits: int, tech: TechNode) -> CircuitEstimate:
+def instruction_decoder(name: str, opcode_bits: int,
+                        tech: TechNode) -> CircuitEstimate:
     """Instruction decoder (McPAT's RISC decoder structure, reused here).
 
     Roughly an opcode PLA plus operand steering: a few hundred gates for a
@@ -90,7 +92,8 @@ def comparator(name: str, bits: int, tech: TechNode) -> CircuitEstimate:
     return logic_block(name, gates, tech, activity_gates=0.5 * gates)
 
 
-def fsm(name: str, states: int, inputs: int, tech: TechNode) -> CircuitEstimate:
+def fsm(name: str, states: int, inputs: int,
+        tech: TechNode) -> CircuitEstimate:
     """Small Moore FSM: state flops + next-state logic."""
     state_bits = max(1, math.ceil(math.log2(max(2, states))))
     gates = state_bits * 8.0 + states * inputs * 1.2

@@ -21,7 +21,8 @@ _DEFAULT_TOGGLE = 0.5
 
 
 def repeated_wire(name: str, length_m: float, width_bits: int,
-                  tech: TechNode, toggle: float = _DEFAULT_TOGGLE) -> CircuitEstimate:
+                  tech: TechNode,
+                  toggle: float = _DEFAULT_TOGGLE) -> CircuitEstimate:
     """Bundle of ``width_bits`` repeated wires of ``length_m``.
 
     Defines ``"transfer"``: moving one ``width_bits``-wide word across the
@@ -29,7 +30,8 @@ def repeated_wire(name: str, length_m: float, width_bits: int,
     """
     if length_m < 0 or width_bits <= 0:
         raise ValueError("wire needs non-negative length and positive width")
-    cap_per_wire = length_m * tech.wire_cap_per_m * (1.0 + _REPEATER_CAP_FACTOR)
+    cap_per_wire = (length_m * tech.wire_cap_per_m
+                    * (1.0 + _REPEATER_CAP_FACTOR))
     e_transfer = toggle * width_bits * tech.energy_cv2(cap_per_wire)
     # Repeaters leak: approximate one gate equivalent per 100 um per wire.
     repeaters = width_bits * max(0.0, length_m / 100e-6)

@@ -18,7 +18,8 @@ from .wires import repeated_wire
 
 
 def crossbar(name: str, inputs: int, outputs: int, width_bits: int,
-             tech: TechNode, port_length_m: float | None = None) -> CircuitEstimate:
+             tech: TechNode,
+             port_length_m: float | None = None) -> CircuitEstimate:
     """Model an ``inputs`` x ``outputs`` crossbar of ``width_bits`` buses.
 
     Defines ``"transfer"``: one word moved from one input to one output
@@ -44,11 +45,14 @@ def crossbar(name: str, inputs: int, outputs: int, width_bits: int,
     # Crosspoint switches: every crosspoint on the two driven buses loads
     # them with a pass-gate's drain cap; the selected one also switches.
     pass_gate_cap = tech.cap_drain_per_um * (4.0 * tech.feature_nm * 1e-3)
-    loading = (inputs + outputs) * width_bits * 0.5 * tech.energy_cv2(pass_gate_cap)
-    e_transfer = in_bus.energy("transfer") + out_bus.energy("transfer") + loading
+    loading = ((inputs + outputs) * width_bits * 0.5
+               * tech.energy_cv2(pass_gate_cap))
+    e_transfer = (in_bus.energy("transfer") + out_bus.energy("transfer")
+                  + loading)
 
     # Arbitration: per-output round-robin arbiter over inputs.
-    arb_gates = outputs * inputs * 2.0 + outputs * math.log2(max(2, inputs)) * 4.0
+    arb_gates = (outputs * inputs * 2.0
+                 + outputs * math.log2(max(2, inputs)) * 4.0)
     arb_area = arb_gates * tech.logic_gate_area
     arb_leak = arb_gates * tech.logic_gate_leak * tech.vdd
     e_arb = 0.3 * inputs * tech.energy_cv2(tech.logic_gate_cap)
@@ -59,7 +63,8 @@ def crossbar(name: str, inputs: int, outputs: int, width_bits: int,
 
     return CircuitEstimate(
         name=name,
-        area=in_bus.area * inputs + out_bus.area * outputs + arb_area + xpoint_area,
+        area=(in_bus.area * inputs + out_bus.area * outputs + arb_area
+              + xpoint_area),
         energies={"transfer": e_transfer + e_arb, "arbitrate": e_arb},
         leakage_w=(in_bus.leakage_w * inputs + out_bus.leakage_w * outputs
                    + arb_leak + xpoint_leak),

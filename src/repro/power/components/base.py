@@ -26,7 +26,7 @@ class Component(abc.ABC):
         self.name = name
         self.tech = tech
 
-    # -- architecture-independent -------------------------------------------------
+    # -- architecture-independent ---------------------------------------------
 
     @abc.abstractmethod
     def area_m2(self) -> float:
@@ -41,13 +41,13 @@ class Component(abc.ABC):
         """Dynamic power at theoretical peak activity (W), pre
         short-circuit uplift."""
 
-    # -- per-kernel --------------------------------------------------------------
+    # -- per-kernel -----------------------------------------------------------
 
     @abc.abstractmethod
     def switching_w(self, act: ActivityReport) -> float:
         """Average switching power over the kernel (W), pre short-circuit."""
 
-    # -- derived -----------------------------------------------------------------
+    # -- derived --------------------------------------------------------------
 
     def runtime_dynamic_w(self, act: ActivityReport) -> float:
         """Runtime dynamic power including short-circuit power."""
@@ -64,7 +64,7 @@ class Component(abc.ABC):
             area_mm2=self.area_m2() * 1e6,
         )
 
-    # -- helpers -------------------------------------------------------------------
+    # -- helpers --------------------------------------------------------------
 
     @staticmethod
     def event_power(act: ActivityReport,

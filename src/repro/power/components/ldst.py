@@ -53,8 +53,10 @@ class LDSTPower(CircuitBackedComponent):
                                activity_gates=0.4 * SUB_AGU_GATES),
             "coalescer_prt": dff_storage("coalescer_prt", prt_bits, tech),
             "coalescer_inq": dff_storage("coalescer_inq", inq_bits, tech),
-            "coalescer_fsm": fsm("coalescer_fsm", states=8, inputs=12, tech=tech),
-            "smem_banks": smem_bank.scaled(config.smem_banks, name="smem_banks"),
+            "coalescer_fsm": fsm("coalescer_fsm", states=8, inputs=12,
+                                 tech=tech),
+            "smem_banks": smem_bank.scaled(config.smem_banks,
+                                           name="smem_banks"),
             "smem_bank_access": energies_only(smem_bank),
             "addr_xbar": crossbar("addr_xbar", inputs=warp,
                                   outputs=config.smem_banks, width_bits=16,
@@ -65,7 +67,8 @@ class LDSTPower(CircuitBackedComponent):
                 "conflict_check",
                 gate_count=warp * math.log2(max(2, config.smem_banks)) * 12,
                 tech=tech),
-            "const_cache": cache_circuit("const_cache", config.const_cache_size,
+            "const_cache": cache_circuit("const_cache",
+                                         config.const_cache_size,
                                          config.const_cache_line,
                                          config.const_cache_assoc, tech),
         }

@@ -81,7 +81,8 @@ class RegisterFilePower(CircuitBackedComponent):
         per_cycle = (
             self.config.regfile_banks * c["bank_access"].energy("read")
             + self.config.regfile_banks * c["xbar"].energy("transfer")
-            + self.config.operand_collectors * c["collector_access"].energy("write")
+            + self.config.operand_collectors
+            * c["collector_access"].energy("write")
         )
         return (per_cycle * self.config.shader_clock_hz * self.copies
                 * cal.RF_ENERGY)

@@ -68,7 +68,8 @@ class MemoryControllerPower(Component):
                           * (config.dram_clock_hz / 850e6))
         self._leak = (cal.MC_STATIC_W_PER_PARTITION * config.n_mem_partitions
                       * stat * cal.MC_LEAKAGE)
-        self._area = config.n_mem_partitions * 1.9e-6 * (tech.feature_nm / 40.0) ** 2
+        self._area = (config.n_mem_partitions * 1.9e-6
+                      * (tech.feature_nm / 40.0) ** 2)
 
     def area_m2(self) -> float:
         return self._area
@@ -107,7 +108,8 @@ class PCIePower(Component):
         self._leak = cal.PCIE_STATIC_W_PER_LANE * config.pcie_lanes * stat
         self._active = (cal.PCIE_ACTIVE_W_PER_LANE * config.pcie_lanes
                         * gen_scale * dyn)
-        self._area = config.pcie_lanes * 0.31e-6 * (tech.feature_nm / 40.0) ** 2
+        self._area = (config.pcie_lanes * 0.31e-6
+                      * (tech.feature_nm / 40.0) ** 2)
 
     def area_m2(self) -> float:
         return self._area

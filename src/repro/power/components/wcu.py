@@ -58,12 +58,15 @@ class WCUPower(CircuitBackedComponent):
                                   read_ports=2, write_ports=1, rw_ports=0),
                 tech,
             ),
-            "fetch_sched": rotating_priority_scheduler("fetch_sched", warps, tech),
-            "issue_sched": rotating_priority_scheduler("issue_sched", warps, tech),
+            "fetch_sched": rotating_priority_scheduler("fetch_sched",
+                                                       warps, tech),
+            "issue_sched": rotating_priority_scheduler("issue_sched",
+                                                       warps, tech),
             "icache": cache_circuit("icache", config.icache_size,
                                     config.icache_line, config.icache_assoc,
                                     tech),
-            "decoder": instruction_decoder("decoder", opcode_bits=8, tech=tech),
+            "decoder": instruction_decoder("decoder", opcode_bits=8,
+                                           tech=tech),
             "ibuffer": cam_array("ibuffer",
                                  entries=warps * config.ibuffer_slots_per_warp,
                                  tag_bits=tag_bits,
@@ -102,8 +105,10 @@ class WCUPower(CircuitBackedComponent):
             (act.stack_reads, c["stacks"].energy("read")),
         ]
         if "scoreboard" in c:
-            pairs.append((act.scoreboard_searches, c["scoreboard"].energy("search")))
-            pairs.append((act.scoreboard_writes, c["scoreboard"].energy("write")))
+            scoreboard = c["scoreboard"]
+            pairs.append((act.scoreboard_searches,
+                          scoreboard.energy("search")))
+            pairs.append((act.scoreboard_writes, scoreboard.energy("write")))
         return self.event_power(act, pairs) * cal.WCU_ENERGY
 
     def peak_dynamic_w(self) -> float:

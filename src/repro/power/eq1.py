@@ -30,7 +30,8 @@ def dynamic_power(alpha: float, capacitance: float, vdd: float,
     return alpha * capacitance * vdd * swing * f_clk
 
 
-def switching_energy(capacitance: float, vdd: float, swing: float | None = None) -> float:
+def switching_energy(capacitance: float, vdd: float,
+                     swing: float | None = None) -> float:
     """Energy of one switching event: C * Vdd * dV, in joules."""
     if swing is None:
         swing = vdd

@@ -94,7 +94,8 @@ class TechNode:
         per_transistor = (self.i_sub_per_um + self.i_gate_per_um) * width_um
         return 2.0 * 0.3 * per_transistor
 
-    def energy_cv2(self, capacitance: float, voltage_swing: float | None = None) -> float:
+    def energy_cv2(self, capacitance: float,
+                   voltage_swing: float | None = None) -> float:
         """Energy to charge ``capacitance`` through a full/partial swing (J).
 
         This is the C * Vdd * dV term of Eq. 1 of the paper, expressed per
@@ -145,7 +146,8 @@ def tech_node(feature_nm: float) -> TechNode:
         )
     lo = max(n for n in nodes if n <= feature_nm)
     hi = min(n for n in nodes if n >= feature_nm)
-    frac = (math.log(feature_nm) - math.log(lo)) / (math.log(hi) - math.log(lo))
+    frac = ((math.log(feature_nm) - math.log(lo))
+            / (math.log(hi) - math.log(lo)))
     a, b = _TABLE[lo], _TABLE[hi]
 
     def lerp(x: float, y: float) -> float:

@@ -141,7 +141,7 @@ class RunnerError(RuntimeError):
         }
 
 
-# -- process-wide defaults -----------------------------------------------------
+# -- process-wide defaults ----------------------------------------------------
 
 
 def set_default_jobs(n: Optional[int]) -> None:
@@ -234,7 +234,8 @@ def resolve_timeout(timeout_s: Optional[float] = None) -> Optional[float]:
     return None
 
 
-def resolve_cache(cache: Union[ResultCache, None, str]) -> Optional[ResultCache]:
+def resolve_cache(
+        cache: Union[ResultCache, None, str]) -> Optional[ResultCache]:
     """Effective cache: explicit arg > configured > env > disabled."""
     if isinstance(cache, ResultCache) or cache is None:
         return cache
@@ -250,7 +251,7 @@ def resolve_cache(cache: Union[ResultCache, None, str]) -> Optional[ResultCache]
     return ResultCache(env)
 
 
-# -- fault injection -----------------------------------------------------------
+# -- fault injection ----------------------------------------------------------
 
 
 class _InjectedFault(RuntimeError):
@@ -299,7 +300,7 @@ def _apply_fault(fault: Optional[str], in_process: bool) -> None:
     raise ValueError(f"unknown fault action {fault!r}")
 
 
-# -- worker side ---------------------------------------------------------------
+# -- worker side --------------------------------------------------------------
 
 
 def _execute_job(payload):
@@ -426,7 +427,8 @@ def run_jobs(jobs: Sequence[SimRequest],
             progress(done, total, outcome)
 
     def add_event(index: int, kind: str, message: str = "",
-                  tb: str = "", duration: Optional[float] = None) -> JobFailure:
+                  tb: str = "",
+                  duration: Optional[float] = None) -> JobFailure:
         """Record one failure event; returns it (with attempt history)."""
         if duration is not None:
             durations[index].append(duration)

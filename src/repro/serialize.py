@@ -71,7 +71,8 @@ def scalar_fields_to_dict(obj, sparse: bool = False) -> Dict[str, Any]:
     out = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if sparse and (value == 0 or value == 0.0) and not isinstance(value, str):
+        if (sparse and (value == 0 or value == 0.0)
+                and not isinstance(value, str)):
             continue
         out[f.name] = value
     return out

@@ -35,14 +35,14 @@ class ActivityReport(Serializable):
     warps_launched: int = 0
     threads_launched: int = 0
 
-    # -- stall attribution (cycles a stepped core could not issue) -------------
+    # -- stall attribution (cycles a stepped core could not issue) ------------
     stall_dependency: float = 0.0
     stall_unit_busy: float = 0.0
     stall_ldst_busy: float = 0.0
     stall_barrier: float = 0.0
     stall_empty: float = 0.0
 
-    # -- warp control unit ------------------------------------------------------
+    # -- warp control unit ----------------------------------------------------
     fetches: float = 0.0              # instructions fetched
     icache_reads: float = 0.0
     icache_misses: float = 0.0
@@ -62,13 +62,13 @@ class ActivityReport(Serializable):
     branches: float = 0.0
     barriers: float = 0.0
 
-    # -- instructions ------------------------------------------------------------
+    # -- instructions ---------------------------------------------------------
     issued_instructions: float = 0.0  # warp instructions issued
     int_ops: float = 0.0              # lane-level integer operations
     fp_ops: float = 0.0               # lane-level floating-point operations
     sfu_ops: float = 0.0              # lane-level SFU operations
 
-    # -- register file -------------------------------------------------------------
+    # -- register file --------------------------------------------------------
     rf_reads: float = 0.0             # warp-operand reads (bank group access)
     rf_writes: float = 0.0
     rf_bank_accesses: float = 0.0     # individual bank accesses
@@ -76,7 +76,7 @@ class ActivityReport(Serializable):
     collector_writes: float = 0.0
     rf_xbar_transfers: float = 0.0
 
-    # -- LDST unit --------------------------------------------------------------
+    # -- LDST unit ------------------------------------------------------------
     mem_instructions: float = 0.0
     agu_ops: float = 0.0              # sub-AGU activations
     coalescer_accesses: float = 0.0   # warp accesses through the coalescer
@@ -103,7 +103,7 @@ class ActivityReport(Serializable):
     mc_accesses: float = 0.0
     pcie_transfers: float = 0.0
 
-    # -- DRAM (five power components per the Micron methodology) ----------------
+    # -- DRAM (five power components per the Micron methodology) --------------
     dram_activates: float = 0.0
     dram_precharges: float = 0.0
     dram_reads: float = 0.0           # burst reads
@@ -115,7 +115,8 @@ class ActivityReport(Serializable):
         for f in fields(self):
             name = f.name
             if name in ("shader_cycles", "runtime_s"):
-                setattr(self, name, max(getattr(self, name), getattr(other, name)))
+                setattr(self, name,
+                        max(getattr(self, name), getattr(other, name)))
             else:
                 setattr(self, name, getattr(self, name) + getattr(other, name))
         return self

@@ -44,12 +44,12 @@ class GPUConfig(Serializable):
     n_clusters: int = 4
     cores_per_cluster: int = 3
 
-    # -- clock domains ---------------------------------------------------------
+    # -- clock domains --------------------------------------------------------
     uncore_clock_hz: float = 550e6
     shader_to_uncore: float = 2.47
     dram_clock_hz: float = 900e6  # command clock; data rate is 4x for GDDR5
 
-    # -- SIMT core ---------------------------------------------------------------
+    # -- SIMT core ------------------------------------------------------------
     warp_size: int = 32
     max_warps_per_core: int = 24
     max_blocks_per_core: int = 8
@@ -82,7 +82,7 @@ class GPUConfig(Serializable):
     icache_line: int = 64
     icache_assoc: int = 4
 
-    # -- LDST unit -------------------------------------------------------------
+    # -- LDST unit ------------------------------------------------------------
     sub_agu_width: int = 8            # addresses per sub-AGU per cycle
     coalescing_enabled: bool = True   # False: one transaction per address
     coalesce_segment_bytes: int = 128
@@ -125,14 +125,14 @@ class GPUConfig(Serializable):
     dram_refresh_interval_us: float = 7.8
     dram_latency_ns: float = 80.0     # uncontended round-trip add-on
 
-    # -- PCIe -------------------------------------------------------------------
+    # -- PCIe -----------------------------------------------------------------
     pcie_lanes: int = 16
     pcie_gen: int = 2
 
     def __post_init__(self) -> None:
         self.validate()
 
-    # -- derived ----------------------------------------------------------------
+    # -- derived --------------------------------------------------------------
 
     @property
     def n_cores(self) -> int:
@@ -189,7 +189,7 @@ class GPUConfig(Serializable):
         if self.scheduler_group_size < 1:
             raise ValueError("scheduler group size must be positive")
 
-    # -- XML interface -----------------------------------------------------------
+    # -- XML interface --------------------------------------------------------
 
     def to_xml(self) -> str:
         """Serialise to the simple XML parameter format."""
@@ -229,7 +229,7 @@ class GPUConfig(Serializable):
         """Copy with parameter overrides (design-space exploration)."""
         return dataclasses.replace(self, **overrides)
 
-    # -- dict/JSON interface (uniform result-object surface) ---------------------
+    # -- dict/JSON interface (uniform result-object surface) ------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain dict of every parameter (stable field order)."""

@@ -307,12 +307,13 @@ class Core:
         self._ready.extend(range(first, first + n_warps))
         self._live += n_warps
 
-    # -- event plumbing ------------------------------------------------------------
+    # -- event plumbing -------------------------------------------------------
 
     def _schedule(self, time: float, warp: Warp, reg: Optional[int],
                   is_mem: bool) -> None:
         self._event_seq += 1
-        heapq.heappush(self._events, (time, self._event_seq, warp, reg, is_mem))
+        heapq.heappush(self._events,
+                       (time, self._event_seq, warp, reg, is_mem))
 
     def _refresh_ready(self, now: float) -> None:
         """Rebuild the issue-loop bookkeeping from the warps' own flags.
@@ -352,7 +353,7 @@ class Core:
         if k == len(ready) or ready[k] != index:
             ready.insert(k, index)
 
-    # -- main step -----------------------------------------------------------------
+    # -- main step ------------------------------------------------------------
 
     def step(self, now: float) -> Optional[float]:
         """Simulate the core at cycle ``now``.
@@ -591,7 +592,7 @@ class Core:
         self._stalled_wake = wake
         return False
 
-    # -- instruction issue -----------------------------------------------------
+    # -- instruction issue ----------------------------------------------------
 
     def _issue(self, warp: Warp, index: int, entry: DecodedInst,
                now: float) -> None:
@@ -721,7 +722,7 @@ class Core:
         else:
             raise ValueError(f"unhandled control op {op}")
 
-    # -- block/barrier management --------------------------------------------------
+    # -- block/barrier management ---------------------------------------------
 
     def _barrier_arrive(self, warp: Warp, now: float) -> None:
         block = self.blocks[warp.block_slot]
@@ -774,7 +775,7 @@ class Core:
             if block.live_warps <= 0:
                 self._retire_block(block, now)
 
-    # -- statistics ---------------------------------------------------------------
+    # -- statistics -----------------------------------------------------------
 
     def absorb_warp_stats(self, warp: Warp) -> None:
         """Accumulate a retired warp's divergence-stack activity."""

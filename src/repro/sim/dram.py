@@ -130,9 +130,11 @@ class DRAMSystem:
         self.config = config
         scale = shader_clock_hz / config.dram_clock_hz
         self.channels: List[DRAMChannel] = [
-            DRAMChannel(config, i, scale) for i in range(config.n_mem_partitions)
+            DRAMChannel(config, i, scale)
+            for i in range(config.n_mem_partitions)
         ]
-        self.fixed_latency_shader = config.dram_latency_ns * 1e-9 * shader_clock_hz
+        self.fixed_latency_shader = (config.dram_latency_ns * 1e-9
+                                     * shader_clock_hz)
 
     def channel_for(self, addr_bytes: int) -> DRAMChannel:
         """Address interleaving across partitions at line granularity."""
@@ -142,7 +144,8 @@ class DRAMSystem:
     def access(self, addr_bytes: int, now: float, is_write: bool) -> float:
         """One post-L2 memory transaction; returns completion time."""
         channel = self.channel_for(addr_bytes)
-        return channel.access(addr_bytes, now + self.fixed_latency_shader, is_write)
+        return channel.access(addr_bytes, now + self.fixed_latency_shader,
+                              is_write)
 
     def refresh_count(self, runtime_s: float) -> float:
         """All-bank refresh operations issued during ``runtime_s``.

@@ -192,7 +192,7 @@ class GPU:
                          else sanitizer.finalize()),
         )
 
-    # -- aggregation ---------------------------------------------------------------
+    # -- aggregation ----------------------------------------------------------
 
     def _collect(self, launch: KernelLaunch, cycles: float) -> ActivityReport:
         config = self.config

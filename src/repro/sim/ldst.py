@@ -135,11 +135,11 @@ class LoadStoreUnit:
         transactions = self.coalescer.coalesce(words)
         is_write = inst.is_store
         completion = now + 1.0
+        l1_hit = now + self.config.l1_latency_shader_cycles
         for base, size in transactions:
             if self.l1 is not None and not is_write:
                 if self.l1.lookup(base, is_write=False):
-                    completion = max(completion,
-                                     now + self.config.l1_latency_shader_cycles)
+                    completion = max(completion, l1_hit)
                     continue
             elif self.l1 is not None and is_write:
                 # Write-through, no-write-allocate L1.

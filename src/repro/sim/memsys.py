@@ -50,7 +50,8 @@ class MemorySystem:
         bank there (if any), and on a miss performs a DRAM burst per
         ``dram_burst_bytes`` chunk of the transaction.
         """
-        partition = (addr_bytes // self.config.l2_line) % self.config.n_mem_partitions
+        config = self.config
+        partition = (addr_bytes // config.l2_line) % config.n_mem_partitions
         request_bytes = size_bytes if is_write else 8
         arrival = self.noc.send(partition, request_bytes, now)
 
@@ -71,7 +72,8 @@ class MemorySystem:
 
         # Response crosses the NoC back (loads carry data back).
         response_bytes = size_bytes if not is_write else 8
-        return service_done + self.noc.flits_for(response_bytes) * self.noc.scale
+        noc = self.noc
+        return service_done + noc.flits_for(response_bytes) * noc.scale
 
     def _dram_fill(self, addr_bytes: int, size_bytes: int, now: float,
                    is_write: bool) -> float:
@@ -88,7 +90,7 @@ class MemorySystem:
             offset += burst
         return completion
 
-    # -- shard coordination ------------------------------------------------------
+    # -- shard coordination ---------------------------------------------------
 
     def set_background(self, ratio: float) -> None:
         """Model foreign shared-resource load from other shards.
@@ -132,7 +134,7 @@ class MemorySystem:
         return (self.noc.flits * self.noc.scale
                 + sum(ch.busy_time for ch in self.dram.channels))
 
-    # -- aggregate statistics ---------------------------------------------------
+    # -- aggregate statistics -------------------------------------------------
 
     @property
     def l2_reads(self) -> int:

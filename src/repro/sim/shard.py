@@ -227,7 +227,7 @@ class ShardEngine:
         self.recorder: Optional[BoundaryRecorder] = None
         self.launch = None
 
-    # -- setup -------------------------------------------------------------------
+    # -- setup ----------------------------------------------------------------
 
     def prepare(self, launch, gmem, cmem) -> None:
         """Bind the launch to every core of the shard.
@@ -260,7 +260,7 @@ class ShardEngine:
             if not core.idle:
                 self._push(0.0, core.core_id)
 
-    # -- event plumbing ----------------------------------------------------------
+    # -- event plumbing -------------------------------------------------------
 
     def _assign(self, core: Core, block_id: int) -> None:
         core.assign_block(block_id)
@@ -295,7 +295,7 @@ class ShardEngine:
         return sum(core.free_slots for core in self.cores_list
                    if core.ever_used)
 
-    # -- the loop ----------------------------------------------------------------
+    # -- the loop -------------------------------------------------------------
 
     def step_epoch(self, horizon: Optional[float], max_cycles: float,
                    kernel_name: str) -> bool:
@@ -392,7 +392,7 @@ class ShardEngine:
                     self._push(self.clock, cid)
                     filling = True
 
-    # -- reporting ---------------------------------------------------------------
+    # -- reporting ------------------------------------------------------------
 
     def collect(self, t: float) -> ActivityReport:
         """Shard-local cumulative activity at time ``t``.

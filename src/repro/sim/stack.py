@@ -52,7 +52,7 @@ class ReconvergenceStack:
         self.reads = 0
         self.max_depth = 1
 
-    # -- observers -------------------------------------------------------------
+    # -- observers ------------------------------------------------------------
 
     @property
     def empty(self) -> bool:
@@ -74,7 +74,7 @@ class ReconvergenceStack:
         t = self._tokens[-1]
         return t.pc, t.mask
 
-    # -- mutations ---------------------------------------------------------------
+    # -- mutations ------------------------------------------------------------
 
     def advance(self, new_pc: int) -> None:
         """Sequential or uniform-branch PC update of the top token.

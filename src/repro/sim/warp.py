@@ -33,7 +33,8 @@ class Warp:
         self.block_slot = block_slot
         self.block_id = block_id
         self.kernel = kernel
-        self.ctx = WarpContext(kernel.n_regs, kernel.n_preds, specials, warp_size)
+        self.ctx = WarpContext(kernel.n_regs, kernel.n_preds, specials,
+                               warp_size)
         self.stack = ReconvergenceStack(warp_size, initial_mask)
         self.at_barrier = False
         self.done = False

@@ -85,7 +85,7 @@ class ActivityTracer:
         self._prev = ActivityReport()
         self._prev_cycles = 0.0
 
-    # -- driven by GPU.run -------------------------------------------------------
+    # -- driven by GPU.run ----------------------------------------------------
 
     def begin(self, snapshot: Callable[[float], ActivityReport],
               config=None, launch=None) -> None:
@@ -132,7 +132,7 @@ class ActivityTracer:
             self.sink.on_end(aggregate, final_cycles)
         return self.windows
 
-    # -- driven by sharded backends ----------------------------------------------
+    # -- driven by sharded backends -------------------------------------------
 
     def emit_cumulative(self, end_cycles: float,
                         snapshot: ActivityReport) -> None:
@@ -147,7 +147,7 @@ class ActivityTracer:
         """
         self._emit(end_cycles, snapshot)
 
-    # -- internals ---------------------------------------------------------------
+    # -- internals ------------------------------------------------------------
 
     def _emit(self, end_cycles: float, snapshot: ActivityReport) -> None:
         window = window_delta(len(self.windows), self._prev, snapshot,

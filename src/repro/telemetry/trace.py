@@ -95,7 +95,7 @@ class PowerTrace(Serializable):
     windows: List[ActivityWindow] = field(default_factory=list)
     samples: List[PowerSample] = field(default_factory=list)
 
-    # -- construction -------------------------------------------------------------
+    # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_windows(cls, config: GPUConfig, kernel: str,
@@ -131,7 +131,7 @@ class PowerTrace(Serializable):
                    interval_cycles=float(interval_cycles),
                    windows=list(windows), samples=samples)
 
-    # -- analysis -----------------------------------------------------------------
+    # -- analysis -------------------------------------------------------------
 
     @property
     def n_windows(self) -> int:
@@ -186,7 +186,7 @@ class PowerTrace(Serializable):
         """
         return sum_windows(self.windows, self.config)
 
-    # -- rendering / export -------------------------------------------------------
+    # -- rendering / export ---------------------------------------------------
 
     def sparkline(self, width: int = 60) -> str:
         """One-line ASCII rendering of card power over time."""

@@ -179,11 +179,13 @@ def sum_windows(windows: Sequence[ActivityWindow],
     return total
 
 
-def windows_to_dicts(windows: Sequence[ActivityWindow]) -> List[Dict[str, Any]]:
+def windows_to_dicts(
+        windows: Sequence[ActivityWindow]) -> List[Dict[str, Any]]:
     """Transport form for the runner pipe and the on-disk cache."""
     return [w.to_dict() for w in windows]
 
 
-def windows_from_dicts(payload: Sequence[Dict[str, Any]]) -> List[ActivityWindow]:
+def windows_from_dicts(
+        payload: Sequence[Dict[str, Any]]) -> List[ActivityWindow]:
     """Inverse of :func:`windows_to_dicts`."""
     return [ActivityWindow.from_dict(d) for d in payload]

@@ -30,7 +30,8 @@ EDGE_BASE = N_NODES + 1           # edge array
 
 
 def build_bfs1(edge_count: int):
-    """Assemble the frontier-expansion kernel; returns it plus the array offsets."""
+    """Assemble the frontier-expansion kernel; returns it plus the array
+    offsets."""
     mask_off = EDGE_BASE + edge_count
     updating_off = mask_off + N_NODES
     visited_off = updating_off + N_NODES
@@ -109,7 +110,8 @@ def build() -> List[KernelLaunch]:
     """Build this benchmark's kernel launches (Table I entry)."""
     row, edges, frontier, visited = make_graph()
     edge_count = len(edges)
-    kernel1, mask_off, updating_off, visited_off, cost_off = build_bfs1(edge_count)
+    kernel1, mask_off, updating_off, visited_off, cost_off = build_bfs1(
+        edge_count)
     kernel2 = build_bfs2(edge_count)
     gmem_words = cost_off + N_NODES
     init = {

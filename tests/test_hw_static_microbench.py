@@ -115,5 +115,6 @@ class TestStaircase:
     def test_cluster_activation_magnitude(self, points):
         powers = [p for _, p in points]
         steps = [b - a for a, b in zip(powers, powers[1:])]
-        cluster_extra = (sum(steps[:3]) / 3) - (sum(steps[3:]) / len(steps[3:]))
+        cluster_extra = ((sum(steps[:3]) / 3)
+                         - (sum(steps[3:]) / len(steps[3:])))
         assert cluster_extra == pytest.approx(0.692, rel=0.15)

@@ -104,6 +104,7 @@ class TestXML:
             GPUConfig.from_xml("<not_a_config/>")
 
     def test_rejects_unknown_param(self):
-        xml = '<gpu_config name="x"><param name="bogus" value="1"/></gpu_config>'
+        xml = ('<gpu_config name="x"><param name="bogus" value="1"/>'
+               '</gpu_config>')
         with pytest.raises(ValueError):
             GPUConfig.from_xml(xml)

@@ -232,7 +232,7 @@ class TestIntSemanticsProperties:
         assert run_op("IMOD", lanes(a), lanes(b))[0] == a % b
 
 
-# -- compiled executors against the scalar oracle ------------------------------
+# -- compiled executors against the scalar oracle -----------------------------
 
 #: Every value opcode: the INT/FP/SFU pipelines hold no memory or
 #: control op.

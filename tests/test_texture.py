@@ -82,7 +82,8 @@ class TestFunctional:
         kb.exit()
         launch = KernelLaunch(kb.build(), Dim3(1), Dim3(32), gmem_words=64)
         gpu = GPU(TEX_CFG)
-        with pytest.raises(IndexError, match=r"out of bounds in LDT r1 \[r0\]"):
+        with pytest.raises(IndexError,
+                           match=r"out of bounds in LDT r1 \[r0\]"):
             gpu.run(launch)
         # The fault comes before any texture-cache accounting.
         ldst = gpu.cores[0].ldst

@@ -258,7 +258,8 @@ class TestHeartwall:
         out = simulate(CFG, launches["heartwall"])
         wins, tpl = heartwall.make_inputs()
         ref = heartwall.reference(wins, tpl)
-        got = out.gmem[heartwall.OUT_OFF:heartwall.OUT_OFF + heartwall.N_POINTS]
+        got = out.gmem[heartwall.OUT_OFF:
+                       heartwall.OUT_OFF + heartwall.N_POINTS]
         assert np.allclose(got, ref, rtol=1e-5)
 
 
