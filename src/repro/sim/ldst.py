@@ -61,10 +61,6 @@ class LoadStoreUnit:
         self.tex_requests = 0
         self.tex_accesses = 0
         self.tex_misses = 0
-        self._by_space = {"global": self._global_access,
-                          "shared": self._shared_access,
-                          "const": self._const_access,
-                          "texture": self._texture_access}
 
     def execute(self, inst: Instruction, ctx: WarpContext,
                 mask: np.ndarray, smem: np.ndarray, now: float) -> float:
@@ -125,8 +121,8 @@ class LoadStoreUnit:
         """
         self.instructions += 1
         agu_cycles = self.agu.generate(len(words))
-        completion, occupancy = self._by_space[inst.mem_space](
-            inst, ctx, mask, addrs, words, memory, now)
+        completion, occupancy = _ACCESS_BY_SPACE[inst.mem_space](
+            self, inst, ctx, mask, addrs, words, memory, now)
         return completion, max(agu_cycles, occupancy, 1)
 
     # -- global memory ------------------------------------------------------
@@ -226,6 +222,14 @@ class LoadStoreUnit:
         ctx.regs[inst.dst.index][mask] = memory[addrs]
         return completion, max(1, len(lines))
 
+
+#: Each space's access body (unbound: an instance-held table of bound
+#: methods would be a reference cycle, freeing the unit's caches only
+#: on a garbage-collector pass).
+_ACCESS_BY_SPACE = {"global": LoadStoreUnit._global_access,
+                    "shared": LoadStoreUnit._shared_access,
+                    "const": LoadStoreUnit._const_access,
+                    "texture": LoadStoreUnit._texture_access}
 
 #: How an out-of-bounds message names each memory space.
 _SPACE_NAMES = {"global": "global", "shared": "shared", "const": "constant",

@@ -39,8 +39,10 @@ from .memsys import MemorySystem
 
 
 def dispatch_order(config: GPUConfig) -> List[int]:
-    """The Fig. 4 breadth-first-over-clusters global dispatch order:
-    core 0 of every cluster, then core 1 of every cluster, ..."""
+    """The Fig. 4 global dispatch order, breadth-first over clusters.
+
+    Core 0 of every cluster, then core 1 of every cluster, ...
+    """
     return [
         cluster * config.cores_per_cluster + slot
         for slot in range(config.cores_per_cluster)
@@ -120,9 +122,11 @@ def accumulate_core(act: ActivityReport, core: Core) -> None:
 
 
 def accumulate_ldst(act: ActivityReport, ldst: LoadStoreUnit) -> None:
-    """Add one load/store unit's counters into ``act`` (the cycle
-    engine's per-core report and the analytical estimator's sampled
-    blocks read the unit through this one function)."""
+    """Add one load/store unit's counters into ``act``.
+
+    The cycle engine's per-core report and the analytical estimator's
+    sampled blocks both read the unit through this one function.
+    """
     act.mem_instructions += ldst.instructions
     act.agu_ops += ldst.agu.sub_agu_ops
     act.coalescer_accesses += ldst.coalescer.accesses

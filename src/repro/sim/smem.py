@@ -46,11 +46,17 @@ class SharedMemory:
         # np.unique on 32-lane vectors.
         distinct = set(word_addresses)
         n_banks = self.n_banks
-        per_bank: Dict[int, int] = {}
-        for addr in distinct:
-            bank = addr % n_banks
-            per_bank[bank] = per_bank.get(bank, 0) + 1
-        phases = max(per_bank.values())
+        if len(distinct) <= n_banks \
+                and max(distinct) - min(distinct) < len(distinct):
+            # A contiguous run no wider than the bank count maps every
+            # word to its own bank.
+            phases = 1
+        else:
+            per_bank: Dict[int, int] = {}
+            for addr in distinct:
+                bank = addr % n_banks
+                per_bank[bank] = per_bank.get(bank, 0) + 1
+            phases = max(per_bank.values())
         self.bank_accesses += len(distinct)
         self.conflict_phases += phases - 1
         self.xbar_transfers += len(word_addresses)

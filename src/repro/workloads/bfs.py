@@ -30,8 +30,7 @@ EDGE_BASE = N_NODES + 1           # edge array
 
 
 def build_bfs1(edge_count: int):
-    """Assemble the frontier-expansion kernel; returns it plus the array
-    offsets."""
+    """Assemble the frontier-expansion kernel plus its array offsets."""
     mask_off = EDGE_BASE + edge_count
     updating_off = mask_off + N_NODES
     visited_off = updating_off + N_NODES
