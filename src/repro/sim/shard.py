@@ -22,7 +22,8 @@ Two callers drive it:
 The per-core and uncore counter accumulation used by ``GPU._collect``
 lives here too (:func:`accumulate_core`, :func:`accumulate_memsys`), so
 shard-local reports and the whole-GPU report are built from the same
-additions in the same order.
+additions in the same order; the analytical estimator reads its
+sampled load/store units with the LDST half, :func:`accumulate_ldst`.
 """
 
 from __future__ import annotations
