@@ -51,11 +51,11 @@ import numpy as np
 from ..isa.cfg import EXIT_PC_SENTINEL
 from ..isa.kernel import Kernel
 from ..isa.launch import KernelLaunch
-from ..sim.activity import ActivityReport
+from ..sim.activity import (ActivityReport, set_cycle_envelope,
+                            set_launch_envelope)
 from ..sim.cache import SetAssocCache
 from ..sim.config import GPUConfig
 from ..sim.core import DecodeTable, decode_kernel, max_resident_blocks
-from ..sim.dram import refresh_operations
 from ..sim.functional import (WarpContext, branch_taken_mask,
                               memory_addresses)
 from ..sim.gpu import SimulationOutput
@@ -462,11 +462,8 @@ class AnalyticalBackend(SimulationBackend):
         cycles = max(1.0, core_cycles, dram_cycles)
 
         act = ActivityReport()
-        act.shader_cycles = cycles
-        act.runtime_s = cycles / config.shader_clock_hz
-        act.blocks_launched = n_blocks
-        act.warps_launched = total_warps
-        act.threads_launched = launch.total_threads
+        set_cycle_envelope(act, config, cycles)
+        set_launch_envelope(act, config, threads, n_blocks)
         act.active_cores = n_active
         act.active_clusters = min(config.n_clusters, n_blocks)
 
@@ -507,7 +504,6 @@ class AnalyticalBackend(SimulationBackend):
         act.tex_misses = min(act.tex_misses, act.tex_accesses)
         act.l2_misses = min(act.l2_misses, act.l2_reads + act.l2_writes)
         act.dram_precharges = min(act.dram_precharges, act.dram_activates)
-        act.dram_refreshes = refresh_operations(config, act.runtime_s)
         return act, cycles
 
 

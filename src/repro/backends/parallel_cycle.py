@@ -42,15 +42,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..isa.launch import KernelLaunch
-from ..sim.activity import ActivityReport
+from ..sim.activity import ActivityReport, set_cycle_envelope
 from ..sim.config import GPUConfig
 from ..sim.core import Core, max_resident_blocks
-from ..sim.dram import refresh_operations
 from ..sim.gpu import GPU, SimulationOutput
 from ..sim.memsys import MemorySystem
-from ..sim.shard import (BoundaryRecorder, ShardEngine, dispatch_order,
-                         plan_initial_placement)
-from ..telemetry.window import _COUNTER_FIELDS
+from ..sim.shard import ShardEngine, dispatch_order, plan_initial_placement
+from ..telemetry.sink import BoundaryRecorder
+from ..telemetry.window import sum_counters
 from .base import BackendCapabilities, BackendInfo, SimulationBackend
 
 #: Default epoch horizon in shader cycles.  Empirically small enough to
@@ -93,7 +92,7 @@ def _shard_core_ids(config: GPUConfig, n_shards: int) -> List[List[int]]:
 
 
 class _ShardSession:
-    """Worker-side state of one shard: engine, recorder, memory diff.
+    """Worker-side state of one shard: engine, tracer, memory diff.
 
     The same object backs both execution modes -- in-process shards call
     it directly, forked shards drive it over a pipe -- so results cannot
@@ -124,11 +123,9 @@ class _ShardSession:
                                        gmem_words=len(base_gmem))
             for core in cores:
                 core.sanitizer = self.sanitizer
-        self.recorder: Optional[BoundaryRecorder] = None
         if trace_interval is not None:
-            self.recorder = BoundaryRecorder(trace_interval,
-                                             self.engine.collect)
-            self.engine.recorder = self.recorder
+            self.engine.tracer = BoundaryRecorder(trace_interval)
+            self.engine.tracer.begin(self.engine.collect)
 
     def epoch(self, horizon: Optional[float], grants: Sequence[int],
               ratio: float,
@@ -156,10 +153,9 @@ class _ShardSession:
         """Final shard result: aggregate, boundary snapshots, gmem diff."""
         engine = self.engine
         activity = engine.collect(engine.final_time)
-        boundaries = []
-        if self.recorder is not None:
-            boundaries = [(b, report.to_dict())
-                          for b, report in self.recorder.boundaries]
+        tracer = engine.tracer
+        boundaries = [] if tracer is None else [
+            (b, report.to_dict()) for b, report in tracer.boundaries]
         changed = self.gmem != self.base_gmem
         idx = np.nonzero(changed)[0]
         return {
@@ -463,19 +459,10 @@ class ParallelCycleBackend(SimulationBackend):
     def _merge_cumulative(config: GPUConfig, t: float,
                           snapshots: Sequence[ActivityReport],
                           ) -> ActivityReport:
-        """Whole-GPU cumulative report at time ``t`` from shard locals.
-
-        Counters sum exactly (integer-valued, disjoint cores/clusters);
-        the envelope is rebuilt from ``t`` and ``dram_refreshes`` is
-        rederived from runtime with the simulator's own arithmetic.
-        """
-        act = ActivityReport()
-        for snap in snapshots:
-            for name in _COUNTER_FIELDS:
-                setattr(act, name, getattr(act, name) + getattr(snap, name))
-        act.shader_cycles = t
-        act.runtime_s = t / config.shader_clock_hz
-        act.dram_refreshes = refresh_operations(config, act.runtime_s)
+        """Whole-GPU cumulative report at time ``t``: shard counters
+        (launch fields included) summed, the cycle envelope from ``t``."""
+        act = sum_counters(snapshots)
+        set_cycle_envelope(act, config, t)
         return act
 
     def _merge(self, config, launch, gmem, tracer, results
@@ -502,19 +489,21 @@ class ParallelCycleBackend(SimulationBackend):
 
         windows = None
         if tracer is not None:
+            # The shards recorded cumulatives on the tracer's boundary
+            # grid; the tracer cuts windows from their per-boundary sum
+            # (a shard that already finished contributes its aggregate).
             per_shard = [
                 {b: ActivityReport.from_dict(d) for b, d in r["boundaries"]}
                 for r in results
             ]
-            tracer.begin(lambda t: activity, config=config, launch=launch)
-            boundary = tracer.interval_cycles
-            while boundary < final_time:
-                snaps = [shard.get(boundary, aggregates[k])
-                         for k, shard in enumerate(per_shard)]
-                tracer.emit_cumulative(
-                    boundary,
-                    self._merge_cumulative(config, boundary, snaps))
-                boundary += tracer.interval_cycles
+
+            def snapshot(t: float) -> ActivityReport:
+                return self._merge_cumulative(
+                    config, t, [shard.get(t, aggregates[k])
+                                for k, shard in enumerate(per_shard)])
+
+            tracer.begin(snapshot, config=config, launch=launch)
+            tracer.cut(final_time)
             windows = tracer.finish(final_time, activity)
 
         return SimulationOutput(

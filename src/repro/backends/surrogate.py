@@ -54,7 +54,8 @@ import numpy as np
 
 from ..isa.launch import KernelLaunch
 from ..isa.serialize import kernel_digest
-from ..sim.activity import ActivityReport
+from ..sim.activity import (ActivityReport, set_cycle_envelope,
+                            set_launch_envelope)
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimulationOutput
 from .base import (BackendCapabilities, BackendError, BackendInfo,
@@ -442,16 +443,9 @@ def activity_from_rates(config: GPUConfig, launch: KernelLaunch,
     predicted; the hierarchical clamps keep
     :meth:`ActivityReport.validate` happy near the rails.
     """
-    from ..sim.dram import refresh_operations
-
     activity = ActivityReport()
-    activity.shader_cycles = cycles
-    activity.runtime_s = cycles / config.shader_clock_hz
-    activity.blocks_launched = launch.grid.count
-    activity.threads_launched = launch.total_threads
-    activity.warps_launched = (launch.grid.count
-                               * -(-launch.block.count
-                                   // config.warp_size))
+    set_launch_envelope(activity, config, launch.block.count,
+                        launch.grid.count)
     activity.active_cores = min(config.n_cores, launch.grid.count)
     activity.active_clusters = min(config.n_clusters, launch.grid.count)
     for name, rate in zip(names, rates):
@@ -462,8 +456,8 @@ def activity_from_rates(config: GPUConfig, launch: KernelLaunch,
                                 activity.const_reads)
     activity.icache_misses = min(activity.icache_misses,
                                  activity.icache_reads)
-    activity.dram_refreshes = refresh_operations(config,
-                                                 activity.runtime_s)
+    # After the rate loop: the envelope overrides the predicted refreshes.
+    set_cycle_envelope(activity, config, cycles)
     return activity
 
 

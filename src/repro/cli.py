@@ -251,28 +251,22 @@ def _cmd_run(args) -> int:
         return 2
     config = request.config
     if isinstance(args.profile, str):
-        # Profile the backend's simulate itself: run the request in
-        # this process (no cache, no pool -- a cache hit or a
-        # worker-side run would leave nothing to measure).
+        # Profile the simulation itself: in this process and uncached
+        # (a cache hit or a worker-side run would leave nothing to
+        # measure).
         import cProfile
-        from .backends.base import resolve_backend
-        used, promised = resolve_backend(request)
         profiler = cProfile.Profile()
-        profiler.enable()
-        out = replace(request, backend=used).execute()
-        profiler.disable()
+        with profiler:
+            job, = run_jobs([request], n_jobs=1, cache=None)
         profiler.dump_stats(args.profile)
-        activity, windows, diagnostics = (out.activity, out.windows,
-                                          out.diagnostics)
     else:
         jobs, cache, progress, timeout = _runner_options(args)
         job, = run_jobs([request], n_jobs=jobs, cache=cache,
                         progress=progress, timeout_s=timeout)
-        used, promised = job.backend, job.promised_error
-        activity, windows, diagnostics = (job.activity, job.windows,
-                                          job.diagnostics)
+    used, promised = job.backend, job.promised_error
     result = GPUSimPow(config).run(replace(request, backend=used),
-                                   activity=activity, windows=windows)
+                                   activity=job.activity,
+                                   windows=job.windows)
     if args.backend == "auto":
         suffix = (f" (auto -> {used} backend, promised error "
                   f"{promised:.1%})")
@@ -288,9 +282,9 @@ def _cmd_run(args) -> int:
     print(f"  DRAM power:    {result.power.dram.total_dynamic_w:10.2f} W")
     print(f"  energy/run:    {result.energy_j * 1e6:10.3f} uJ")
     if args.sanitize:
-        if diagnostics:
-            print(f"  sanitizer:     {len(diagnostics)} finding(s)")
-            for d in diagnostics:
+        if job.diagnostics:
+            print(f"  sanitizer:     {len(job.diagnostics)} finding(s)")
+            for d in job.diagnostics:
                 print(f"    {d.format()}")
         else:
             print("  sanitizer:     clean (no findings)")

@@ -20,7 +20,10 @@ so a parent that dies without cleanup reaches it as EOF; and it
 restores the default SIGTERM/SIGINT handling, because a worker forked
 from an asyncio daemon would otherwise inherit the loop's handlers,
 which only write to the parent's wakeup fd -- ``terminate()`` at the
-parent's exit would then be ignored and the exit would hang.
+parent's exit would then be ignored and the exit would hang.  It also
+lets go of every other inherited socket (the daemon's listener, its
+client connections), so a connection the daemon closes reaches its
+client as EOF.
 
 The pool is thread-safe: the service daemon drives it from several
 executor threads at once.  One lock guards the idle list and the
@@ -33,9 +36,35 @@ from its pipe and sentinel).
 
 from __future__ import annotations
 
+import os
 import signal
+import stat
 import threading
 from typing import List, Optional
+
+
+def _release_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket but ``keep`` at ``/dev/null``.
+
+    Not a close: the parent's socket objects, copied here, still name
+    the numbers, and their finalizers would close whatever reused a
+    freed one.  The standard streams stay, whatever they are.
+    """
+    try:
+        fds = [int(fd) for fd in os.listdir("/dev/fd")]
+    except OSError:  # no descriptor listing on this platform
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            try:
+                if fd > 2 and fd not in (keep, null) \
+                        and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:  # the listing's own, since-closed descriptor
+                pass
+    finally:
+        os.close(null)
 
 
 def _pool_worker_main(conn, parent_end) -> None:
@@ -44,6 +73,7 @@ def _pool_worker_main(conn, parent_end) -> None:
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
+    _release_inherited_sockets(conn.fileno())
     from .engine import _execute_job
     try:
         while True:

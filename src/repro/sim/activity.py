@@ -19,6 +19,8 @@ from typing import Dict
 
 from ..serialize import (Serializable, scalar_fields_from_dict,
                          scalar_fields_to_dict)
+from .config import GPUConfig
+from .dram import refresh_operations
 
 
 @dataclass
@@ -110,17 +112,6 @@ class ActivityReport(Serializable):
     dram_writes: float = 0.0
     dram_refreshes: float = 0.0
 
-    def __iadd__(self, other: "ActivityReport") -> "ActivityReport":
-        """Accumulate counts (max over timing, sum over counters)."""
-        for f in fields(self):
-            name = f.name
-            if name in ("shader_cycles", "runtime_s"):
-                setattr(self, name,
-                        max(getattr(self, name), getattr(other, name)))
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-        return self
-
     def scaled(self, factor: float) -> "ActivityReport":
         """Counts scaled by ``factor``; timing left untouched.
 
@@ -182,3 +173,27 @@ class ActivityReport(Serializable):
         assert self.icache_misses <= self.icache_reads + 1e-9
         if self.issued_instructions:
             assert self.threads_launched > 0
+
+
+def set_cycle_envelope(act: ActivityReport, config: GPUConfig,
+                       cycles: float) -> None:
+    """Set ``shader_cycles``, ``runtime_s`` and ``dram_refreshes``.
+
+    All three follow from the shader-cycle count; every backend sets
+    them here.
+    """
+    act.shader_cycles = cycles
+    act.runtime_s = cycles / config.shader_clock_hz
+    act.dram_refreshes = refresh_operations(config, act.runtime_s)
+
+
+def set_launch_envelope(act: ActivityReport, config: GPUConfig,
+                        block_threads: int, n_blocks: int) -> None:
+    """Set ``blocks_launched``, ``warps_launched``, ``threads_launched``.
+
+    ``n_blocks`` blocks of ``block_threads`` threads each.
+    """
+    warps_per_block = -(-block_threads // config.warp_size)
+    act.blocks_launched = n_blocks
+    act.warps_launched = warps_per_block * n_blocks
+    act.threads_launched = block_threads * n_blocks

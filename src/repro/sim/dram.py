@@ -147,13 +147,6 @@ class DRAMSystem:
         return channel.access(addr_bytes, now + self.fixed_latency_shader,
                               is_write)
 
-    def refresh_count(self, runtime_s: float) -> float:
-        """All-bank refresh operations issued during ``runtime_s``.
-
-        One REFab per ``dram_refresh_interval_us`` per channel.
-        """
-        return refresh_operations(self.config, runtime_s)
-
     @property
     def activates(self) -> int:
         return sum(c.activates for c in self.channels)
@@ -174,10 +167,9 @@ class DRAMSystem:
 def refresh_operations(config: GPUConfig, runtime_s: float) -> float:
     """All-bank refresh operations across all channels in ``runtime_s``.
 
-    Shared by the live :class:`DRAMSystem` and the telemetry window
-    reconstruction (:func:`repro.telemetry.sum_windows`), so both derive
-    the time-based refresh counter with the exact same arithmetic --
-    the windowed-trace invariant needs them bit-identical.
+    Shared by :func:`repro.sim.activity.set_cycle_envelope` and the
+    window reconstruction (:func:`repro.telemetry.sum_windows`): the
+    windowed-trace invariant needs them bit-identical.
     """
     per_channel = runtime_s / (config.dram_refresh_interval_us * 1e-6)
     return per_channel * config.n_mem_partitions

@@ -20,13 +20,12 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from ..isa.launch import KernelLaunch
-from .activity import ActivityReport
+from .activity import ActivityReport, set_launch_envelope
 from .config import GPUConfig
 from .core import Core, SimulationDeadlock, max_resident_blocks
 from .functional import VECTORIZED, FunctionalBinding
 from .memsys import MemorySystem
-from .shard import (ShardEngine, accumulate_core, accumulate_memsys,
-                    dispatch_order, plan_initial_placement)
+from .shard import ShardEngine, dispatch_order, plan_initial_placement
 
 if TYPE_CHECKING:  # telemetry imports sim, never the other way around
     from ..telemetry.sink import ActivityTracer
@@ -141,7 +140,7 @@ class GPU:
                              self._dispatch_order)
         engine.prepare(launch, gmem, cmem)
         if tracer is not None:
-            tracer.begin(lambda t: self._collect(launch, t),
+            tracer.begin(lambda t: self._collect(engine, launch, t),
                          config=config, launch=launch)
             engine.tracer = tracer
         if sanitizer is not None:
@@ -177,7 +176,7 @@ class GPU:
             raise RuntimeError("scheduler finished with unplaced blocks")
         final_time = engine.final_time
 
-        activity = self._collect(launch, final_time)
+        activity = self._collect(engine, launch, final_time)
         windows = None
         if tracer is not None:
             windows = tracer.finish(final_time, activity)
@@ -194,25 +193,13 @@ class GPU:
 
     # -- aggregation ----------------------------------------------------------
 
-    def _collect(self, launch: KernelLaunch, cycles: float) -> ActivityReport:
-        config = self.config
-        act = ActivityReport()
-        act.shader_cycles = cycles
-        act.runtime_s = cycles / config.shader_clock_hz
-        act.blocks_launched = launch.grid.count
-        warps_per_block = -(-launch.block.count // config.warp_size)
-        act.warps_launched = warps_per_block * launch.grid.count
-        act.threads_launched = launch.total_threads
-
-        used_cores = [c for c in self.cores if c.blocks_executed > 0]
-        act.active_cores = len(used_cores)
-        clusters = {c.core_id // config.cores_per_cluster for c in used_cores}
-        act.active_clusters = len(clusters)
-
-        for core in self.cores:
-            accumulate_core(act, core)
-        accumulate_memsys(act, self.memsys)
-        act.dram_refreshes += self.memsys.dram.refresh_count(act.runtime_s)
+    def _collect(self, engine: ShardEngine, launch: KernelLaunch,
+                 cycles: float) -> ActivityReport:
+        """The engine's report; every block counts as launched from
+        cycle 0."""
+        act = engine.collect(cycles)
+        set_launch_envelope(act, self.config, launch.block.count,
+                            launch.grid.count)
         return act
 
 

@@ -19,20 +19,22 @@ Two callers drive it:
   cluster-aligned core subset and steps them epoch by epoch, exchanging
   block grants and background-load estimates at the barriers.
 
-The per-core and uncore counter accumulation used by ``GPU._collect``
-lives here too (:func:`accumulate_core`, :func:`accumulate_memsys`), so
-shard-local reports and the whole-GPU report are built from the same
-additions in the same order; the analytical estimator reads its
-sampled load/store units with the LDST half, :func:`accumulate_ldst`.
+Both cut telemetry windows through the one tracer slot,
+:attr:`ShardEngine.tracer`, and build reports with the one collector,
+:meth:`ShardEngine.collect`, from the same per-core and uncore
+additions in the same order (:func:`accumulate_core`,
+:func:`accumulate_memsys`); the analytical estimator reads its sampled
+load/store units with the LDST half, :func:`accumulate_ldst`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .activity import ActivityReport
+from .activity import (ActivityReport, set_cycle_envelope,
+                       set_launch_envelope)
 from .config import GPUConfig
 from .core import Core, decode_kernel
 from .ldst import LoadStoreUnit
@@ -83,7 +85,7 @@ def plan_initial_placement(order: Sequence[int], capacity: int,
 
 
 def accumulate_core(act: ActivityReport, core: Core) -> None:
-    """Add one core's counters into ``act`` (the ``_collect`` body)."""
+    """Add one core's counters into ``act``."""
     act.core_busy_cycles += core.busy_cycles
     for reason, stalled in core.stall_cycles.items():
         name = f"stall_{reason}"
@@ -150,7 +152,7 @@ def accumulate_ldst(act: ActivityReport, ldst: LoadStoreUnit) -> None:
 
 def accumulate_memsys(act: ActivityReport, mem: MemorySystem) -> None:
     """Add the uncore counters into ``act`` (all but time-derived
-    ``dram_refreshes``, which the caller owns)."""
+    ``dram_refreshes``, which the launch envelope sets)."""
     act.noc_flits += mem.noc.flits
     act.l2_reads += mem.l2_reads
     act.l2_writes += mem.l2_writes
@@ -160,45 +162,6 @@ def accumulate_memsys(act: ActivityReport, mem: MemorySystem) -> None:
     act.dram_precharges += mem.dram.precharges
     act.dram_reads += mem.dram.reads
     act.dram_writes += mem.dram.writes
-
-
-class BoundaryRecorder:
-    """Shard-local cumulative activity snapshots on the window grid.
-
-    The sharded counterpart of :class:`~repro.telemetry.ActivityTracer`:
-    it cuts on the same ``k * interval`` boundaries with the same lazy
-    rule (a boundary closes when an event pops strictly past it), plus
-    :meth:`cut_through` for epoch barriers -- every boundary at or below
-    the horizon can be closed there because all remaining local events
-    lie beyond it, and the barrier's own block grants land *after* the
-    flush, at the barrier timestamp.
-
-    It records ``(boundary, cumulative report)`` pairs instead of
-    deltas; the merge layer sums shard cumulatives per boundary and only
-    then takes window deltas, which keeps the sum-of-windows ==
-    aggregate invariant exact across shards.
-    """
-
-    def __init__(self, interval_cycles: float,
-                 snapshot: Callable[[float], ActivityReport]) -> None:
-        self.interval = float(interval_cycles)
-        self.snapshot = snapshot
-        self.next_boundary = self.interval
-        self.boundaries: List[Tuple[float, ActivityReport]] = []
-
-    def cut(self, now: float) -> None:
-        """Close every boundary strictly before ``now``."""
-        while now > self.next_boundary:
-            self.boundaries.append(
-                (self.next_boundary, self.snapshot(self.next_boundary)))
-            self.next_boundary += self.interval
-
-    def cut_through(self, limit: float) -> None:
-        """Close every boundary up to and including ``limit``."""
-        while self.next_boundary <= limit:
-            self.boundaries.append(
-                (self.next_boundary, self.snapshot(self.next_boundary)))
-            self.next_boundary += self.interval
 
 
 class ShardEngine:
@@ -228,8 +191,7 @@ class ShardEngine:
         self.final_time = 0.0
         self._heap: List[Tuple[float, int]] = []
         self._earliest: Dict[int, Optional[float]] = {}
-        self.tracer = None      # ActivityTracer (full-width engine only)
-        self.recorder: Optional[BoundaryRecorder] = None
+        self.tracer = None      # ActivityTracer cutting on this clock
         self.launch = None
 
     # -- setup ----------------------------------------------------------------
@@ -322,7 +284,8 @@ class ShardEngine:
         heappush = heapq.heappush
         bound = math.inf if horizon is None else horizon
         final_time = self.final_time
-        next_cut = self._next_cut()
+        tracer = self.tracer
+        next_cut = math.inf if tracer is None else tracer.next_boundary
         while heap and heap[0][0] <= bound:
             now, cid = heappop(heap)
             if earliest[cid] != now:
@@ -333,7 +296,8 @@ class ShardEngine:
                     f"(kernel {kernel_name!r})"
                 )
             if now > next_cut:
-                next_cut = self._cut(now)
+                tracer.cut(now)
+                next_cut = tracer.next_boundary
             core = cores_by_id[cid]
             wake = step(core, now)
             if now > final_time:
@@ -354,27 +318,11 @@ class ShardEngine:
             self.clock = final_time
         else:
             self.clock = horizon
-            if self.recorder is not None:
+            if tracer is not None:
                 # Safe to close boundaries <= horizon: every remaining
                 # local event lies strictly beyond them.
-                self.recorder.cut_through(horizon)
+                tracer.cut_through(horizon)
         return self.active
-
-    def _next_cut(self) -> float:
-        """The earliest window boundary a step may close (inf: none)."""
-        cut = math.inf
-        for cutter in (self.tracer, self.recorder):
-            if cutter is not None and cutter.next_boundary < cut:
-                cut = cutter.next_boundary
-        return cut
-
-    def _cut(self, now: float) -> float:
-        """Close every window boundary strictly before ``now``; returns
-        the next boundary a later step may close."""
-        for cutter in (self.tracer, self.recorder):
-            if cutter is not None and now > cutter.next_boundary:
-                cutter.cut(now)
-        return self._next_cut()
 
     def barrier_fill(self) -> None:
         """Place freshly granted blocks at the epoch barrier.
@@ -402,22 +350,15 @@ class ShardEngine:
     def collect(self, t: float) -> ActivityReport:
         """Shard-local cumulative activity at time ``t``.
 
-        Launch-level fields hold the *shard's* monotone counts (blocks
-        actually assigned here, and the warps/threads they imply), so
-        shard reports sum exactly to the whole-launch totals.
-        ``dram_refreshes`` stays 0: it is a pure function of runtime and
-        the merge layer rederives it from the merged clock.
+        The launch fields count the blocks assigned *here*, so shard
+        reports sum exactly to the whole launch (``GPU`` sets that
+        instead).  A core counts as active once it has retired a block.
         """
         config = self.config
-        launch = self.launch
         act = ActivityReport()
-        act.shader_cycles = t
-        act.runtime_s = t / config.shader_clock_hz
-        threads = launch.block.count
-        warps_per_block = -(-threads // config.warp_size)
-        act.blocks_launched = self.blocks_assigned
-        act.warps_launched = warps_per_block * self.blocks_assigned
-        act.threads_launched = threads * self.blocks_assigned
+        set_cycle_envelope(act, config, t)
+        set_launch_envelope(act, config, self.launch.block.count,
+                            self.blocks_assigned)
         used = [c for c in self.cores_list if c.blocks_executed > 0]
         act.active_cores = len(used)
         act.active_clusters = len(

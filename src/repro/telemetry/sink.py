@@ -16,7 +16,7 @@ the window that boundary closes.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..sim.activity import ActivityReport
 from .window import ActivityWindow, window_delta
@@ -94,7 +94,7 @@ class ActivityTracer:
         Args:
             snapshot: Callable returning the cumulative
                 :class:`ActivityReport` at a given shader-cycle time
-                (the GPU's ``_collect``); must be read-only.
+                (the engine's collector); must be read-only.
         """
         self.windows = []
         self.next_boundary = self.interval_cycles
@@ -117,6 +117,14 @@ class ActivityTracer:
                        self._snapshot(self.next_boundary))
             self.next_boundary += self.interval_cycles
 
+    def cut_through(self, limit: float) -> None:
+        """Close every window boundary up to and including ``limit``
+        (an epoch horizon: every remaining event lies beyond it)."""
+        while self.next_boundary <= limit:
+            self._emit(self.next_boundary,
+                       self._snapshot(self.next_boundary))
+            self.next_boundary += self.interval_cycles
+
     def finish(self, final_cycles: float,
                aggregate: ActivityReport) -> List[ActivityWindow]:
         """Close the trailing partial window and return all windows.
@@ -132,21 +140,6 @@ class ActivityTracer:
             self.sink.on_end(aggregate, final_cycles)
         return self.windows
 
-    # -- driven by sharded backends -------------------------------------------
-
-    def emit_cumulative(self, end_cycles: float,
-                        snapshot: ActivityReport) -> None:
-        """Emit one window from an externally merged cumulative snapshot.
-
-        Sharded backends cannot drive :meth:`cut` -- there is no single
-        monotonic clock -- so they align every shard's snapshots on the
-        same ``k * interval`` boundary grid, merge them per boundary,
-        and feed the merged cumulatives here in time order.  Windows
-        produced this way obey the same sum-of-windows == aggregate
-        invariant as serially cut ones.
-        """
-        self._emit(end_cycles, snapshot)
-
     # -- internals ------------------------------------------------------------
 
     def _emit(self, end_cycles: float, snapshot: ActivityReport) -> None:
@@ -157,3 +150,18 @@ class ActivityTracer:
         self._prev_cycles = end_cycles
         if self.sink is not None:
             self.sink.on_window(window)
+
+
+class BoundaryRecorder(ActivityTracer):
+    """A shard's tracer: keeps cumulative reports, not window deltas.
+
+    ``boundaries`` holds ``(boundary, report)`` pairs; the merge sums
+    them across shards before any delta is taken.
+    """
+
+    def begin(self, snapshot, config=None, launch=None) -> None:
+        super().begin(snapshot, config, launch)
+        self.boundaries: List[Tuple[float, ActivityReport]] = []
+
+    def _emit(self, end_cycles: float, snapshot: ActivityReport) -> None:
+        self.boundaries.append((end_cycles, snapshot))

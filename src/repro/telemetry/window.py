@@ -10,7 +10,8 @@ monotone cumulative snapshots, so they obey a checkable invariant:
     bit-identically, field by field (see :func:`sum_windows`).
 
 Three aggregate fields are *envelope-derived* rather than summed,
-mirroring how :meth:`repro.sim.gpu.GPU._collect` itself derives them:
+mirroring how :func:`repro.sim.activity.set_cycle_envelope` derives
+them for every backend:
 
 * ``shader_cycles`` / ``runtime_s`` -- the trace envelope (each window
   carries its duration; the reconstruction takes the final cumulative
@@ -149,6 +150,19 @@ def window_delta(index: int, prev: ActivityReport, cur: ActivityReport,
     )
 
 
+def sum_counters(reports: Sequence[ActivityReport]) -> ActivityReport:
+    """Sum the counter fields of ``reports``, left to right.
+
+    Exact for integer-valued counts; the envelope fields stay zero.
+    """
+    total = ActivityReport()
+    for report in reports:
+        for name in _COUNTER_FIELDS:
+            setattr(total, name,
+                    getattr(total, name) + getattr(report, name))
+    return total
+
+
 def sum_windows(windows: Sequence[ActivityWindow],
                 config: Optional[GPUConfig] = None) -> ActivityReport:
     """Reconstruct the aggregate :class:`ActivityReport` from windows.
@@ -162,13 +176,9 @@ def sum_windows(windows: Sequence[ActivityWindow],
     For a complete trace this is bit-identical to the untraced
     aggregate -- the invariant the telemetry tests enforce.
     """
-    total = ActivityReport()
     if not windows:
-        return total
-    for w in windows:
-        act = w.activity
-        for name in _COUNTER_FIELDS:
-            setattr(total, name, getattr(total, name) + getattr(act, name))
+        return ActivityReport()
+    total = sum_counters([w.activity for w in windows])
     last = windows[-1]
     total.shader_cycles = last.end_cycles
     total.runtime_s = last.end_runtime_s

@@ -1,6 +1,8 @@
 """Tests for the command-line interface and activity-trace round trips."""
 
 import json
+import os
+import pstats
 
 import pytest
 
@@ -108,6 +110,15 @@ class TestCommands:
         assert main(["run", "vectorAdd", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "Undiff. Core" in out and "GDDR5 DRAM" in out
+
+    def test_run_profile_file_holds_simulator_stats(self, tmp_path, capsys):
+        out_file = tmp_path / "out.prof"
+        assert main(["run", "vectorAdd", "--profile", str(out_file)]) == 0
+        assert "cProfile stats written to" in capsys.readouterr().out
+        stats = pstats.Stats(str(out_file))
+        core_py = os.path.join("sim", "core.py")
+        assert any(func[0].endswith(core_py) and func[2] == "step"
+                   for func in stats.stats)
 
     def test_validate_subset(self, capsys):
         assert main(["validate", "--kernels", "vectorAdd,bfs2"]) == 0

@@ -7,12 +7,16 @@ use a fake process context (cheap objects with the same interface as
 ``multiprocessing``'s) and a tiny GIL switch interval, so thousands of
 hand-offs interleave in a fraction of a second.  The first
 ``shared_pool`` call is widened with a slow constructor, so two
-creators would overlap every time.  The last test runs two real pooled
-``run_jobs`` calls side by side.
+creators would overlap every time.  One test runs two real pooled
+``run_jobs`` calls side by side; the lifetime tests fork real workers,
+among them workers forked while the parent holds a listening socket
+and a client connection, as the service daemon does.
 """
 
 import asyncio
+import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -205,3 +209,50 @@ class TestWorkerLifetime:
             loop.close()
             if worker is not None:
                 worker.kill()
+
+
+def _sockets_held(pid):
+    """Socket descriptors above the standard streams held by ``pid``."""
+    fd_dir = f"/proc/{pid}/fd"
+    return sum(1 for fd in os.listdir(fd_dir) if int(fd) > 2
+               and os.readlink(f"{fd_dir}/{fd}").startswith("socket:"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc descriptor listings")
+class TestInheritedSockets:
+    """A worker forked by a serving parent holds none of its sockets."""
+
+    @pytest.fixture()
+    def served_worker(self):
+        """A worker forked while a listener and an accepted client
+        connection are open, after one job round trip; yields
+        ``(worker, client, accepted)``."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = socket.create_connection(listener.getsockname())
+        accepted, _ = listener.accept()
+        worker = None
+        try:
+            worker = PoolWorker(_pool_context())
+            launch, _, _ = build_vecadd_launch(n=64, block=64)
+            job = SimJob(config=gt240(), launch=launch, tag="j0")
+            worker.submit((0, job, None, False))
+            assert worker.conn.recv()[-1] is None
+            yield worker, client, accepted
+        finally:
+            for sock in (accepted, client, listener):
+                sock.close()
+            if worker is not None:
+                worker.kill()
+
+    def test_worker_holds_only_its_own_socket(self, served_worker):
+        worker, _, _ = served_worker
+        assert _sockets_held(worker.proc.pid) == 1
+
+    def test_closed_connection_reaches_the_client_as_eof(
+            self, served_worker):
+        worker, client, accepted = served_worker
+        accepted.close()
+        client.settimeout(10)
+        assert client.recv(1) == b""
+        assert worker.alive

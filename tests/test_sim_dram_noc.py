@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.config import gt240
-from repro.sim.dram import DRAMChannel, DRAMSystem
+from repro.sim.dram import DRAMChannel, DRAMSystem, refresh_operations
 from repro.sim.noc import NoC
 
 
@@ -82,9 +82,8 @@ class TestDRAMSystem:
 
     def test_refresh_count_scales_with_time(self):
         cfg = gt240()
-        sys = DRAMSystem(cfg, cfg.shader_clock_hz)
-        r1 = sys.refresh_count(1e-3)
-        r2 = sys.refresh_count(2e-3)
+        r1 = refresh_operations(cfg, 1e-3)
+        r2 = refresh_operations(cfg, 2e-3)
         assert r2 == pytest.approx(2 * r1)
         # 1 ms / 7.8 us * 2 channels ~= 256
         assert r1 == pytest.approx(1e-3 / 7.8e-6 * 2)

@@ -22,6 +22,7 @@ from repro.telemetry import (ActivityTracer, CollectingSink, NullSink,
                              PowerTrace, TraceSink, chrome_trace, render_trace,
                              sparkline, sum_windows, windows_from_dicts,
                              windows_to_dicts)
+from repro.telemetry.sink import BoundaryRecorder
 from repro.workloads import build_benchmark
 
 from tests.conftest import build_vecadd_launch
@@ -154,6 +155,73 @@ class TestTracer:
         assert first.windows is not second.windows
         assert [w.to_dict() for w in first.windows] == \
             [w.to_dict() for w in second.windows]
+
+
+class _FakeCounter:
+    """One monotone event count standing in for the engine's collector."""
+
+    def __init__(self):
+        self.events = 0
+
+    def snapshot(self, t):
+        return ActivityReport(shader_cycles=t, runtime_s=t * 1e-9,
+                              issued_instructions=self.events)
+
+
+def _pop(tracer, counter, times):
+    """Pop one counted event at each of ``times`` the way
+    ``ShardEngine.step_epoch`` does: cut first, then count."""
+    for now in times:
+        if now > tracer.next_boundary:
+            tracer.cut(now)
+        counter.events += 1
+
+
+class TestCutterRules:
+    """The window-boundary rules of the one cutter, on a fake clock."""
+
+    def test_event_on_a_boundary_belongs_to_the_window_it_closes(self):
+        counter = _FakeCounter()
+        tracer = ActivityTracer(10.0)
+        tracer.begin(counter.snapshot)
+        _pop(tracer, counter, [5.0, 10.0, 15.0])
+        windows = tracer.finish(15.0, counter.snapshot(15.0))
+        assert [(w.start_cycles, w.end_cycles) for w in windows] == \
+            [(0.0, 10.0), (10.0, 15.0)]
+        assert [w.activity.issued_instructions for w in windows] == [2, 1]
+
+    def test_cut_through_closes_the_limit_but_cut_does_not(self):
+        counter = _FakeCounter()
+        tracer = ActivityTracer(10.0)
+        tracer.begin(counter.snapshot)
+        tracer.cut(10.0)
+        assert tracer.windows == [] and tracer.next_boundary == 10.0
+        tracer.cut_through(10.0)
+        assert [w.end_cycles for w in tracer.windows] == [10.0]
+        assert tracer.next_boundary == 20.0
+
+    def test_shard_recorder_records_the_streaming_boundaries(self):
+        times = [3.0, 10.0, 10.0, 17.0, 20.0, 31.0, 45.0]
+        counter = _FakeCounter()
+        stream = ActivityTracer(10.0)
+        stream.begin(counter.snapshot)
+        _pop(stream, counter, times)
+        windows = stream.finish(45.0, counter.snapshot(45.0))
+
+        counter = _FakeCounter()
+        recorder = BoundaryRecorder(10.0)
+        recorder.begin(counter.snapshot)
+        for start, horizon in ((0.0, 25.0), (25.0, 45.0)):  # two epochs
+            _pop(recorder, counter,
+                 [t for t in times if start < t <= horizon])
+            recorder.cut_through(horizon)
+        assert recorder.windows == []
+        assert len(recorder.boundaries) == len(windows) - 1
+        cumulative = 0
+        for w, (boundary, report) in zip(windows, recorder.boundaries):
+            cumulative += w.activity.issued_instructions
+            assert boundary == w.end_cycles
+            assert report.issued_instructions == cumulative
 
 
 class TestSerialization:
