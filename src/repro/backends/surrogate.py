@@ -45,7 +45,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -54,6 +53,7 @@ import numpy as np
 
 from ..isa.launch import KernelLaunch
 from ..isa.serialize import kernel_digest
+from ..serialize import write_json_atomic
 from ..sim.activity import (ActivityReport, set_cycle_envelope,
                             set_launch_envelope)
 from ..sim.config import GPUConfig
@@ -493,11 +493,7 @@ def calibrate_surrogate(config: GPUConfig,
         raise ValueError("calibration needs at least two kernels")
 
     job_list = [SimRequest(config=config, kernel=name) for name in names]
-    if cache == "auto":
-        results = run_jobs(job_list, n_jobs=jobs, progress=progress)
-    else:
-        results = run_jobs(job_list, n_jobs=jobs, cache=cache,
-                           progress=progress)
+    results = run_jobs(job_list, n_jobs=jobs, cache=cache, progress=progress)
 
     chip = Chip(config)
     counters = counter_names()
@@ -628,14 +624,7 @@ class CalibrationStore:
         """Persist one table (atomic write); returns its path."""
         path = self.path_for(table.config_key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(table.to_dict(), handle, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        write_json_atomic(path, table.to_dict())
         _TABLE_MEMO[(str(self.root), table.config_key)] = table
         return path
 

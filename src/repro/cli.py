@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from math import isfinite
 from typing import Optional
 
@@ -264,9 +263,7 @@ def _cmd_run(args) -> int:
         job, = run_jobs([request], n_jobs=jobs, cache=cache,
                         progress=progress, timeout_s=timeout)
     used, promised = job.backend, job.promised_error
-    result = GPUSimPow(config).run(replace(request, backend=used),
-                                   activity=job.activity,
-                                   windows=job.windows)
+    result = GPUSimPow(config).run(job)
     if args.backend == "auto":
         suffix = (f" (auto -> {used} backend, promised error "
                   f"{promised:.1%})")

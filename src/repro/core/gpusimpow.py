@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Union
 
-from ..backends.base import get_backend, resolve_backend
+from ..backends.base import resolve_backend
 from ..isa.launch import KernelLaunch
 from ..power.chip import Chip
 from ..power.result import PowerReport
 from ..request import SimRequest
+from ..runner.job import JobResult
 from ..serialize import Serializable
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
@@ -40,14 +41,14 @@ class SimulationResult(Serializable):
     """Everything GPUSimPow produces for one kernel execution.
 
     ``trace`` is the windowed :class:`~repro.telemetry.PowerTrace` when
-    the run was traced (``trace_interval``/``sink`` passed, or replayed
-    with windows) and ``None`` otherwise.
+    the run was traced (``trace_interval``/``sink`` passed, or a traced
+    job replayed) and ``None`` otherwise.
 
     ``backend`` is the *concrete* backend that produced the numbers --
     a request for ``"auto"`` records its fidelity-ladder resolution
     here, with ``promised_error`` carrying the |chip-power| relative
-    error that tier promised at selection time (0.0 for exact tiers,
-    ``None`` for replayed activity of unknown provenance).
+    error that tier promised at selection time (0.0 for exact tiers; a
+    replayed job carries its own promise, ``None`` when it has none).
     """
 
     kernel_name: str
@@ -165,11 +166,9 @@ class GPUSimPow:
                 f"but this simulator models {self.config.name!r}")
         return request
 
-    def run(self, request: Union[SimRequest, KernelLaunch],
-            activity: Optional[ActivityReport] = None,
-            windows: Optional[List[ActivityWindow]] = None,
-            *, sink: Optional[TraceSink] = None) -> SimulationResult:
-        """Simulate one request and evaluate its power.
+    def run(self, request: Union[SimRequest, KernelLaunch, JobResult], *,
+            sink: Optional[TraceSink] = None) -> SimulationResult:
+        """Simulate one request and evaluate its power, or replay a job.
 
         ``request`` is a :class:`~repro.request.SimRequest` -- the same
         object the runner, the result cache and the service speak -- or
@@ -178,31 +177,32 @@ class GPUSimPow:
         receives their windows as they are cut (implying tracing, with
         a 1000-cycle default interval).
 
-        A pre-computed ``activity`` report may be supplied to re-evaluate
-        power without re-running the performance simulation (e.g. for
-        power-model sweeps, or results from the parallel runner); its
-        timing -- including ``runtime_s`` -- is taken from the report
-        itself, never rederived.  Optional ``windows`` (e.g. off a traced
-        :class:`~repro.runner.JobResult`) yield a :class:`PowerTrace`
-        without re-simulating.  For such replays the request's
-        ``backend`` names the concrete backend that produced the report
-        (``JobResult.backend``); ``"auto"`` is not resolved again.
+        A finished :class:`~repro.runner.JobResult` (off the runner,
+        the result cache or the service) is replayed: its activity
+        report is power-evaluated without re-running the performance
+        simulation, its timing -- including ``runtime_s`` -- taken from
+        the report itself, never rederived.  Everything else comes from
+        the job too: the concrete backend that produced the report
+        (``"auto"`` is not resolved again), the error that backend
+        promised, the windows of a traced job (yielding a
+        :class:`PowerTrace`) and the sanitizer findings (on
+        ``performance.diagnostics``).
         """
+        if isinstance(request, JobResult):
+            req = self._request(request.job, "launch")
+            perf = SimulationOutput.replay(self.config, req.resolve_launch(),
+                                           request.activity,
+                                           windows=request.windows)
+            perf.diagnostics = request.diagnostics
+            return self._result(req, perf, request.backend,
+                                request.promised_error, replayed=True)
         req = self._request(request, "launch")
-        run_launch = req.resolve_launch()
-        if activity is None:
-            # Resolve once: execute the concrete backend on the launch
-            # already in hand.
-            resolved, promised = resolve_backend(req)
-            perf = replace(req, backend=resolved,
-                           launch=run_launch).execute(sink=sink)
-            return self._result(req, perf, resolved, promised)
-        # Replayed activity: fail fast on unknown names; a promise is
-        # meaningless for a report of unknown provenance.
-        perf = SimulationOutput.replay(self.config, run_launch, activity,
-                                       windows=windows)
-        return self._result(req, perf, get_backend(req.backend).name, None,
-                            replayed=True)
+        # Resolve once: execute the concrete backend on the launch
+        # already in hand.
+        resolved, promised = resolve_backend(req)
+        perf = replace(req, backend=resolved,
+                       launch=req.resolve_launch()).execute(sink=sink)
+        return self._result(req, perf, resolved, promised)
 
     def run_benchmark(self, request: Union[SimRequest, str], *,
                       sink: Optional[TraceSink] = None,

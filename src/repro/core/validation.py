@@ -14,7 +14,7 @@ through the testbed, then computes the paper's error statistics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..hw.measure import MeasurementTool
@@ -151,8 +151,7 @@ def validate_suite(config: GPUConfig,
     session = []
     results = {}
     for name, jr in zip(names, job_results):
-        result = sim.run(replace(jr.job, backend=jr.backend),
-                         activity=jr.activity)
+        result = sim.run(jr)
         results[name] = result
         session.append((name, result.activity, launches[name].repeat,
                         launches[name].repeatable))

@@ -56,8 +56,7 @@ def _measure(specs, jobs=None, cache=AUTO, progress=None):
     for (label, config, kernel), jr in zip(
             specs, run_jobs(sim_jobs, n_jobs=jobs, cache=cache,
                             progress=progress)):
-        result = GPUSimPow(config).run(launches[kernel],
-                                       activity=jr.activity)
+        result = GPUSimPow(config).run(jr)
         points.append(AblationPoint(
             label=label,
             kernel=kernel,

@@ -51,8 +51,7 @@ def run(kernel: str = DEFAULT_KERNEL,
     job, = run_jobs([SimRequest(config=config, kernel=kernel, launch=launch,
                                 trace_interval=interval_cycles)],
                     n_jobs=jobs, cache=cache, progress=progress)
-    result = GPUSimPow(config).run(job.job, activity=job.activity,
-                                   windows=job.windows)
+    result = GPUSimPow(config).run(job)
     assert result.trace is not None
     return PowerTraceResult(kernel=kernel, gpu=config.name,
                             interval_cycles=interval_cycles,

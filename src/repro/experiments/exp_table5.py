@@ -59,7 +59,7 @@ def run(benchmark: str = "BlackScholes", jobs=None, cache=AUTO,
     job, = run_jobs([SimRequest(config=config, kernel=benchmark,
                                 launch=launch)],
                     n_jobs=jobs, cache=cache, progress=progress)
-    result = sim.run(launch, activity=job.activity)
+    result = sim.run(job)
     gpu = result.power.gpu
     cores = gpu.child("Cores")
 

@@ -32,7 +32,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -42,6 +41,7 @@ import numpy as np
 from ..isa.launch import KernelLaunch
 from ..isa.serialize import kernel_digest
 from ..request import SimRequest
+from ..serialize import write_json_atomic
 from ..sim.activity import ActivityReport
 from ..sim.config import GPUConfig
 from .job import JobResult
@@ -164,19 +164,6 @@ def _digest(payload: Dict[str, Any]) -> str:
     """Hex SHA-256 of ``payload``'s canonical JSON."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _write_json(path: Path, data: Any) -> None:
-    """Write ``data`` to ``path`` as JSON, atomically (``mkstemp`` +
-    ``os.replace``); the temp file is removed whenever the write fails."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _backend_is_exact(name: str) -> bool:
@@ -339,7 +326,7 @@ class ResultCache:
                                                  base)
             if achieved is not None:
                 entry["achieved_error"] = achieved
-        _write_json(path, entry)
+        write_json_atomic(path, entry)
         self.stores += 1
         if base is not None and "achieved_error" not in entry:
             self._register_link(base, key)
@@ -393,7 +380,7 @@ class ResultCache:
             if key in keys:
                 return
             keys.append(key)
-            _write_json(path, keys)
+            write_json_atomic(path, keys)
         except (OSError, ValueError, TypeError):
             pass
 
@@ -420,7 +407,7 @@ class ResultCache:
                     config, ActivityReport.from_dict(entry["activity"]))
                 entry["achieved_error"] = \
                     abs(estimate - exact_power) / exact_power
-                _write_json(est_path, entry)
+                write_json_atomic(est_path, entry)
             except (OSError, ValueError, KeyError, TypeError):
                 continue
         try:

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import tempfile
+from pathlib import Path
 from typing import Any, Dict, Type, TypeVar
 
 T = TypeVar("T")
@@ -38,6 +41,23 @@ JSON_KWARGS = {"indent": 1, "sort_keys": True}
 def dump_json(data: Any) -> str:
     """Serialise ``data`` with the canonical formatting."""
     return json.dumps(data, **JSON_KWARGS)
+
+
+def write_json_atomic(path: Path, data: Any) -> None:
+    """Write ``data`` to ``path`` as sorted-key JSON, atomically.
+
+    ``mkstemp`` + ``os.replace``; the temp file is removed whenever the
+    write fails.  The result cache and the surrogate's calibration
+    store both write through here.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(data, handle, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 class Serializable:

@@ -339,11 +339,7 @@ class PowerService:
                 and not request.sanitize:
             hit = self.cache.get(request, key=digest)
             if hit is not None:
-                payload = self._build_payload(
-                    request, digest, hit.activity, hit.windows,
-                    cached=True, backend_used=hit.backend_used,
-                    promised=hit.promised_error,
-                    achieved=hit.achieved_error)
+                payload = self._build_payload(request, digest, hit)
                 sub.state = "done"
                 sub.cached = True
                 sub.payload = payload
@@ -539,8 +535,7 @@ class PowerService:
                 if task.state == "running":
                     self._finish_task(task, None,
                                       {"error": type(exc).__name__,
-                                       "message": str(exc)}, False,
-                                      release=False)
+                                       "message": str(exc)}, False)
         finally:
             self._running -= len(tasks)
             self._schedule()
@@ -561,17 +556,12 @@ class PowerService:
                 task = by_key.get(outcome.job.tag)
                 if task is None:
                     return
-                payload = self._build_payload(
-                    task.request, task.digest, outcome.activity,
-                    outcome.windows, cached=outcome.cached,
-                    backend_used=outcome.backend_used,
-                    promised=outcome.promised_error,
-                    achieved=outcome.achieved_error,
-                    diagnostics=outcome.diagnostics)
+                payload = self._build_payload(task.request, task.digest,
+                                              outcome)
                 pooled = outcome.worker != -1
                 loop.call_soon_threadsafe(self._finish_task, task,
                                           payload, None,
-                                          outcome.cached, False, pooled)
+                                          outcome.cached, pooled)
             else:
                 task = by_key.get(outcome.label)
                 if task is None:
@@ -580,7 +570,7 @@ class PowerService:
                            "kernel": task.request.label}
                 failure.update(outcome.to_dict())
                 loop.call_soon_threadsafe(self._finish_task, task,
-                                          None, failure, False, False)
+                                          None, failure, False)
 
         try:
             run_jobs(jobs, n_jobs=self.max_parallel,
@@ -593,27 +583,25 @@ class PowerService:
                 loop.call_soon_threadsafe(
                     self._finish_task, task, None,
                     {"error": type(exc).__name__, "message": str(exc)},
-                    False, False)
+                    False)
 
     async def _run_traced(self, task: SimTask) -> None:
         """Dispatch one traced task in-process, streaming windows."""
         loop = asyncio.get_running_loop()
         try:
-            payload, fresh = await loop.run_in_executor(
+            payload = await loop.run_in_executor(
                 None, self._execute_traced, task, loop)
-            self._finish_task(task, payload, None, not fresh,
-                              release=False)
+            self._finish_task(task, payload, None, payload["cached"])
         except Exception as exc:
             self._finish_task(task, None,
                               {"error": type(exc).__name__,
-                               "message": str(exc)}, False,
-                              release=False)
+                               "message": str(exc)}, False)
         finally:
             self._running -= 1
             self._schedule()
 
     def _execute_traced(self, task: SimTask,
-                        loop: asyncio.AbstractEventLoop) -> tuple:
+                        loop: asyncio.AbstractEventLoop) -> Dict[str, Any]:
         """Worker thread: simulate with a live window-forwarding sink."""
         request = task.request
         if self.cache is not None and not request.sanitize:
@@ -622,23 +610,18 @@ class PowerService:
                 for window in hit.windows or []:
                     loop.call_soon_threadsafe(self._push_window, task,
                                               window)
-                payload = self._build_payload(
-                    request, task.digest, hit.activity, hit.windows,
-                    cached=True, backend_used=hit.backend_used,
-                    promised=hit.promised_error,
-                    achieved=hit.achieved_error)
-                return payload, False
+                return self._build_payload(request, task.digest, hit)
         resolved, promised = resolve_backend(request)
         sink = _ForwardingSink(loop, self._push_window, task)
         output = replace(request, backend=resolved).execute(sink=sink)
         if self.cache is not None:
             self.cache.put(request, output.activity, output.cycles,
                            key=task.digest, windows=output.windows)
-        payload = self._build_payload(
-            request, task.digest, output.activity, output.windows,
-            cached=False, backend_used=resolved, promised=promised,
-            diagnostics=getattr(output, "diagnostics", None))
-        return payload, True
+        job = JobResult(job=request, activity=output.activity,
+                        cycles=output.cycles, windows=output.windows,
+                        backend_used=resolved, promised_error=promised,
+                        diagnostics=output.diagnostics)
+        return self._build_payload(request, task.digest, job)
 
     # -- completion -----------------------------------------------------------
 
@@ -651,14 +634,13 @@ class PowerService:
     def _finish_task(self, task: SimTask,
                      payload: Optional[Dict[str, Any]],
                      failure: Optional[Dict[str, Any]],
-                     cached: bool, release: bool = True,
-                     pooled: bool = False) -> None:
+                     cached: bool, pooled: bool = False) -> None:
         """Fan one task's terminal state out to every submission.
 
         The same ``payload`` object reaches every subscriber, so fanned
-        results are bit-identical by construction.  ``release`` is set
-        by callers that do not manage the running-slot count
-        themselves; ``pooled`` marks a result a pool worker simulated.
+        results are bit-identical by construction.  ``pooled`` marks a
+        result a pool worker simulated.  Callers manage the
+        running-slot count themselves.
         """
         if task.state in ("done", "failed"):
             return
@@ -686,34 +668,29 @@ class PowerService:
             queue.put_nowait(self._terminal_event(task.submissions[0]))
             queue.put_nowait(None)
         task.subscribers.clear()
-        if release:
-            self._running -= 1
-            self._schedule()
 
     # -- result payloads ------------------------------------------------------
 
     def _build_payload(self, request: SimRequest, digest: str,
-                       activity, windows, cached: bool, backend_used: str = "",
-                       promised: Optional[float] = None,
-                       achieved: Optional[float] = None,
-                       diagnostics=None) -> Dict[str, Any]:
+                       job: JobResult) -> Dict[str, Any]:
         """Power-evaluate one finished simulation into a response body.
 
-        ``digest`` is the request's digest, computed once at admission.
-
-        ``backend_used``/``promised``/``achieved`` carry the fidelity
-        ladder's provenance off the :class:`~repro.runner.JobResult`
-        (the resolution of ``"auto"``, the error the chosen tier
-        promised, and -- once an exact run of the same digest exists --
-        the error it actually achieved).  ``diagnostics`` is the
-        runtime sanitizer's findings; a sanitized request always
-        carries a ``sanitizer`` object so clients can distinguish
-        "clean" from "not sanitized".
+        ``request`` is the submitted request and ``digest`` its digest,
+        computed once at admission.  ``job`` is the finished
+        :class:`~repro.runner.JobResult` -- a cache hit, a batch
+        outcome, or a traced run's output -- replayed through
+        :meth:`GPUSimPow.run`, so the ``simulation`` record carries the
+        same provenance as a fresh run.  The job also supplies the rest
+        of the answer: whether it was ``cached``, the fidelity ladder's
+        provenance (the resolution of ``"auto"``, the error the chosen
+        tier promised, and -- once an exact run of the same digest
+        exists -- the error it actually achieved) and the runtime
+        sanitizer's findings.  A sanitized request always carries a
+        ``sanitizer`` object so clients can distinguish "clean" from
+        "not sanitized".
         """
-        backend_used = backend_used or request.backend
-        result = GPUSimPow(request.config).run(
-            replace(request, backend=backend_used), activity=activity,
-            windows=list(windows) if windows else None)
+        result = GPUSimPow(request.config).run(job)
+        backend_used = result.backend
         from ..backends.base import all_backends
         info = getattr(all_backends().get(backend_used), "info", None)
         payload = {
@@ -721,7 +698,7 @@ class PowerService:
             "gpu": request.config.name,
             "digest": digest,
             "backend": backend_used,
-            "cached": cached,
+            "cached": job.cached,
             "summary": result.summary(),
             "simulation": result.to_dict(),
         }
@@ -731,12 +708,12 @@ class PowerService:
             payload["error_budget"] = (0.0 if request.error_budget
                                        is None
                                        else request.error_budget)
-        if promised is not None:
-            payload["promised_error"] = float(promised)
-        if achieved is not None:
-            payload["achieved_error"] = float(achieved)
+        if job.promised_error is not None:
+            payload["promised_error"] = float(job.promised_error)
+        if job.achieved_error is not None:
+            payload["achieved_error"] = float(job.achieved_error)
         if request.sanitize:
-            found = list(diagnostics or [])
+            found = list(job.diagnostics or [])
             payload["sanitizer"] = {
                 "clean": not found,
                 "diagnostics": [d.to_dict() for d in found],

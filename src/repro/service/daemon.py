@@ -240,21 +240,3 @@ class ServiceDaemon:
                 break
             await write_event(writer, event["event"], event["data"])
 
-
-async def run_daemon(service: PowerService, host: str = "127.0.0.1",
-                     port: int = 0,
-                     ready: Optional[asyncio.Event] = None) -> None:
-    """Start a daemon and serve until cancelled or signalled."""
-    daemon = ServiceDaemon(service, host=host, port=port)
-    await daemon.start()
-    handled = daemon.install_signal_handlers()
-    if ready is not None:
-        ready.set()
-    try:
-        await daemon.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        if handled:
-            daemon.remove_signal_handlers()
-        await daemon.stop()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 class Journal:
@@ -130,7 +130,3 @@ class Journal:
                     best = max(best, int(sub_id[1:]))
         return best
 
-
-def open_journal(path: Optional[os.PathLike]) -> Optional[Journal]:
-    """A :class:`Journal` at ``path``, or None when journaling is off."""
-    return None if path is None else Journal(path)

@@ -15,7 +15,7 @@ from repro.backends import (AnalyticalBackend, BackendError, CycleBackend,
                             list_backends, register_backend)
 from repro.core.gpusimpow import GPUSimPow, SimulationResult
 from repro.request import SimRequest
-from repro.runner import ResultCache, SimJob, run_jobs
+from repro.runner import JobResult, ResultCache, SimJob, run_jobs
 from repro.runner.cache import request_key
 from repro.sim import simulate
 from repro.telemetry import ActivityTracer
@@ -245,7 +245,8 @@ class TestSerializationRoundTrip:
                              launch=launches["vectorAdd"],
                              backend="analytical")
         fresh = sim.run(request)
-        replay = sim.run(request, activity=fresh.activity)
+        replay = sim.run(JobResult(job=request, activity=fresh.activity,
+                                   cycles=fresh.performance.cycles))
         assert replay.backend == "analytical"
         assert replay.power.chip_total_w == fresh.power.chip_total_w
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import GPUSimPow, gt240, gtx580
+from repro import GPUSimPow, JobResult, SimRequest, gt240, gtx580
+from repro.runner import run_jobs
 from tests.conftest import build_vecadd_launch
 
 
@@ -42,7 +43,9 @@ class TestRun:
         launch, _, _ = build_vecadd_launch()
         sim = GPUSimPow(gt240())
         first = sim.run(launch)
-        second = sim.run(launch, activity=first.activity)
+        second = sim.run(JobResult(
+            job=SimRequest(config=gt240(), launch=launch),
+            activity=first.activity, cycles=first.performance.cycles))
         assert second.chip_dynamic_w == pytest.approx(first.chip_dynamic_w)
         assert second.chip_static_w == pytest.approx(first.chip_static_w)
 
@@ -71,3 +74,20 @@ class TestRun:
     def test_gtx580_has_l2_node(self, launches):
         result = GPUSimPow(gtx580()).run(launches["vectorAdd"])
         assert result.power.gpu.find("L2 Cache") is not None
+
+
+class TestJobReplay:
+    def test_auto_job_keeps_backend_and_promise(self):
+        """A replayed ``auto`` job answers with the tier that produced
+        it and that tier's promise, exactly as a fresh run does."""
+        request = SimRequest(config=gt240(), kernel="vectorAdd",
+                             backend="auto", error_budget=0.10)
+        sim = GPUSimPow(gt240())
+        fresh = sim.run(request)
+        job, = run_jobs([request], n_jobs=1, cache=None)
+        replay = sim.run(job)
+        assert replay.backend == job.backend == fresh.backend
+        assert job.promised_error is not None
+        assert replay.promised_error == job.promised_error
+        assert replay.to_dict() == fresh.to_dict()
+        assert "promised_error" in replay.to_dict()

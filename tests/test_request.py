@@ -14,8 +14,8 @@ import pytest
 
 from repro import SIM_VERSION, GPUSimPow, SimRequest
 from repro.backends import BackendError
-from repro.runner import (JobFailure, RunnerError, SimJob, request_key,
-                          run_jobs)
+from repro.runner import (JobFailure, JobResult, RunnerError, SimJob,
+                          request_key, run_jobs)
 from repro.sim import gt240, gtx580
 from tests.conftest import build_vecadd_launch
 
@@ -283,7 +283,8 @@ class TestFacadeRequestEntry:
 
         monkeypatch.setattr(repro.backends, "resolve_backend",
                             no_resolution)
-        replay = sim.run(req, activity=fresh.activity)
+        replay = sim.run(JobResult(job=req, activity=fresh.activity,
+                                   cycles=fresh.performance.cycles))
         assert replay.backend == "cycle"
         assert replay.chip_total_w == fresh.chip_total_w
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.backends import BackendError, get_backend
+from repro.core.gpusimpow import GPUSimPow
 from repro.isa import KernelBuilder, Sreg
 from repro.isa.launch import Dim3, KernelLaunch
 from repro.request import SimRequest
@@ -231,6 +232,14 @@ class TestEngineDeterminism:
                                   launch=race_rw_launch())], cache=cache)
         assert plain.cached
         assert plain.activity.to_dict() == first.activity.to_dict()
+
+    def test_replayed_job_carries_diagnostics(self):
+        job, = run_jobs([SimJob(config=gt240(), kernel="san_rw",
+                                launch=race_rw_launch(), sanitize=True)],
+                        n_jobs=1, cache=None)
+        assert job.diagnostics
+        result = GPUSimPow(gt240()).run(job)
+        assert result.performance.diagnostics is job.diagnostics
 
 
 class TestCacheKeyInvariance:

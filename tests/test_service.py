@@ -162,6 +162,24 @@ class TestSubmitFlow:
         assert stats["cache_hits"] == 1
         assert stats["simulations"] == 1
 
+    def test_auto_answer_records_its_promise(self, daemon_factory,
+                                             tmp_path):
+        """The ``simulation`` record carries the tier's promise, and a
+        cache hit answers with the same record as the fresh run."""
+        harness = daemon_factory(cache=str(tmp_path / "cache"))
+        request = SimRequest(config=gt240(), kernel="vectorAdd",
+                             backend="auto", error_budget=0.10)
+        first = harness.client.submit(request, wait=True)
+        second = harness.client.submit(request, wait=True)
+        assert second["cached"] is True
+        for answer in (first, second):
+            result = answer["result"]
+            assert result["backend"] == "surrogate"
+            assert result["simulation"]["promised_error"] == \
+                result["promised_error"]
+        assert second["result"]["simulation"] == \
+            first["result"]["simulation"]
+
     def test_submit_async_then_poll(self, daemon_factory):
         harness = daemon_factory()
         accepted = harness.client.submit(tiny_request())

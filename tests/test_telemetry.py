@@ -14,7 +14,7 @@ import pytest
 from repro.backends import CYCLE
 from repro.core import GPUSimPow
 from repro.request import SimRequest
-from repro.runner import SimJob, run_jobs
+from repro.runner import JobResult, SimJob, run_jobs
 from repro.runner.cache import ResultCache, request_key
 from repro.sim.activity import ActivityReport
 from repro.sim.gpu import SimulationOutput, simulate
@@ -351,16 +351,23 @@ class TestRunnerIntegration:
             SimJob(config=gt240_config, launch=launch, trace_interval=0.0)
 
 
+def _job(config, launch, activity, windows=None) -> JobResult:
+    """A finished job holding ``activity``, as the runner returns it."""
+    return JobResult(job=SimRequest(config=config, launch=launch),
+                     activity=activity, cycles=activity.shader_cycles,
+                     windows=windows)
+
+
 class TestReplay:
     def test_replay_threads_real_runtime(self, gt240_config, launches):
-        """GPUSimPow.run(activity=...) must not rederive runtime from
-        shader cycles -- a report with a foreign runtime keeps it."""
+        """Replaying a JobResult must not rederive runtime from shader
+        cycles -- a report with a foreign runtime keeps it."""
         sim = GPUSimPow(gt240_config)
         launch = launches["BlackScholes"]
         base = sim.run(launch)
         doctored = ActivityReport.from_dict(base.activity.to_dict())
         doctored.runtime_s = base.runtime_s * 3.0
-        replayed = sim.run(launch, activity=doctored)
+        replayed = sim.run(_job(gt240_config, launch, doctored))
         assert replayed.runtime_s == doctored.runtime_s
         assert math.isclose(replayed.energy_j,
                             replayed.card_total_w * doctored.runtime_s,
@@ -370,7 +377,8 @@ class TestReplay:
                                                launches):
         sim = GPUSimPow(gt240_config)
         launch = launches["BlackScholes"]
-        replayed = sim.run(launch, activity=sim.run(launch).activity)
+        replayed = sim.run(_job(gt240_config, launch,
+                                sim.run(launch).activity))
         assert replayed.performance.gmem is None
 
     def test_replay_with_windows_builds_trace(self, gt240_config,
@@ -379,8 +387,8 @@ class TestReplay:
         launch = launches["BlackScholes"]
         fresh = sim.run(SimRequest(config=gt240_config, launch=launch,
                                    trace_interval=500.0))
-        replayed = sim.run(launch, activity=fresh.activity,
-                           windows=fresh.performance.windows)
+        replayed = sim.run(_job(gt240_config, launch, fresh.activity,
+                                fresh.performance.windows))
         assert replayed.trace is not None
         assert replayed.trace.to_dict()["samples"] == \
             fresh.trace.to_dict()["samples"]
