@@ -56,7 +56,7 @@ from ..isa.serialize import kernel_digest
 from ..serialize import write_json_atomic
 from ..sim.activity import (ActivityReport, set_cycle_envelope,
                             set_launch_envelope)
-from ..sim.config import GPUConfig
+from ..sim.config import GPUConfig, config_memo
 from ..sim.gpu import SimulationOutput
 from .base import (BackendCapabilities, BackendError, BackendInfo,
                    SimulationBackend)
@@ -109,22 +109,17 @@ def counter_names() -> List[str]:
 def config_key(config: GPUConfig) -> str:
     """Digest of the config's full cache signature (table identity).
 
-    Cached on the config object (configs are treated as immutable
-    everywhere keys are derived from them) -- a warm surrogate query
-    must not pay for re-serializing the config.
+    Computed once per configuration content (:func:`config_memo`) -- a
+    warm surrogate query must not pay for re-serializing the config.
     """
-    cached = getattr(config, "_surrogate_config_key", None)
-    if cached is not None:
-        return cached
+    return config_memo(config, "surrogate_key", _config_key)
+
+
+def _config_key(config: GPUConfig) -> str:
     from ..runner.cache import config_signature
     blob = json.dumps(config_signature(config), sort_keys=True,
                       separators=(",", ":"))
-    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    try:
-        config._surrogate_config_key = key
-    except AttributeError:
-        pass
-    return key
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

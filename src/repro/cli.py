@@ -622,17 +622,16 @@ def _cmd_fleet(args) -> int:
 def _cmd_submit(args) -> int:
     """Submit one kernel to a running service daemon."""
     import json as _json
-    import urllib.error
 
     from .service.client import ServiceClient, ServiceError
     request = _request_from_args(args)
     if request is None:
         return 2
-    client = ServiceClient(args.url, tenant=args.tenant)
     try:
-        payload = client.submit(request, priority=args.priority,
-                                wait=args.wait,
-                                wait_timeout_s=args.wait_timeout)
+        with ServiceClient(args.url, tenant=args.tenant) as client:
+            payload = client.submit(request, priority=args.priority,
+                                    wait=args.wait,
+                                    wait_timeout_s=args.wait_timeout)
     except ServiceError as exc:
         if args.as_json:
             print(_json.dumps({"status": exc.status, **exc.payload},
@@ -643,8 +642,8 @@ def _cmd_submit(args) -> int:
                 print(f"  {diag.get('rule')}: {diag.get('message')}",
                       file=sys.stderr)
         return 1
-    except urllib.error.URLError as exc:
-        print(f"cannot reach service at {args.url}: {exc.reason}",
+    except OSError as exc:
+        print(f"cannot reach service at {args.url}: {exc}",
               file=sys.stderr)
         return 1
     if args.as_json:

@@ -18,7 +18,7 @@ from ..request import SimRequest
 from ..runner.job import JobResult
 from ..serialize import Serializable
 from ..sim.activity import ActivityReport
-from ..sim.config import GPUConfig
+from ..sim.config import GPUConfig, config_memo
 from ..sim.gpu import SimulationOutput
 from ..telemetry.sink import TraceSink
 from ..telemetry.trace import PowerTrace
@@ -137,11 +137,17 @@ class SimulationResult(Serializable):
 
 
 class GPUSimPow:
-    """Coupled performance + power simulator for one GPU configuration."""
+    """Coupled performance + power simulator for one GPU configuration.
+
+    ``chip`` is the configuration's power model.  It depends on nothing
+    but the configuration, so it is built once per configuration
+    content (:func:`~repro.sim.config.config_memo`) and shared by every
+    simulator of an equal config: treat it as read-only.
+    """
 
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self.chip = Chip(config)
+        self.chip = config_memo(config, "chip", Chip)
 
     def architecture(self) -> ArchitectureReport:
         """Static power, peak dynamic power and area of the chip."""

@@ -43,7 +43,7 @@ from ..isa.serialize import kernel_digest
 from ..request import SimRequest
 from ..serialize import write_json_atomic
 from ..sim.activity import ActivityReport
-from ..sim.config import GPUConfig
+from ..sim.config import GPUConfig, config_memo
 from .job import JobResult
 
 #: Environment variable overriding the default cache location.
@@ -65,14 +65,42 @@ def _array_digest(arr) -> str:
     return hashlib.sha256(data.tobytes()).hexdigest()
 
 
-def config_signature(config: GPUConfig) -> Dict[str, Any]:
-    """Every config field, in stable (sorted) order."""
+def _config_signature(config: GPUConfig) -> Dict[str, Any]:
     raw = dataclasses.asdict(config)
     return {name: repr(raw[name]) for name in sorted(raw)}
 
 
+def config_signature(config: GPUConfig) -> Dict[str, Any]:
+    """Every config field, in stable (sorted) order.
+
+    Built once per configuration content (:func:`config_memo`); each
+    call returns its own copy.
+    """
+    return dict(config_memo(config, "signature", _config_signature))
+
+
 def launch_signature(launch: KernelLaunch) -> Dict[str, Any]:
-    """Kernel digest + geometry + initial-memory digest for one launch."""
+    """Kernel digest + geometry + initial-memory digest for one launch.
+
+    Cached on a launch whose memory-image arrays all refuse writes --
+    the shared, read-only launches workload labels resolve to (see
+    :mod:`repro.workloads.common`) -- the way
+    :func:`~repro.isa.serialize.kernel_digest` caches on its kernel.
+    Any other launch is hashed on every call.  Each call returns its
+    own copy.
+    """
+    signature = launch.__dict__.get("_signature")
+    if signature is None:
+        signature = _launch_signature(launch)
+        arrays = list(launch.globals_init.values())
+        if launch.const_init is not None:
+            arrays.append(launch.const_init)
+        if arrays and not any(arr.flags.writeable for arr in arrays):
+            launch.__dict__["_signature"] = signature
+    return dict(signature)
+
+
+def _launch_signature(launch: KernelLaunch) -> Dict[str, Any]:
     return {
         "kernel_digest": kernel_digest(launch.kernel),
         "grid": (launch.grid.x, launch.grid.y, launch.grid.z),
@@ -90,7 +118,8 @@ def launch_signature(launch: KernelLaunch) -> Dict[str, Any]:
     }
 
 
-def request_signature(request) -> Dict[str, Any]:
+def request_signature(request,
+                      resolved: Optional[str] = None) -> Dict[str, Any]:
     """The full content-addressed payload of one simulation request.
 
     ``request`` is a :class:`~repro.request.SimRequest` (or anything
@@ -115,9 +144,11 @@ def request_signature(request) -> Dict[str, Any]:
     only concrete backend names ever reach a payload: an ``auto``
     request and the concrete request it resolves to are one cached
     artifact, and ``auto`` with a zero (or absent) ``error_budget``
-    keys byte-identically to a plain ``cycle`` request.
+    keys byte-identically to a plain ``cycle`` request.  A caller that
+    has already resolved the backend passes the concrete name as
+    ``resolved`` so the ladder is not walked again.
     """
-    backend_name = getattr(request, "backend", "cycle")
+    backend_name = resolved or getattr(request, "backend", "cycle")
     if backend_name == "auto":  # AUTO_BACKEND (import kept lazy)
         from ..backends.base import resolve_backend
         backend_name, _ = resolve_backend(request)
@@ -137,13 +168,13 @@ def request_signature(request) -> Dict[str, Any]:
     return payload
 
 
-def request_key(request) -> str:
+def request_key(request, resolved: Optional[str] = None) -> str:
     """Content-addressed identity (hex SHA-256) of one request.
 
-    The digest of :func:`request_signature`; exposed on requests as
-    :meth:`repro.request.SimRequest.digest`.
+    The digest of :func:`request_signature` (``resolved`` as there);
+    exposed on requests as :meth:`repro.request.SimRequest.digest`.
     """
-    return _digest(request_signature(request))
+    return _digest(request_signature(request, resolved))
 
 
 def base_request_key(request) -> str:
@@ -215,13 +246,14 @@ class ResultCache:
 
     # -- lookup/store --------------------------------------------------------
 
-    def get(self, job: SimRequest,
-            key: Optional[str] = None) -> Optional[JobResult]:
+    def get(self, job: SimRequest, key: Optional[str] = None,
+            resolved: Optional[str] = None) -> Optional[JobResult]:
         """Cached result for ``job``, or None on a miss."""
-        return self.lookup(job, key=key)[0]
+        return self.lookup(job, key=key, resolved=resolved)[0]
 
-    def lookup(self, job: SimRequest,
-               key: Optional[str] = None) -> Tuple[Optional[JobResult], bool]:
+    def lookup(self, job: SimRequest, key: Optional[str] = None,
+               resolved: Optional[str] = None,
+               ) -> Tuple[Optional[JobResult], bool]:
         """Like :meth:`get`, but also reports corruption.
 
         Returns ``(result, corrupt)``: ``corrupt`` is True when an
@@ -229,12 +261,14 @@ class ResultCache:
         missing/unknown counters) -- as opposed to a plain miss or an
         expected invalidation (stale simulator version, different
         backend).  A corrupt entry is unlinked so the re-simulated
-        result is re-stored cleanly.
+        result is re-stored cleanly.  ``resolved`` is the job's
+        concrete backend when the caller has already resolved it.
         """
-        from ..backends.base import resolve_backend
-        resolved, _ = resolve_backend(job)
+        if resolved is None:
+            from ..backends.base import resolve_backend
+            resolved, _ = resolve_backend(job)
         if key is None:
-            key = request_key(job)
+            key = request_key(job, resolved)
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:

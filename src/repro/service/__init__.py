@@ -15,9 +15,10 @@ HTTP/JSON, built on the stdlib ``asyncio`` stack only:
 * :mod:`repro.service.journal` -- :class:`Journal`, the append-only
   submission log a restarted daemon replays;
 * :mod:`repro.service.client` -- :class:`ServiceClient`, a synchronous
-  ``urllib`` client (what ``gpusimpow submit`` uses);
+  ``http.client`` client keeping one connection alive per thread (what
+  ``gpusimpow submit`` uses);
 * :mod:`repro.service.protocol` -- minimal HTTP/1.1 framing over
-  asyncio streams.
+  asyncio streams, with keep-alive connections.
 
 Every submission body is a :class:`repro.request.SimRequest` in its
 ``to_dict`` form -- the same canonical object the facade, the runner

@@ -56,7 +56,7 @@ from ..analysis.diagnostics import Severity
 from ..backends.base import BackendError, get_backend, resolve_backend
 from ..core.gpusimpow import GPUSimPow
 from ..request import SimRequest
-from ..runner.cache import ResultCache
+from ..runner.cache import ResultCache, request_key
 from ..runner.engine import AUTO, RunnerError, resolve_cache, run_jobs
 from ..runner.job import JobResult
 from ..telemetry.sink import TraceSink
@@ -320,12 +320,17 @@ class PowerService:
                                     for d in analysis.diagnostics],
                 }
 
-        return self._admit(request, tenant=tenant, priority=priority)
+        return self._admit(request, tenant=tenant, priority=priority,
+                           resolved=resolved)
 
     def _admit(self, request: SimRequest, tenant: str, priority: int,
-               sub_id: Optional[str] = None,
-               journal: bool = True) -> tuple:
-        digest = request.digest()
+               sub_id: Optional[str] = None, journal: bool = True,
+               resolved: Optional[str] = None) -> tuple:
+        # One ladder walk per submission: the digest and the cache
+        # probe reuse the admission's resolution.
+        if resolved is None:
+            resolved, _ = resolve_backend(request)
+        digest = request_key(request, resolved)
         task_key = digest + ("+sanitize" if request.sanitize else "")
         if sub_id is None:
             self._serial += 1
@@ -337,7 +342,7 @@ class PowerService:
         # the (byte-identical) unsanitized result, not the diagnostics.
         if self.cache is not None and task_key not in self._inflight \
                 and not request.sanitize:
-            hit = self.cache.get(request, key=digest)
+            hit = self.cache.get(request, key=digest, resolved=resolved)
             if hit is not None:
                 payload = self._build_payload(request, digest, hit)
                 sub.state = "done"

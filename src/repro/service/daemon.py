@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from typing import Optional
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .core import PowerService
 from .protocol import (HTTPRequest, ProtocolError, read_request,
@@ -35,13 +35,21 @@ from .protocol import (HTTPRequest, ProtocolError, read_request,
 #: How long a ``"wait": true`` submission may block, by default.
 DEFAULT_WAIT_TIMEOUT_S = 600.0
 
+#: A request's answer: HTTP status and JSON payload.
+Answer = Tuple[int, Dict[str, Any]]
+
 #: Signals a daemon shuts down gracefully on (when the platform's
 #: event loop supports handlers for them).
 SHUTDOWN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 class ServiceDaemon:
-    """Bind a :class:`PowerService` to a TCP port."""
+    """Bind a :class:`PowerService` to a TCP port.
+
+    Each connection is served request after request until the client
+    closes it or asks for ``Connection: close`` (see
+    :mod:`repro.service.protocol`).
+    """
 
     def __init__(self, service: PowerService,
                  host: str = "127.0.0.1", port: int = 0) -> None:
@@ -51,6 +59,8 @@ class ServiceDaemon:
         self.replayed = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._stop_requested: Optional[asyncio.Event] = None
+        #: One handler task per open connection.
+        self._connections: Set[asyncio.Task] = set()
 
     async def start(self) -> None:
         """Replay the journal and start accepting connections."""
@@ -61,12 +71,19 @@ class ServiceDaemon:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting, then close the service (which ends open
-        event streams and seals the journal with a final fsync)."""
+        """Stop accepting, close the service (which ends open event
+        streams and seals the journal with a final fsync), then close
+        every connection still open -- idle keep-alive ones and any
+        still held by a ``"wait": true`` submission."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         self.service.close()
+        connections = list(self._connections)
+        for task in connections:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     def request_stop(self) -> None:
         """Ask :meth:`serve_forever` to return (signal-handler safe)."""
@@ -88,58 +105,52 @@ class ServiceDaemon:
             return False
         return True
 
-    def remove_signal_handlers(self) -> None:
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            return
-        for sig in SHUTDOWN_SIGNALS:
-            try:
-                loop.remove_signal_handler(sig)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-
     async def serve_forever(self) -> None:
-        """Serve until cancelled or :meth:`request_stop` is called."""
-        assert self._server is not None, "call start() first"
-        assert self._stop_requested is not None
-        stop = asyncio.ensure_future(self._stop_requested.wait())
-        async with self._server:
-            serve = asyncio.ensure_future(self._server.serve_forever())
-            try:
-                await asyncio.wait({stop, serve},
-                                   return_when=asyncio.FIRST_COMPLETED)
-            finally:
-                for task in (stop, serve):
-                    if not task.done():
-                        task.cancel()
-                        try:
-                            await task
-                        except asyncio.CancelledError:
-                            pass
+        """Serve until cancelled or :meth:`request_stop` is called.
+
+        The server accepts from :meth:`start` on; call :meth:`stop`
+        afterwards to close it and its connections.
+        """
+        assert self._stop_requested is not None, "call start() first"
+        await self._stop_requested.wait()
 
     # -- connection handling --------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections.add(task)
         try:
-            try:
-                request = await read_request(reader)
-                if request is not None:
-                    await self._route(request, writer)
-            except ProtocolError as exc:
-                await write_json(writer, exc.status,
-                                 {"error": "protocol",
-                                  "message": str(exc)})
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as exc:
-                await write_json(writer, 500,
-                                 {"error": type(exc).__name__,
-                                  "message": str(exc)})
+            keep_alive = True
+            while keep_alive:
+                try:
+                    request = await read_request(reader)
+                    if request is None:
+                        break
+                    keep_alive = request.keep_alive
+                    answer = await self._route(request, writer)
+                    if answer is None:
+                        break  # an event stream: the close ends it
+                    status, payload = answer
+                except ProtocolError as exc:
+                    keep_alive = False
+                    status, payload = exc.status, {"error": "protocol",
+                                                   "message": str(exc)}
+                except ConnectionError:
+                    raise
+                except Exception as exc:
+                    keep_alive = False
+                    status, payload = 500, {"error": type(exc).__name__,
+                                            "message": str(exc)}
+                await write_json(writer, status, payload, keep_alive)
         except (ConnectionError, asyncio.CancelledError):
+            # The client went away, or stop() cancelled this handler.
+            # The cancellation ends here: asyncio 3.11's stream server
+            # logs a handler task that ends cancelled as an error.
             pass
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -147,41 +158,32 @@ class ServiceDaemon:
                 pass
 
     async def _route(self, request: HTTPRequest,
-                     writer: asyncio.StreamWriter) -> None:
+                     writer: asyncio.StreamWriter) -> Optional[Answer]:
+        """The ``(status, payload)`` answer to one request, or None
+        once an event stream has been written to ``writer``."""
         method, path = request.method, request.path.rstrip("/")
         if path == "/v1/healthz" and method == "GET":
             from .. import __version__
-            await write_json(writer, 200,
-                             {"ok": True, "version": __version__,
-                              "paused": self.service.paused})
-            return
+            return 200, {"ok": True, "version": __version__,
+                         "paused": self.service.paused}
         if path == "/v1/status" and method == "GET":
-            await write_json(writer, 200, self.service.status())
-            return
+            return 200, self.service.status()
         if path == "/v1/submit":
             if method != "POST":
-                await write_json(writer, 405,
-                                 {"error": "method-not-allowed"})
-                return
-            await self._submit(request, writer)
-            return
+                return 405, {"error": "method-not-allowed"}
+            return await self._submit(request)
         if path == "/v1/admin/pause" and method == "POST":
             self.service.pause()
-            await write_json(writer, 200, {"ok": True, "paused": True})
-            return
+            return 200, {"ok": True, "paused": True}
         if path == "/v1/admin/resume" and method == "POST":
             self.service.resume()
-            await write_json(writer, 200, {"ok": True, "paused": False})
-            return
+            return 200, {"ok": True, "paused": False}
         if path.startswith("/v1/jobs/"):
-            await self._jobs(request, writer, path)
-            return
-        await write_json(writer, 404,
-                         {"error": "not-found",
-                          "message": f"no route {method} {path}"})
+            return await self._jobs(request, writer, path)
+        return 404, {"error": "not-found",
+                     "message": f"no route {method} {path}"}
 
-    async def _submit(self, request: HTTPRequest,
-                      writer: asyncio.StreamWriter) -> None:
+    async def _submit(self, request: HTTPRequest) -> Answer:
         body = request.json()
         tenant = request.header("x-tenant", "default") or "default"
         status, payload = self.service.submit(body, tenant=tenant)
@@ -193,50 +195,37 @@ class ServiceDaemon:
                 timeout = float(body["wait_timeout_s"])
             finished = await self.service.wait(sub_id, timeout=timeout)
             if not finished:
-                await write_json(writer, 408,
-                                 {"error": "wait-timeout",
-                                  "submission": sub_id,
-                                  "timeout_s": timeout})
-                return
+                return 408, {"error": "wait-timeout",
+                             "submission": sub_id, "timeout_s": timeout}
             status, payload = self.service.result(sub_id)
-        await write_json(writer, status, payload)
+        return status, payload
 
     async def _jobs(self, request: HTTPRequest,
-                    writer: asyncio.StreamWriter, path: str) -> None:
+                    writer: asyncio.StreamWriter,
+                    path: str) -> Optional[Answer]:
         parts = path.split("/")  # ['', 'v1', 'jobs', sub, action?]
         if request.method != "GET" or len(parts) not in (4, 5):
-            await write_json(writer, 404, {"error": "not-found"})
-            return
+            return 404, {"error": "not-found"}
         sub_id = parts[3]
         action = parts[4] if len(parts) == 5 else ""
         if action == "":
-            status, payload = self.service.describe(sub_id)
-            await write_json(writer, status, payload)
-            return
+            return self.service.describe(sub_id)
         if action == "result":
-            status, payload = self.service.result(sub_id)
-            await write_json(writer, status, payload)
-            return
+            return self.service.result(sub_id)
         if action == "stream":
-            await self._stream(sub_id, writer)
-            return
-        await write_json(writer, 404,
-                         {"error": "not-found",
-                          "message": f"unknown action {action!r}"})
+            return await self._stream(sub_id, writer)
+        return 404, {"error": "not-found",
+                     "message": f"unknown action {action!r}"}
 
     async def _stream(self, sub_id: str,
-                      writer: asyncio.StreamWriter) -> None:
+                      writer: asyncio.StreamWriter) -> Optional[Answer]:
         queue = self.service.subscribe(sub_id)
         if queue is None:
-            await write_json(writer, 404,
-                             {"error": "not-found",
-                              "message": f"unknown submission "
-                                         f"{sub_id!r}"})
-            return
+            return 404, {"error": "not-found",
+                         "message": f"unknown submission {sub_id!r}"}
         await start_event_stream(writer)
         while True:
             event = await queue.get()
             if event is None:
-                break
+                return None
             await write_event(writer, event["event"], event["data"])
-

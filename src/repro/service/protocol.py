@@ -3,10 +3,13 @@
 Just enough protocol for the daemon's JSON endpoints and its
 server-sent-event telemetry stream -- request-line + header parsing
 with a bounded body read, and response writers.  Connections are
-one-shot (``Connection: close``): the clients this serves -- the
-``gpusimpow submit`` CLI, CI curl calls, the test harness -- open a
-fresh connection per call, which keeps the state machine trivial and
-leak-proof.  No third-party framework, per the zero-new-runtime-deps
+persistent (HTTP/1.1 keep-alive): a client such as
+:class:`~repro.service.client.ServiceClient` sends request after
+request on one connection.  A request that asks for
+``Connection: close``, or speaks HTTP/1.0, gets a ``Connection: close``
+answer and the daemon then closes; so does a malformed request (its
+framing cannot be trusted) and an event stream (the close delimits
+it).  No third-party framework, per the zero-new-runtime-deps
 constraint.
 """
 
@@ -51,6 +54,15 @@ class HTTPRequest:
     query: Dict[str, str] = field(default_factory=dict)
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
+
+    @property
+    def keep_alive(self) -> bool:
+        """Whether the client lets the connection serve another request
+        (HTTP/1.1 without ``Connection: close``)."""
+        tokens = {t.strip().lower()
+                  for t in self.header("connection").split(",")}
+        return self.version == "HTTP/1.1" and "close" not in tokens
 
     def json(self) -> Any:
         """The body decoded as JSON (raises :class:`ProtocolError`)."""
@@ -82,7 +94,7 @@ async def read_request(reader: asyncio.StreamReader
     parts = lines[0].split(" ")
     if len(parts) != 3:
         raise ProtocolError(400, f"malformed request line {lines[0]!r}")
-    method, target, _version = parts
+    method, target, version = parts
     split = urlsplit(target)
     headers: Dict[str, str] = {}
     for line in lines[1:]:
@@ -111,32 +123,38 @@ async def read_request(reader: asyncio.StreamReader
         query=dict(parse_qsl(split.query)),
         headers=headers,
         body=body,
+        version=version,
     )
 
 
-def _head(status: int, content_type: str,
-          length: Optional[int]) -> bytes:
+def _head(status: int, content_type: str, length: Optional[int],
+          keep_alive: bool) -> bytes:
     reason = REASONS.get(status, "Unknown")
     lines = [f"HTTP/1.1 {status} {reason}",
              f"Content-Type: {content_type}",
-             "Connection: close"]
+             "Connection: " + ("keep-alive" if keep_alive else "close")]
     if length is not None:
         lines.append(f"Content-Length: {length}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
 async def write_json(writer: asyncio.StreamWriter, status: int,
-                     payload: Any) -> None:
-    """One complete JSON response."""
+                     payload: Any, keep_alive: bool = False) -> None:
+    """One complete JSON response.
+
+    ``keep_alive`` tells the client the connection stays open for its
+    next request; otherwise the answer says ``Connection: close``.
+    """
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    writer.write(_head(status, "application/json", len(body)) + body)
+    writer.write(_head(status, "application/json", len(body), keep_alive)
+                 + body)
     await writer.drain()
 
 
 async def start_event_stream(writer: asyncio.StreamWriter) -> None:
     """Response head for a server-sent-event stream (no length; the
     close delimits it)."""
-    writer.write(_head(200, "text/event-stream", None))
+    writer.write(_head(200, "text/event-stream", None, False))
     await writer.drain()
 
 

@@ -13,10 +13,13 @@ workflow.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import operator
+import pickle
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Callable, Dict, TypeVar
 
 from ..serialize import (Serializable, keyword_only, scalar_fields_from_dict,
                          scalar_fields_to_dict)
@@ -151,10 +154,6 @@ class GPUConfig(Serializable):
         """Shader cycles one warp instruction occupies an execution lane
         group (e.g. 32-thread warp over 8 lanes -> 4 cycles)."""
         return max(1, self.warp_size // max(1, self.n_fp_lanes))
-
-    @property
-    def sfu_cycles_per_warp(self) -> int:
-        return max(1, self.warp_size // max(1, self.n_sfu))
 
     @property
     def n_sub_agus(self) -> int:
@@ -325,6 +324,43 @@ def gtx580() -> GPUConfig:
         dram_bus_bits_per_partition=64,
         pcie_gen=2,
     )
+
+
+# -- per-configuration memo ---------------------------------------------------
+
+#: How many distinct configurations :func:`config_memo` holds before it
+#: starts over (each may keep a ~14 KB power model).
+CONFIG_MEMO_SIZE = 32
+
+_T = TypeVar("_T")
+_FIELD_VALUES = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(GPUConfig)))
+_MEMO: Dict[bytes, Dict[str, Any]] = {}
+
+
+def config_memo(config: GPUConfig, name: str,
+                build: Callable[[GPUConfig], _T]) -> _T:
+    """``build(config)``, computed once per configuration *content*.
+
+    A :class:`GPUConfig` is mutable, so nothing is cached on the object:
+    the memo is keyed by its field values, pickled so that ``1``,
+    ``1.0`` and ``True`` (or ``0.0`` and ``-0.0``) stay apart exactly
+    as their reprs -- and so the cache keys -- do.  A config changed
+    after a call keys a different entry.  ``build`` gets a private
+    copy, so what it returns never sees the caller's config change;
+    equal configs share it, so treat it as read-only.  ``name`` tells
+    the artifacts of one configuration apart.
+    """
+    key = pickle.dumps(_FIELD_VALUES(config), pickle.HIGHEST_PROTOCOL)
+    slots = _MEMO.get(key)
+    if slots is None:
+        if len(_MEMO) >= CONFIG_MEMO_SIZE:
+            _MEMO.clear()
+        slots = _MEMO.setdefault(key, {})
+    value = slots.get(name)
+    if value is None:
+        value = slots.setdefault(name, build(copy.copy(config)))
+    return value
 
 
 #: Registry of named preset configurations.

@@ -193,11 +193,6 @@ class PowerTrace(Serializable):
         from .export import sparkline
         return sparkline(self.card_watts(), width=width)
 
-    def to_chrome_trace(self) -> Dict[str, Any]:
-        """Chrome-trace (``chrome://tracing`` / Perfetto) event dict."""
-        from .export import chrome_trace
-        return chrome_trace(self)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kernel": self.kernel,

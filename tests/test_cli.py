@@ -168,6 +168,14 @@ class TestCommands:
                      "http://127.0.0.1:9"]) == 2
         assert "unknown kernel" in capsys.readouterr().err
 
+    def test_submit_unreachable_daemon(self, capsys):
+        import socket
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        assert main(["submit", "vectorAdd", "--url", url]) == 1
+        assert f"cannot reach service at {url}" in capsys.readouterr().err
+
     def test_validate_with_backend(self, capsys):
         assert main(["validate", "--kernels", "vectorAdd",
                      "--backend", "analytical"]) == 0

@@ -365,6 +365,40 @@ class TestDedup:
         assert sum(r["deduped"] for r in responses) == 7
 
 
+class TestResolveOnce:
+    def test_auto_cache_hit_walks_the_ladder_once(self, tmp_path):
+        # Admission resolves "auto"; the digest and the cache probe
+        # reuse that resolution instead of walking the ladder again.
+        import sys
+
+        from repro.backends import base
+        from repro.runner import ResultCache, run_jobs
+        cache = ResultCache(tmp_path / "cache")
+        request = SimRequest(config=gt240(), kernel="vectorAdd",
+                             backend="auto", error_budget=0.10)
+        run_jobs([request], n_jobs=1, cache=cache)
+        code = base.resolve_backend.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame.f_code.co_name)
+
+        async def submit():
+            service = PowerService(cache=cache)
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                return service.submit({"request": request.to_dict()})
+            finally:
+                sys.setprofile(previous)
+
+        status, payload = asyncio.run(submit())
+        assert status == 200 and payload["cached"] is True
+        assert payload["digest"] == request.digest()
+        assert calls == ["resolve_backend"]
+
+
 class TestStreaming:
     def test_stream_windows_then_result(self, daemon_factory):
         harness = daemon_factory()
@@ -381,6 +415,116 @@ class TestStreaming:
         assert all(w["data"]["end_cycles"] > 0 for w in windows)
         result = events[-1]["data"]
         assert result["summary"]["chip_total_w"] > 0
+
+
+def _read_answer(sock):
+    """One HTTP answer off a raw socket: ``(head, body)``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed before an answer"
+        data += chunk
+    head, body = data.split(b"\r\n\r\n", 1)
+    length = int(next(line.split(b":", 1)[1]
+                      for line in head.split(b"\r\n")
+                      if line.lower().startswith(b"content-length:")))
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    return head.decode("latin-1"), json.loads(body[:length])
+
+
+def _closed_by_peer(sock, timeout_s=10.0):
+    sock.settimeout(timeout_s)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestKeepAlive:
+    def _socket(self, harness):
+        import socket
+        return socket.create_connection(("127.0.0.1", harness.daemon.port),
+                                        timeout=30)
+
+    def test_two_requests_on_one_socket(self, daemon_factory):
+        harness = daemon_factory()
+        with self._socket(harness) as sock:
+            for _ in range(2):
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n"
+                             b"Host: x\r\n\r\n")
+                head, body = _read_answer(sock)
+                assert head.startswith("HTTP/1.1 200")
+                assert "Connection: keep-alive" in head
+                assert body["ok"] is True
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+         200),
+        (b"GET /v1/healthz HTTP/1.0\r\n\r\n", 200),
+        (b"GARBAGE\r\n\r\n", 400),
+    ], ids=["connection-close", "http-1.0", "malformed"])
+    def test_server_closes_after(self, daemon_factory, request_bytes,
+                                 status):
+        harness = daemon_factory()
+        with self._socket(harness) as sock:
+            sock.sendall(request_bytes)
+            head, _ = _read_answer(sock)
+            assert head.startswith(f"HTTP/1.1 {status}")
+            assert "Connection: close" in head
+            assert _closed_by_peer(sock)
+
+    def test_client_reuses_one_connection(self, daemon_factory):
+        harness = daemon_factory()
+        client = harness.client
+        client.healthz()
+        sock = client._local.conn.sock
+        client.status()
+        client.submit(tiny_request(), wait=True)
+        assert client._local.conn.sock is sock
+        assert len(harness.daemon._connections) == 1
+
+    def test_stale_connection_is_retried_once(self, daemon_factory):
+        # The daemon drops the client's idle connection; the next call
+        # fails before any answer byte and goes out again on a new one.
+        harness = daemon_factory()
+        client = harness.client
+        client.healthz()
+        sock = client._local.conn.sock
+
+        async def drop_connections():
+            for task in list(harness.daemon._connections):
+                task.cancel()
+        asyncio.run_coroutine_threadsafe(drop_connections(),
+                                         harness.loop).result(timeout=30)
+        deadline = time.monotonic() + 10
+        while harness.daemon._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert client.healthz()["ok"] is True
+        assert client._local.conn.sock is not sock
+
+    def test_unreachable_daemon_raises_oserror(self):
+        import socket
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with ServiceClient(f"http://127.0.0.1:{port}") as client:
+            with pytest.raises(OSError):
+                client.healthz()
+
+    def test_stop_closes_idle_connections(self, daemon_factory, caplog):
+        harness = daemon_factory()
+        harness.client.healthz()
+        with self._socket(harness) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            _read_answer(sock)
+            with caplog.at_level("ERROR", logger="asyncio"):
+                harness.stop()  # returns once every connection closed
+            assert _closed_by_peer(sock)
+        assert not harness.daemon._connections
+        assert not caplog.records, caplog.text
 
 
 class TestJournalRecovery:
@@ -545,6 +689,23 @@ class TestGracefulShutdown:
             assert client.status()["stats"]["pooled_simulations"] == 1
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
+
+    def test_sigterm_with_an_idle_keep_alive_connection(self, tmp_path):
+        # A client holding its kept-alive connection open must not keep
+        # the daemon from exiting.
+        import signal
+
+        proc, port = self._start_serve(tmp_path / "journal.jsonl")
+        try:
+            with ServiceClient(f"http://127.0.0.1:{port}") as client:
+                client.healthz()
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
