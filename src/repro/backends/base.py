@@ -319,20 +319,15 @@ def resolve_backend(request) -> Tuple[str, float]:
     """Resolve a request's backend name; returns ``(name, promised)``.
 
     ``request`` is a :class:`~repro.request.SimRequest` (or anything
-    request-shaped).  For a
-    concrete backend name the resolution is the identity plus that
-    backend's per-request promise.  For :data:`AUTO_BACKEND` the
-    request's ``error_budget`` (a fraction; ``None`` means 0.0, i.e.
-    exact) picks the cheapest rung of :func:`escalation_path` whose
-    :meth:`~SimulationBackend.promised_error` fits the budget --
-    escalating ``surrogate -> analytical -> cycle``.  The exact tier
+    request-shaped).  A concrete backend name resolves to itself plus
+    that backend's per-request promise.  :data:`AUTO_BACKEND` takes the
+    cheapest rung of :func:`escalation_path` whose promise fits the
+    request's ``error_budget`` (a fraction; ``None`` means 0.0, exact),
+    escalating ``surrogate -> analytical -> cycle``; the exact tier
     promises 0.0, so the walk always terminates.
 
-    Resolution happens *before* cache keying
-    (:func:`repro.runner.cache.request_signature`), so an ``auto``
-    request and the concrete request it resolves to are the same cached
-    artifact -- and ``auto`` with a zero budget keys (and simulates)
-    byte-identically to a plain ``cycle`` request.
+    Its one caller is :meth:`repro.request.SimRequest.resolve`, which
+    each entry point runs once per request, *before* cache keying.
     """
     name = getattr(request, "backend", DEFAULT_BACKEND)
     if name != AUTO_BACKEND:

@@ -7,10 +7,10 @@ area results.  This is the class downstream users interact with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from ..backends.base import resolve_backend
+from ..backends.base import DEFAULT_BACKEND
 from ..isa.launch import KernelLaunch
 from ..power.chip import Chip
 from ..power.result import PowerReport
@@ -56,7 +56,7 @@ class SimulationResult(Serializable):
     performance: SimulationOutput
     power: PowerReport
     trace: Optional[PowerTrace] = field(default=None, repr=False)
-    backend: str = "cycle"
+    backend: str = DEFAULT_BACKEND
     promised_error: Optional[float] = None
 
     @property
@@ -131,7 +131,7 @@ class SimulationResult(Serializable):
             power=PowerReport.from_dict(data["power"]),
             trace=(PowerTrace.from_dict(data["trace"])
                    if "trace" in data else None),
-            backend=data.get("backend", "cycle"),
+            backend=data.get("backend", DEFAULT_BACKEND),
             promised_error=data.get("promised_error"),
         )
 
@@ -203,12 +203,9 @@ class GPUSimPow:
             return self._result(req, perf, request.backend,
                                 request.promised_error, replayed=True)
         req = self._request(request, "launch")
-        # Resolve once: execute the concrete backend on the launch
-        # already in hand.
-        resolved, promised = resolve_backend(req)
-        perf = replace(req, backend=resolved,
-                       launch=req.resolve_launch()).execute(sink=sink)
-        return self._result(req, perf, resolved, promised)
+        concrete, promised = req.resolve()
+        perf = concrete.execute(sink=sink)
+        return self._result(req, perf, concrete.backend, promised)
 
     def run_benchmark(self, request: Union[SimRequest, str], *,
                       sink: Optional[TraceSink] = None,
@@ -228,11 +225,11 @@ class GPUSimPow:
             raise ValueError("run_benchmark needs a benchmark name")
         # Ladder resolution happens once for the whole chain, so every
         # kernel of the benchmark runs at the same fidelity.
-        resolved, promised = resolve_backend(req)
-        outputs = replace(req, backend=resolved).execute_chain(sink=sink)
+        concrete, promised = req.resolve()
+        outputs = concrete.execute_chain(sink=sink)
         return BenchmarkResult(
             benchmark=req.kernel,
-            kernels=[self._result(req, perf, resolved, promised)
+            kernels=[self._result(req, perf, concrete.backend, promised)
                      for perf in outputs])
 
     def _result(self, req: SimRequest, perf: SimulationOutput,

@@ -14,6 +14,10 @@ single way to simulate one:
 * ``POST /v1/submit`` -- the service accepts ``SimRequest.to_dict()``
   as its body and deduplicates in-flight work by ``digest()``.
 
+Each entry point resolves a request once (:meth:`SimRequest.resolve`)
+and hands the *concrete* request down; no layer below walks the
+fidelity ladder again.
+
 A request is pure *simulation input* plus execution policy; it carries
 no results and no process-level settings (worker counts, cache
 locations).  It round-trips through :mod:`repro.serialize` exactly --
@@ -23,7 +27,7 @@ so a request that crossed HTTP has the same digest as the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -159,6 +163,26 @@ class SimRequest(Serializable):
         because ``benchmarks/e2e/workloads.py`` still calls it)."""
         return self
 
+    # -- resolution -----------------------------------------------------------
+
+    def resolve(self) -> Tuple["SimRequest", float]:
+        """``(concrete request, promised error)``: the one ladder walk.
+
+        ``"auto"`` becomes the tier :func:`~repro.backends.base.
+        resolve_backend` picks, and that backend must honour
+        ``sanitize`` and ``trace_interval`` (else ``BackendError``; an
+        unknown name raises ``KeyError``).  The only caller of
+        ``resolve_backend``.
+        """
+        from .backends.base import get_backend, resolve_backend
+        name, promised = resolve_backend(self)
+        backend = get_backend(name)
+        backend.check_sanitize(self.sanitize)
+        backend.check_tracer(self.trace_interval)
+        if name != self.backend:
+            return replace(self, backend=name), promised
+        return self, promised
+
     # -- execution ------------------------------------------------------------
 
     def execute(self, sink: Optional["TraceSink"] = None,
@@ -168,8 +192,8 @@ class SimRequest(Serializable):
         Runner workers, the facade's fresh runs, the service's traced
         runs and ``gpusimpow run --profile`` all come through here (and
         chains through :meth:`execute_chain`).  ``"auto"`` resolves
-        against the fidelity ladder first, so an unknown backend name,
-        or a tracing or sanitize request against a backend that cannot
+        (:meth:`resolve`) first, so an unknown backend name, or a
+        tracing or sanitize request against a backend that cannot
         honour it, fails before any simulation work.  ``sink`` receives
         windows as they are cut (and implies tracing, with a 1000-cycle
         default interval).
@@ -198,14 +222,15 @@ class SimRequest(Serializable):
                  ) -> Tuple["SimulationBackend", Dict[str, Any]]:
         """``(backend, simulate keyword arguments)`` for this request.
 
-        The one resolve -> sanitize and tracing checks -> tracer setup:
-        the only place an :class:`~repro.telemetry.ActivityTracer` is
-        built from a request.
+        Resolve ``"auto"`` -> sanitize and tracing checks -> tracer
+        setup: the only place an :class:`~repro.telemetry.ActivityTracer`
+        is built from a request.  A concrete request evaluates no
+        promise.
         """
-        from .backends.base import AUTO_BACKEND, get_backend, resolve_backend
+        from .backends.base import AUTO_BACKEND, get_backend
         name = self.backend
         if name == AUTO_BACKEND:
-            name, _ = resolve_backend(self)
+            name = self.resolve()[0].backend
         backend = get_backend(name)
         backend.check_sanitize(self.sanitize)
         kwargs: Dict[str, Any] = dict(self.backend_options or {})

@@ -118,13 +118,10 @@ def _launch_signature(launch: KernelLaunch) -> Dict[str, Any]:
     }
 
 
-def request_signature(request,
-                      resolved: Optional[str] = None) -> Dict[str, Any]:
+def request_signature(request) -> Dict[str, Any]:
     """The full content-addressed payload of one simulation request.
 
-    ``request`` is a :class:`~repro.request.SimRequest` (or anything
-    carrying its ``config``/``resolve_launch``/``max_cycles``/
-    ``trace_interval``/``backend``/``backend_options``).
+    ``request`` is a :class:`~repro.request.SimRequest`.
     ``trace_interval`` enters the payload only when set, so untraced
     requests keep the exact keys (and cache entries) they had before
     telemetry existed; a traced request is a distinct artifact because
@@ -139,19 +136,15 @@ def request_signature(request,
     policy (``timeout_s``), selection policy (``error_budget``) and
     presentation (``tag``/``tags``) never enter.
 
-    An ``"auto"`` backend resolves through the fidelity ladder
-    (:func:`repro.backends.resolve_backend`) *before* any of this, so
-    only concrete backend names ever reach a payload: an ``auto``
+    Only concrete backend names ever reach a payload: an ``auto``
     request and the concrete request it resolves to are one cached
     artifact, and ``auto`` with a zero (or absent) ``error_budget``
-    keys byte-identically to a plain ``cycle`` request.  A caller that
-    has already resolved the backend passes the concrete name as
-    ``resolved`` so the ladder is not walked again.
+    keys byte-identically to a plain ``cycle`` request.  Entry points
+    hand over the concrete request they resolved; an ``"auto"`` one
+    (``SimRequest.digest()`` on it, say) resolves here.
     """
-    backend_name = resolved or getattr(request, "backend", "cycle")
-    if backend_name == "auto":  # AUTO_BACKEND (import kept lazy)
-        from ..backends.base import resolve_backend
-        backend_name, _ = resolve_backend(request)
+    if request.backend == "auto":  # AUTO_BACKEND (import kept lazy)
+        request = request.resolve()[0]
     payload: Dict[str, Any] = {
         "sim_version": _version_tag(),
         "config": config_signature(request.config),
@@ -160,21 +153,20 @@ def request_signature(request,
     }
     if request.trace_interval is not None:
         payload["trace_interval"] = repr(float(request.trace_interval))
-    if backend_name != "cycle" \
-            or getattr(request, "backend_options", None):
+    if request.backend != "cycle" or request.backend_options:
         from ..backends.base import get_backend
         payload["backend"] = \
-            get_backend(backend_name).cache_signature(request)
+            get_backend(request.backend).cache_signature(request)
     return payload
 
 
-def request_key(request, resolved: Optional[str] = None) -> str:
+def request_key(request) -> str:
     """Content-addressed identity (hex SHA-256) of one request.
 
-    The digest of :func:`request_signature` (``resolved`` as there);
-    exposed on requests as :meth:`repro.request.SimRequest.digest`.
+    The digest of :func:`request_signature`; exposed on requests as
+    :meth:`repro.request.SimRequest.digest`.
     """
-    return _digest(request_signature(request, resolved))
+    return _digest(request_signature(request))
 
 
 def base_request_key(request) -> str:
@@ -246,13 +238,12 @@ class ResultCache:
 
     # -- lookup/store --------------------------------------------------------
 
-    def get(self, job: SimRequest, key: Optional[str] = None,
-            resolved: Optional[str] = None) -> Optional[JobResult]:
+    def get(self, job: SimRequest,
+            key: Optional[str] = None) -> Optional[JobResult]:
         """Cached result for ``job``, or None on a miss."""
-        return self.lookup(job, key=key, resolved=resolved)[0]
+        return self.lookup(job, key=key)[0]
 
     def lookup(self, job: SimRequest, key: Optional[str] = None,
-               resolved: Optional[str] = None,
                ) -> Tuple[Optional[JobResult], bool]:
         """Like :meth:`get`, but also reports corruption.
 
@@ -261,14 +252,12 @@ class ResultCache:
         missing/unknown counters) -- as opposed to a plain miss or an
         expected invalidation (stale simulator version, different
         backend).  A corrupt entry is unlinked so the re-simulated
-        result is re-stored cleanly.  ``resolved`` is the job's
-        concrete backend when the caller has already resolved it.
+        result is re-stored cleanly.  The entry must have been written
+        by ``job``'s backend; an ``"auto"`` job resolves first.
         """
-        if resolved is None:
-            from ..backends.base import resolve_backend
-            resolved, _ = resolve_backend(job)
+        concrete = job.resolve()[0] if job.backend == "auto" else job
         if key is None:
-            key = request_key(job, resolved)
+            key = request_key(concrete)
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -285,7 +274,7 @@ class ResultCache:
             # mismatch with an explicit different (resolved) backend is
             # stale.
             if (entry.get("sim_version") != _version_tag()
-                    or entry.get("backend", "cycle") != resolved):
+                    or entry.get("backend", "cycle") != concrete.backend):
                 self.misses += 1
                 return None, False
             activity = ActivityReport.from_dict(entry["activity"])
@@ -308,33 +297,32 @@ class ResultCache:
                 pass
             return None, True
         self.hits += 1
-        if promised is None and _backend_is_exact(resolved):
+        if promised is None and _backend_is_exact(concrete.backend):
             promised = 0.0
         return JobResult(job=job, activity=activity, cycles=cycles,
                          cached=True, windows=windows,
-                         backend_used=resolved,
+                         backend_used=concrete.backend,
                          promised_error=(None if promised is None
                                          else float(promised)),
                          achieved_error=(None if achieved is None
                                          else float(achieved))), False
 
-    def put(self, job: SimRequest, activity: ActivityReport, cycles: float,
-            key: Optional[str] = None,
-            windows: Optional[List] = None) -> str:
-        """Store one result; returns its key.  Writes are atomic.
+    def put(self, result: JobResult, key: Optional[str] = None) -> str:
+        """Store one finished result; returns its key.  Writes are atomic.
 
-        Entries record the *resolved* backend.  Estimator entries
-        (inexact backends) additionally carry their ``promised_error``
-        and ``base_key``, and register under ``links/<base_key>.link``
-        so a later exact run of the same simulation backfills their
-        measured ``achieved_error`` in place; symmetrically, a plain
-        ``cycle`` store immediately grades any estimator entries
-        already linked to it, and an estimator store grades itself
-        against an exact entry that already exists.  Plain ``cycle``
-        entries keep their exact pre-ladder shape.
+        Backend, promise, activity, cycles and windows all come from
+        ``result``.  Estimator entries (inexact backends) additionally
+        carry their ``promised_error`` and ``base_key``, and register
+        under ``links/<base_key>.link`` so a later exact run of the same
+        simulation backfills their measured ``achieved_error`` in place;
+        symmetrically, a plain ``cycle`` store immediately grades any
+        estimator entries already linked to it, and an estimator store
+        grades itself against an exact entry that already exists.
+        Plain ``cycle`` entries keep their exact pre-ladder shape.
         """
-        from ..backends.base import resolve_backend
-        resolved, promised = resolve_backend(job)
+        job = result.job
+        if job.backend != result.backend:
+            job = dataclasses.replace(job, backend=result.backend)
         if key is None:
             key = request_key(job)
         path = self.path_for(key)
@@ -343,29 +331,30 @@ class ResultCache:
             "sim_version": _version_tag(),
             "kernel": job.label,
             "gpu": job.config.name,
-            "backend": resolved,
-            "cycles": float(cycles),
-            "activity": activity.to_dict(),
+            "backend": job.backend,
+            "cycles": float(result.cycles),
+            "activity": result.activity.to_dict(),
         }
-        if windows is not None:
+        if result.windows is not None:
             from ..telemetry.window import windows_to_dicts
-            entry["windows"] = windows_to_dicts(windows)
-        exact = _backend_is_exact(resolved)
+            entry["windows"] = windows_to_dicts(result.windows)
         base = None
-        if not exact:
+        if not _backend_is_exact(job.backend):
             base = base_request_key(job)
-            entry["promised_error"] = float(promised)
+            if result.promised_error is not None:
+                entry["promised_error"] = float(result.promised_error)
             entry["base_key"] = base
-            achieved = self._grade_against_exact(job.config, activity,
-                                                 base)
+            achieved = self._grade_against_exact(job.config,
+                                                 result.activity, base)
             if achieved is not None:
                 entry["achieved_error"] = achieved
         write_json_atomic(path, entry)
         self.stores += 1
         if base is not None and "achieved_error" not in entry:
             self._register_link(base, key)
-        if exact and resolved == "cycle" and key == base_request_key(job):
-            self._backfill_links(key, job.config, activity)
+        # A plain cycle job's key is its own base key.
+        if job.backend == "cycle" and not job.backend_options:
+            self._backfill_links(key, job.config, result.activity)
         return key
 
     # -- achieved-error bookkeeping -------------------------------------------

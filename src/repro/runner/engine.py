@@ -11,7 +11,9 @@ any larger request runs even a single miss on a pool worker, where a
 timeout can preempt it and the caller's interpreter stays free.  The
 number of workers used is capped by the number of misses.
 
-Workers receive only the picklable request, whose
+Each job resolves once, in the calling process
+(:meth:`~repro.request.SimRequest.resolve`).  Workers receive only the
+picklable concrete request, whose
 :meth:`~repro.request.SimRequest.execute` constructs the ``GPU`` there;
 they ship back plain counter dicts.  Both transports (pickle for the
 pipe, repr-JSON for the cache) round-trip float64 exactly, so serial,
@@ -406,6 +408,9 @@ def run_jobs(jobs: Sequence[SimRequest],
 
     total = len(jobs)
     done = 0
+    # Each job's resolution: what runs, and the promise it carries.
+    concrete: List[SimRequest] = list(jobs)
+    promised: List[Optional[float]] = [None] * total
     results: List[Optional[JobResult]] = [None] * total
     keys: List[Optional[str]] = [None] * total
     misses: List[int] = []
@@ -441,25 +446,22 @@ def run_jobs(jobs: Sequence[SimRequest],
 
     def record_success(index: int, act_dict, windows_dicts, diagnostics,
                        cycles: float, duration: float, pid: int) -> None:
-        job = jobs[index]
-        activity = ActivityReport.from_dict(act_dict)
         windows = None
         if windows_dicts is not None:
             from ..telemetry.window import windows_from_dicts
             windows = windows_from_dicts(windows_dicts)
-        if store is not None and keys[index] is not None:
-            store.put(job, activity, cycles, key=keys[index],
-                      windows=windows)
-        from ..backends.base import resolve_backend
-        backend_used, promised = resolve_backend(job)
-        result = JobResult(job=job, activity=activity, cycles=cycles,
-                           cached=False, duration_s=duration, worker=pid,
+        result = JobResult(job=jobs[index],
+                           activity=ActivityReport.from_dict(act_dict),
+                           cycles=cycles, cached=False,
+                           duration_s=duration, worker=pid,
                            windows=windows,
                            attempts=len(durations[index]) + 1,
                            faults=list(fault_log[index]),
-                           backend_used=backend_used,
-                           promised_error=promised,
+                           backend_used=concrete[index].backend,
+                           promised_error=promised[index],
                            diagnostics=diagnostics)
+        if store is not None and keys[index] is not None:
+            store.put(result, key=keys[index])
         results[index] = result
         notify(result)
 
@@ -467,33 +469,38 @@ def run_jobs(jobs: Sequence[SimRequest],
         failures.append(failure)
         notify(failure)
 
-    # Resolve cache hits up front, in the calling process.  A corrupt
+    # Resolve each job once, and cache hits up front, in the calling
+    # process.  A job that fails to resolve (or to key) runs as it is:
+    # its attempt reports the error with a clean traceback.  A corrupt
     # entry degrades to a miss (the simulation re-runs and re-stores),
     # recorded as a cache-corrupt fault on the eventual result.
     # Sanitized jobs never hit: findings are not part of the cached
     # artifact, so they always run fresh -- the (byte-identical) result
     # is still stored under the shared key afterwards.
     for i, job in enumerate(jobs):
-        if store is not None:
-            try:
-                keys[i] = request_key(job)
-            except Exception:  # noqa: BLE001 -- the attempt reports it
-                keys[i] = None  # the worker will fail with a clean traceback
-            if keys[i] is not None and not job.sanitize:
-                if _fault_for(plan, job.label, 1) == "corrupt":
-                    path = store.path_for(keys[i])
-                    if path.exists():
-                        path.write_text("{corrupt", encoding="utf-8")
-                hit, corrupt = store.lookup(job, key=keys[i])
-                if corrupt:
-                    add_event(i, "cache-corrupt",
-                              message="corrupt cache entry dropped; "
-                                      "re-simulating")
-                if hit is not None:
-                    hit.faults = list(fault_log[i])
-                    results[i] = hit
-                    notify(hit)
-                    continue
+        try:
+            concrete[i], promised[i] = job.resolve()
+            if store is not None:
+                keys[i] = request_key(concrete[i])
+        except Exception:  # noqa: BLE001 -- the attempt reports it
+            pass
+        if store is not None and keys[i] is not None \
+                and not job.sanitize:
+            if _fault_for(plan, job.label, 1) == "corrupt":
+                path = store.path_for(keys[i])
+                if path.exists():
+                    path.write_text("{corrupt", encoding="utf-8")
+            hit, corrupt = store.lookup(concrete[i], key=keys[i])
+            if corrupt:
+                add_event(i, "cache-corrupt",
+                          message="corrupt cache entry dropped; "
+                                  "re-simulating")
+            if hit is not None:
+                hit.job = job
+                hit.faults = list(fault_log[i])
+                results[i] = hit
+                notify(hit)
+                continue
         misses.append(i)
 
     def run_serial(queue: Deque[Tuple[int, int]], fail_fast: bool) -> None:
@@ -507,7 +514,7 @@ def run_jobs(jobs: Sequence[SimRequest],
         while queue:
             index, attempt = queue.popleft()
             fault = _fault_for(plan, jobs[index].label, attempt)
-            out = _execute_job((index, jobs[index], fault, True))
+            out = _execute_job((index, concrete[index], fault, True))
             _, act, win, diags, cycles, duration, _, error = out
             limit = job_timeout(index)
             if error is not None:
@@ -591,7 +598,7 @@ def run_jobs(jobs: Sequence[SimRequest],
                 while queue and len(running) < workers:
                     index, attempt = queue.popleft()
                     fault = _fault_for(plan, jobs[index].label, attempt)
-                    payload = (index, jobs[index], fault, False)
+                    payload = (index, concrete[index], fault, False)
                     worker = None
                     try:
                         worker = warm.acquire(ctx)

@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis import analyze_launch
 from ..analysis.diagnostics import Severity
-from ..backends.base import BackendError, get_backend, resolve_backend
+from ..backends.base import BackendError
 from ..core.gpusimpow import GPUSimPow
 from ..request import SimRequest
 from ..runner.cache import ResultCache, request_key
@@ -142,12 +142,15 @@ class SimTask:
     ``key`` is the dedup/scheduling identity -- the digest plus the
     sanitize flag, because a sanitized run produces a payload
     (diagnostics) an unsanitized task of the same digest cannot
-    provide, so the two must never share a task.
+    provide, so the two must never share a task.  ``concrete`` and
+    ``promised`` are admission's resolution of ``request``.
     """
 
     digest: str
     key: str
     request: SimRequest
+    concrete: SimRequest
+    promised: float
     priority: int
     seq: int
     state: str = "queued"  # queued | running | done | failed
@@ -226,7 +229,8 @@ class PowerService:
 
         Returns how many journaled submissions were replayed.  Must be
         called from the event loop (replayed cache hits resolve
-        immediately).
+        immediately).  A record resolves as a fresh submission does;
+        one that no longer parses or resolves is closed as failed.
         """
         if self._journal_path is None:
             return 0
@@ -237,10 +241,15 @@ class PowerService:
         for record in pending:
             try:
                 request = SimRequest.from_dict(record["request"])
-            except (KeyError, ValueError, TypeError):
+                request.resolve_launch()
+                concrete, promised = request.resolve()
+            except (KeyError, ValueError, TypeError, BackendError):
+                # Say, its backend or kernel is gone: close it instead
+                # of leaving it pending (and replayed) forever.
+                self._journal.record_done(str(record["sub"]), "failed")
                 continue
-            self._admit(request, tenant=str(record.get("tenant",
-                                                       "default")),
+            self._admit(request, concrete, promised,
+                        tenant=str(record.get("tenant", "default")),
                         priority=int(record.get("priority", 0)),
                         sub_id=str(record["sub"]), journal=False)
             replayed += 1
@@ -289,14 +298,9 @@ class PowerService:
         try:
             request = SimRequest.from_dict(raw)
             launch = request.resolve_launch()
-            # Validates the backend name -- including resolving "auto"
-            # through the fidelity ladder, so an unsatisfiable budget
-            # or unknown name is rejected before any queue is spent --
-            # and that the backend can sanitize or trace if asked to.
-            resolved, _ = resolve_backend(request)
-            backend = get_backend(resolved)
-            backend.check_sanitize(request.sanitize)
-            backend.check_tracer(request.trace_interval)
+            # The one ladder walk: an unknown backend, or one that
+            # cannot sanitize or trace as asked, is rejected here.
+            concrete, promised = request.resolve()
         except (ValueError, KeyError, TypeError, BackendError) as exc:
             return 400, {"error": "bad-request", "message": str(exc)}
         try:
@@ -320,17 +324,14 @@ class PowerService:
                                     for d in analysis.diagnostics],
                 }
 
-        return self._admit(request, tenant=tenant, priority=priority,
-                           resolved=resolved)
+        return self._admit(request, concrete, promised, tenant=tenant,
+                           priority=priority)
 
-    def _admit(self, request: SimRequest, tenant: str, priority: int,
+    def _admit(self, request: SimRequest, concrete: SimRequest,
+               promised: float, tenant: str, priority: int,
                sub_id: Optional[str] = None, journal: bool = True,
-               resolved: Optional[str] = None) -> tuple:
-        # One ladder walk per submission: the digest and the cache
-        # probe reuse the admission's resolution.
-        if resolved is None:
-            resolved, _ = resolve_backend(request)
-        digest = request_key(request, resolved)
+               ) -> tuple:
+        digest = request_key(concrete)
         task_key = digest + ("+sanitize" if request.sanitize else "")
         if sub_id is None:
             self._serial += 1
@@ -342,7 +343,7 @@ class PowerService:
         # the (byte-identical) unsanitized result, not the diagnostics.
         if self.cache is not None and task_key not in self._inflight \
                 and not request.sanitize:
-            hit = self.cache.get(request, key=digest, resolved=resolved)
+            hit = self.cache.get(concrete, key=digest)
             if hit is not None:
                 payload = self._build_payload(request, digest, hit)
                 sub.state = "done"
@@ -394,6 +395,7 @@ class PowerService:
                 }
             self._seq += 1
             task = SimTask(digest=digest, key=task_key, request=request,
+                           concrete=concrete, promised=promised,
                            priority=priority, seq=self._seq)
             task.submissions.append(sub)
             sub.task = task
@@ -524,23 +526,24 @@ class PowerService:
         loop = asyncio.get_running_loop()
         for task in traced:
             self._running += 1
-            loop.create_task(self._run_traced(task))
+            loop.create_task(self._dispatch(self._execute_traced, [task]))
         if batch:
             self._running += len(batch)
-            loop.create_task(self._run_batch(batch))
+            loop.create_task(self._dispatch(self._execute_batch, batch))
 
-    async def _run_batch(self, tasks: List[SimTask]) -> None:
-        """Dispatch untraced tasks through one fault-tolerant fan-out."""
+    async def _dispatch(self, execute, tasks: List[SimTask]) -> None:
+        """Run ``execute(tasks, loop)`` on an executor thread.
+
+        ``execute`` fans each task's answer out itself; a task it leaves
+        unanswered fails with the exception it raised.
+        """
         loop = asyncio.get_running_loop()
         try:
-            await loop.run_in_executor(None, self._execute_batch,
-                                       tasks, loop)
-        except Exception as exc:  # pragma: no cover - defensive
+            await loop.run_in_executor(None, execute, tasks, loop)
+        except Exception as exc:
+            failure = {"error": type(exc).__name__, "message": str(exc)}
             for task in tasks:
-                if task.state == "running":
-                    self._finish_task(task, None,
-                                      {"error": type(exc).__name__,
-                                       "message": str(exc)}, False)
+                self._finish_task(task, None, failure, False)
         finally:
             self._running -= len(tasks)
             self._schedule()
@@ -554,7 +557,7 @@ class PowerService:
         map back unambiguously even when two requests share a kernel.
         """
         by_key = {t.key: t for t in tasks}
-        jobs = [replace(task.request, tag=task.key) for task in tasks]
+        jobs = [replace(task.concrete, tag=task.key) for task in tasks]
 
         def on_outcome(done: int, total: int, outcome) -> None:
             if isinstance(outcome, JobResult):
@@ -583,50 +586,31 @@ class PowerService:
                      timeout_s=self.timeout_s)
         except RunnerError:
             pass  # per-task failures already fanned out via progress
-        except Exception as exc:
-            for task in tasks:
-                loop.call_soon_threadsafe(
-                    self._finish_task, task, None,
-                    {"error": type(exc).__name__, "message": str(exc)},
-                    False)
 
-    async def _run_traced(self, task: SimTask) -> None:
-        """Dispatch one traced task in-process, streaming windows."""
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(
-                None, self._execute_traced, task, loop)
-            self._finish_task(task, payload, None, payload["cached"])
-        except Exception as exc:
-            self._finish_task(task, None,
-                              {"error": type(exc).__name__,
-                               "message": str(exc)}, False)
-        finally:
-            self._running -= 1
-            self._schedule()
-
-    def _execute_traced(self, task: SimTask,
-                        loop: asyncio.AbstractEventLoop) -> Dict[str, Any]:
-        """Worker thread: simulate with a live window-forwarding sink."""
-        request = task.request
-        if self.cache is not None and not request.sanitize:
-            hit = self.cache.get(request, key=task.digest)
-            if hit is not None:
-                for window in hit.windows or []:
-                    loop.call_soon_threadsafe(self._push_window, task,
-                                              window)
-                return self._build_payload(request, task.digest, hit)
-        resolved, promised = resolve_backend(request)
-        sink = _ForwardingSink(loop, self._push_window, task)
-        output = replace(request, backend=resolved).execute(sink=sink)
-        if self.cache is not None:
-            self.cache.put(request, output.activity, output.cycles,
-                           key=task.digest, windows=output.windows)
-        job = JobResult(job=request, activity=output.activity,
-                        cycles=output.cycles, windows=output.windows,
-                        backend_used=resolved, promised_error=promised,
-                        diagnostics=output.diagnostics)
-        return self._build_payload(request, task.digest, job)
+    def _execute_traced(self, tasks: List[SimTask],
+                        loop: asyncio.AbstractEventLoop) -> None:
+        """Worker thread: simulate one task in-process, streaming each
+        window to subscribers through a forwarding sink."""
+        task, = tasks
+        job = None
+        if self.cache is not None and not task.request.sanitize:
+            job = self.cache.get(task.concrete, key=task.digest)
+        if job is not None:
+            for window in job.windows or []:
+                loop.call_soon_threadsafe(self._push_window, task, window)
+        else:
+            sink = _ForwardingSink(loop, self._push_window, task)
+            output = task.concrete.execute(sink=sink)
+            job = JobResult(job=task.request, activity=output.activity,
+                            cycles=output.cycles, windows=output.windows,
+                            backend_used=task.concrete.backend,
+                            promised_error=task.promised,
+                            diagnostics=output.diagnostics)
+            if self.cache is not None:
+                self.cache.put(job, key=task.digest)
+        payload = self._build_payload(task.request, task.digest, job)
+        loop.call_soon_threadsafe(self._finish_task, task, payload, None,
+                                  job.cached)
 
     # -- completion -----------------------------------------------------------
 

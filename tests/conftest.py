@@ -6,9 +6,11 @@ session scope so the many tests that inspect them don't re-simulate.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 import repro
 from repro.isa import Dim3, KernelBuilder, KernelLaunch, Sreg
+from repro.request import SimRequest
 from repro.sim import gt240, gtx580
 from repro.workloads import all_kernel_launches
 
@@ -35,6 +38,64 @@ def fresh_python(code: str) -> str:
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+#: Parametrises ``request_`` over budgeted ``auto`` requests, one per
+#: ladder outcome: a GT240 ``vectorAdd`` whose 5% budget escalates to
+#: ``cycle``, and a GTX580 ``BlackScholes`` whose 10% budget the
+#: ``surrogate`` meets.
+AUTO_REQUESTS = pytest.mark.parametrize(
+    "request_",
+    [SimRequest(config=gt240(), kernel="vectorAdd", backend="auto",
+                error_budget=0.05),
+     SimRequest(config=gtx580(), kernel="BlackScholes", backend="auto",
+                error_budget=0.10)],
+    ids=["GT240-vectorAdd-0.05", "GTX580-BlackScholes-0.10"])
+
+
+@contextlib.contextmanager
+def ladder_counts():
+    """Count fidelity-ladder work done while the block runs.
+
+    Yields a dict of counts: ``walks`` (``escalation_path`` calls, one
+    per ``auto`` resolution), ``promises`` (``promised_error``
+    evaluations by any backend) and ``signatures``
+    (``request_signature`` calls).  ``sys.setprofile`` covers the
+    calling thread and ``threading.setprofile`` every thread started
+    inside the block, such as an event loop's executor threads.
+    """
+    from repro.backends import all_backends, base
+    from repro.runner import cache
+    names = {base.escalation_path.__code__: "walks",
+             cache.request_signature.__code__: "signatures"}
+    for backend in all_backends().values():
+        names[type(backend).promised_error.__code__] = "promises"
+    counts = dict.fromkeys(names.values(), 0)
+    lock = threading.Lock()
+
+    def profile(frame, event, arg):
+        name = names.get(frame.f_code) if event == "call" else None
+        if name is not None:
+            with lock:
+                counts[name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        threading.setprofile(None)
+        sys.setprofile(previous)
+
+
+def one_walk(request):
+    """``(concrete request, promises one walk evaluates)`` for an
+    ``auto`` request."""
+    with ladder_counts() as counts:
+        concrete, _ = request.resolve()
+    assert counts["walks"] == 1
+    return concrete, counts["promises"]
 
 
 @pytest.fixture(autouse=True)

@@ -160,7 +160,8 @@ class TestCacheKeys:
         cache = ResultCache(tmp_path / "cache")
         cyc_job = self._job(gt240_config, "cycle")
         out = cyc_job.execute()
-        key = cache.put(cyc_job, out.activity, out.cycles)
+        key = cache.put(JobResult(job=cyc_job, activity=out.activity,
+                                  cycles=out.cycles))
         assert cache.get(cyc_job, key=key) is not None
         # Same entry offered to an analytical job: backend mismatch.
         ana_job = self._job(gt240_config, "analytical")
@@ -171,7 +172,8 @@ class TestCacheKeys:
         cache = ResultCache(tmp_path / "cache")
         job = self._job(gt240_config, "cycle")
         out = job.execute()
-        key = cache.put(job, out.activity, out.cycles)
+        key = cache.put(JobResult(job=job, activity=out.activity,
+                                  cycles=out.cycles))
         path = cache.path_for(key)
         entry = json.loads(path.read_text())
         del entry["backend"]  # pre-backend-era entry

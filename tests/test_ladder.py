@@ -25,8 +25,9 @@ from repro.request import SimRequest
 from repro.runner import run_jobs
 from repro.runner.cache import (ResultCache, base_request_key,
                                 request_key, request_signature)
-from repro.runner.job import SimJob
-from tests.conftest import build_vecadd_launch
+from repro.runner.job import JobResult, SimJob
+from tests.conftest import (AUTO_REQUESTS, build_vecadd_launch,
+                            ladder_counts, one_walk)
 
 #: Small kernel set for calibration-from-scratch tests (cheap on GT240).
 CALIB_KERNELS = ["vectorAdd", "matrixMul", "bfs1", "scalarProd",
@@ -257,7 +258,8 @@ class TestCacheProvenance:
         cycle_job = SimJob(config=gt240_config, kernel="tiny_vecadd",
                            launch=launch, backend="cycle")
         out = get_backend("cycle").simulate(gt240_config, launch)
-        cache.put(cycle_job, out.activity, out.cycles)
+        cache.put(JobResult(job=cycle_job, activity=out.activity,
+                            cycles=out.cycles))
         auto_job = SimJob(config=gt240_config, kernel="tiny_vecadd",
                           launch=launch, backend=AUTO_BACKEND,
                           error_budget=0.0)
@@ -275,7 +277,11 @@ class TestCacheProvenance:
                          launch=launch, backend=AUTO_BACKEND,
                          error_budget=0.10)
         est = get_backend("surrogate").simulate(gtx580_config, launch)
-        cache.put(est_job, est.activity, est.cycles)
+        concrete, promised = est_job.resolve()
+        cache.put(JobResult(job=est_job, activity=est.activity,
+                            cycles=est.cycles,
+                            backend_used=concrete.backend,
+                            promised_error=promised))
         hit, _ = cache.lookup(est_job)
         assert hit.backend_used == "surrogate"
         assert hit.promised_error is not None
@@ -285,7 +291,8 @@ class TestCacheProvenance:
         cyc_job = SimJob(config=gtx580_config, kernel="BlackScholes",
                          launch=launch, backend="cycle")
         out = get_backend("cycle").simulate(gtx580_config, launch)
-        cache.put(cyc_job, out.activity, out.cycles)
+        cache.put(JobResult(job=cyc_job, activity=out.activity,
+                            cycles=out.cycles))
 
         hit, _ = cache.lookup(est_job)
         assert hit.achieved_error is not None
@@ -301,7 +308,8 @@ class TestCacheProvenance:
             out = get_backend(backend).simulate(gtx580_config, launch)
             job = SimJob(config=gtx580_config, kernel="BlackScholes",
                          launch=launch, backend=backend)
-            cache.put(job, out.activity, out.cycles)
+            cache.put(JobResult(job=job, activity=out.activity,
+                                cycles=out.cycles))
         assert cache.stats()["backends"] == {"cycle": 1, "surrogate": 1}
 
     def test_run_jobs_records_provenance(self, gtx580_config, launches):
@@ -312,6 +320,57 @@ class TestCacheProvenance:
         assert result.backend_used == "surrogate"
         assert result.promised_error == pytest.approx(
             resolve_backend(job)[1])
+
+
+# -- one resolution per request -----------------------------------------------
+
+
+class TestResolveOnce:
+    @AUTO_REQUESTS
+    def test_run_jobs_walks_once_per_path(self, request_, tmp_path):
+        concrete, walk = one_walk(request_)
+        # An estimator's store also digests its backend-stripped base
+        # key, the simulation an exact run later grades it against.
+        base = int(not get_backend(concrete.backend).capabilities.exact)
+        cache = ResultCache(tmp_path / "cache")
+        with ladder_counts() as counts:
+            fresh, = run_jobs([request_], n_jobs=1, cache=cache)
+        assert not fresh.cached and fresh.job is request_
+        assert counts == {"walks": 1, "promises": walk,
+                          "signatures": 1 + base}
+        with ladder_counts() as counts:
+            hit, = run_jobs([request_], n_jobs=1, cache=cache)
+        assert hit.cached and hit.job is request_
+        assert (hit.backend, hit.promised_error) == \
+            (fresh.backend, fresh.promised_error) == \
+            (concrete.backend, resolve_backend(request_)[1])
+        assert counts == {"walks": 1, "promises": walk, "signatures": 1}
+        with ladder_counts() as counts:
+            run_jobs([request_], n_jobs=1, cache=None)
+        assert counts == {"walks": 1, "promises": walk, "signatures": 0}
+
+    @AUTO_REQUESTS
+    def test_facade_walks_once(self, request_):
+        _, walk = one_walk(request_)
+        sim = GPUSimPow(request_.config)
+        with ladder_counts() as counts:
+            sim.run(request_)
+        assert counts == {"walks": 1, "promises": walk, "signatures": 0}
+        # The benchmark of the same name, run as a chain.
+        chain = SimJob(config=request_.config,
+                       kernel=request_.kernel.lower(), backend="auto",
+                       error_budget=request_.error_budget)
+        _, walk = one_walk(chain)
+        with ladder_counts() as counts:
+            sim.run_benchmark(chain)
+        assert counts == {"walks": 1, "promises": walk, "signatures": 0}
+
+    @AUTO_REQUESTS
+    def test_concrete_request_executes_without_a_promise(self, request_):
+        concrete, _ = request_.resolve()
+        with ladder_counts() as counts:
+            concrete.execute()
+        assert counts == {"walks": 0, "promises": 0, "signatures": 0}
 
 
 # -- facade -------------------------------------------------------------------

@@ -101,7 +101,8 @@ class TestResultCache:
     def test_roundtrip_bit_identical(self, tiny_job, tmp_path):
         cache = ResultCache(tmp_path)
         out = tiny_job.execute()
-        cache.put(tiny_job, out.activity, out.cycles)
+        cache.put(JobResult(job=tiny_job, activity=out.activity,
+                            cycles=out.cycles))
         hit = cache.get(tiny_job)
         assert hit is not None and hit.cached
         assert hit.cycles == out.cycles
@@ -115,14 +116,16 @@ class TestResultCache:
     def test_corrupt_entry_degrades_to_miss(self, tiny_job, tmp_path):
         cache = ResultCache(tmp_path)
         out = tiny_job.execute()
-        key = cache.put(tiny_job, out.activity, out.cycles)
+        key = cache.put(JobResult(job=tiny_job, activity=out.activity,
+                                  cycles=out.cycles))
         cache.path_for(key).write_text("{not json", encoding="utf-8")
         assert cache.get(tiny_job) is None
 
     def test_version_bump_invalidates(self, tiny_job, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         out = tiny_job.execute()
-        cache.put(tiny_job, out.activity, out.cycles)
+        cache.put(JobResult(job=tiny_job, activity=out.activity,
+                            cycles=out.cycles))
         monkeypatch.setattr(repro, "SIM_VERSION", "9999.test")
         # New tag -> new key -> miss; and even a forced lookup of the old
         # entry refuses to load it.
@@ -131,11 +134,13 @@ class TestResultCache:
     def test_invalidate_and_clear(self, tiny_job, tmp_path):
         cache = ResultCache(tmp_path)
         out = tiny_job.execute()
-        key = cache.put(tiny_job, out.activity, out.cycles)
+        key = cache.put(JobResult(job=tiny_job, activity=out.activity,
+                                  cycles=out.cycles))
         assert cache.entries() == 1
         assert cache.invalidate(key)
         assert not cache.invalidate(key)
-        cache.put(tiny_job, out.activity, out.cycles)
+        cache.put(JobResult(job=tiny_job, activity=out.activity,
+                            cycles=out.cycles))
         assert cache.clear() == 1
         assert cache.entries() == 0
 
@@ -155,7 +160,8 @@ class TestResultCache:
 
         monkeypatch.setattr("repro.runner.cache.json.dump", failing_dump)
         with pytest.raises(TypeError):
-            cache.put(tiny_job, out.activity, out.cycles)
+            cache.put(JobResult(job=tiny_job, activity=out.activity,
+                                cycles=out.cycles))
         cache._register_link("ab" * 32, "cd" * 32)  # best-effort: silent
         assert not list(tmp_path.rglob("*.tmp"))
         assert cache.entries() == 0

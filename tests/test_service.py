@@ -20,8 +20,10 @@ from repro import SimRequest
 from repro.isa import Dim3, KernelBuilder, KernelLaunch, Reg, Sreg
 from repro.service import (Journal, PowerService, ServiceClient,
                            ServiceDaemon, ServiceError)
+from repro.backends import get_backend
 from repro.sim import gt240
-from tests.conftest import build_vecadd_launch
+from tests.conftest import (AUTO_REQUESTS, build_vecadd_launch,
+                            ladder_counts, one_walk)
 
 
 class DaemonHarness:
@@ -398,6 +400,65 @@ class TestResolveOnce:
         assert payload["digest"] == request.digest()
         assert calls == ["resolve_backend"]
 
+    @staticmethod
+    def _answer(cache, request):
+        """Submit ``request`` to a one-slot service; its final answer
+        and the ladder work spent on it, executor threads included."""
+        async def submit():
+            service = PowerService(cache=cache, max_parallel=1)
+            try:
+                status, payload = service.submit(
+                    {"request": request.to_dict()})
+                if status == 202:
+                    sub_id = payload["submission"]
+                    assert await service.wait(sub_id, timeout=120)
+                    status, payload = service.result(sub_id)
+                return status, payload
+            finally:
+                service.close()
+
+        with ladder_counts() as counts:
+            status, payload = asyncio.run(submit())
+        assert status == 200, payload
+        return payload["result"], counts
+
+    @AUTO_REQUESTS
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_each_answer_walks_the_ladder_once(self, tmp_path, request_,
+                                               traced):
+        from dataclasses import replace
+
+        from repro.runner import ResultCache
+        if traced:
+            request_ = replace(request_, trace_interval=500.0)
+        concrete, walk = one_walk(request_)
+        # An estimator's store also digests its backend-stripped base
+        # key, the simulation an exact run later grades it against.
+        base = int(not get_backend(concrete.backend).capabilities.exact)
+        cache = ResultCache(tmp_path / "cache")
+
+        miss, counts = self._answer(cache, request_)
+        assert not miss["cached"]
+        assert miss["backend"] == concrete.backend
+        assert counts["walks"] == 1
+        if traced:
+            # One walk, one digest: the traced run shares both.
+            assert counts["promises"] == walk
+            assert counts["signatures"] == 1 + base
+        else:
+            # The runner takes the concrete request and evaluates only
+            # its tier's own promise; it digests it once more for its
+            # own cache probe.
+            assert counts["promises"] == walk + 1
+            assert counts["signatures"] == 2 + base
+
+        hit, counts = self._answer(cache, request_)
+        assert hit["cached"]
+        assert (hit["summary"], hit["simulation"]) == \
+            (miss["summary"], miss["simulation"])
+        assert counts == {"walks": 1, "promises": walk, "signatures": 1}
+
 
 class TestStreaming:
     def test_stream_windows_then_result(self, daemon_factory):
@@ -573,6 +634,43 @@ class TestJournalRecovery:
         assert second.client.status()["stats"]["replayed"] == 0
 
 
+    def test_unresolvable_records_are_closed_not_fatal(self, tmp_path):
+        """Replay resolves each record as admission would: one that no
+        longer parses or resolves, or asks a backend for a capability
+        it lacks, is closed as failed instead of stopping the
+        restart."""
+        path = tmp_path / "journal.jsonl"
+        good = tiny_request().to_dict()
+        journal = Journal(path)
+        journal.record_submit("s000001", "t", "d1", 0,
+                              dict(good, backend="nope"))
+        journal.record_submit("s000002", "t", "d2", 0,
+                              {"config": gt240().to_dict(),
+                               "kernel": "noSuchKernel"})
+        journal.record_submit("s000003", "t", "d3", 0,
+                              dict(good, backend="analytical",
+                                   sanitize=True))
+        journal.record_submit("s000004", "t", "d4", 0, good)
+        journal.record_submit("s000005", "t", "d5", 0, {"bogus": 1})
+        journal.close()
+
+        async def restart():
+            service = PowerService(cache=None, journal_path=path)
+            service.pause()  # keep the replayed task queued
+            try:
+                return service.start()
+            finally:
+                service.close()
+
+        assert asyncio.run(restart()) == 1
+        assert [p["sub"] for p in Journal.pending(path)] == ["s000004"]
+        closed = {r["sub"]: r["status"] for r in
+                  map(json.loads, path.read_text().splitlines())
+                  if r["event"] == "done"}
+        assert closed == {"s000001": "failed", "s000002": "failed",
+                          "s000003": "failed", "s000005": "failed"}
+
+
 class TestJournalFormat:
     def test_pending_skips_torn_line(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -666,6 +764,7 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()
 
         lines = [line for line in
                  journal_path.read_text().splitlines() if line]
