@@ -133,19 +133,16 @@ class SimRequest(Serializable):
         """The launch to execute (resolving workload labels if needed).
 
         Workload labels resolve through
-        :func:`repro.workloads.all_kernel_launches`, which builds
-        launches from a fixed seed -- so a label names the same launch
+        :func:`repro.workloads.common.kernel_launch`, over launches
+        built from a fixed seed -- so a label names the same launch
         (and the same digest) in every process.  Each benchmark is
         built once per process: a label resolves to the one shared,
         read-only launch object (see :mod:`repro.workloads.common`).
         """
         if self.launch is not None:
             return self.launch
-        from .workloads import all_kernel_launches
-        launches = all_kernel_launches()
-        if self.kernel not in launches:
-            raise KeyError(f"unknown workload kernel {self.kernel!r}")
-        return launches[self.kernel]
+        from .workloads.common import kernel_launch
+        return kernel_launch(self.kernel)
 
     def digest(self) -> str:
         """Content-addressed identity (hex SHA-256).

@@ -17,9 +17,18 @@ submission's life:
    answers instantly (200, result inline) without touching quotas or
    queues.  The probe stays *after* lint: ``gpusimpow run`` may have
    cached a result for a kernel with lint errors, and that must not
-   turn the 422 into a 200.
+   turn the 422 into a 200.  An untraced hit's answer is memoised,
+   keyed by the digest and the request fields the answer echoes that
+   the digest does not cover (the ``auto`` echo and its
+   ``error_budget``), and stamped with the entry file's
+   :meth:`~repro.runner.ResultCache.stamp`.  A repeat whose entry
+   still has that stamp gets the same answer object back: no read, no
+   power evaluation, no serialization.  Every cache write replaces the
+   file, so a store, an ``achieved_error`` backfill or a ``cache
+   clear`` sends the next hit down the full path again.
 4. **Quota** -- each tenant may hold a bounded number of live
-   (queued or running) submissions; beyond that, 429.
+   (queued or running) submissions -- those attached to in-flight
+   tasks; beyond that, 429.
 5. **Dedup** -- an in-flight task with the same digest absorbs the
    submission: one simulation, every subscriber fanned the identical
    result.
@@ -49,7 +58,7 @@ import asyncio
 import heapq
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis import analyze_launch
 from ..analysis.diagnostics import Severity
@@ -71,6 +80,10 @@ DEFAULT_QUEUE_LIMIT = 64
 
 #: Default concurrent-simulation slots.
 DEFAULT_MAX_PARALLEL = 2
+
+#: Bound on memoised cache-hit answers per service; the memo is
+#: cleared when full.
+ANSWER_MEMO_SIZE = 256
 
 
 @dataclass
@@ -215,6 +228,10 @@ class PowerService:
         self._journal: Optional[Journal] = None
         self._submissions: Dict[str, Submission] = {}
         self._inflight: Dict[str, SimTask] = {}
+        # (digest, auto, repr(error_budget)) -> (entry stamp, answer).
+        self._answers: Dict[Tuple[str, bool, str],
+                            Tuple[Tuple[int, int, int],
+                                  Dict[str, Any]]] = {}
         self._heap: List = []  # (-priority, seq, digest)
         self._seq = 0
         self._serial = 0
@@ -343,9 +360,8 @@ class PowerService:
         # the (byte-identical) unsanitized result, not the diagnostics.
         if self.cache is not None and task_key not in self._inflight \
                 and not request.sanitize:
-            hit = self.cache.get(concrete, key=digest)
-            if hit is not None:
-                payload = self._build_payload(request, digest, hit)
+            payload = self._cached_answer(request, concrete, digest)
+            if payload is not None:
                 sub.state = "done"
                 sub.cached = True
                 sub.payload = payload
@@ -365,9 +381,11 @@ class PowerService:
                 out["result"] = payload
                 return 200, out
 
-        live = sum(1 for s in self._submissions.values()
-                   if s.tenant == tenant
-                   and s.state in ("queued", "running"))
+        # Live submissions are those attached to in-flight tasks:
+        # bounded by the queue and the slots, however many answered
+        # submissions ``_submissions`` keeps.
+        live = sum(1 for task in self._inflight.values()
+                   for s in task.submissions if s.tenant == tenant)
         if live >= self.tenant_quota:
             self.stats.quota_rejections += 1
             return 429, {
@@ -407,6 +425,36 @@ class PowerService:
                                         priority, request.to_dict())
         self._schedule()
         return 202, sub.describe()
+
+    def _cached_answer(self, request: SimRequest, concrete: SimRequest,
+                       digest: str) -> Optional[Dict[str, Any]]:
+        """The answer to ``request`` from the cache entry at ``digest``,
+        or None on a miss.
+
+        An untraced answer comes from the memo while the entry keeps
+        the stamp it had when the answer was built (stamped before the
+        read, so a write racing the read only costs a rebuild).
+        """
+        if request.trace_interval is not None:
+            hit = self.cache.get(concrete, key=digest)
+            return None if hit is None \
+                else self._build_payload(request, digest, hit)
+        # repr keeps budgets 0.0 and -0.0 apart, as their echoes are.
+        key = (digest, request.backend == "auto",
+               repr(request.error_budget))
+        stamp = self.cache.stamp(digest)
+        memo = self._answers.get(key)
+        if memo is not None and memo[0] == stamp:
+            return memo[1]
+        hit = self.cache.get(concrete, key=digest)
+        if hit is None:
+            return None
+        payload = self._build_payload(request, digest, hit)
+        if stamp is not None:
+            if len(self._answers) >= ANSWER_MEMO_SIZE:
+                self._answers.clear()
+            self._answers[key] = (stamp, payload)
+        return payload
 
     # -- queries --------------------------------------------------------------
 

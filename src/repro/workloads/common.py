@@ -9,7 +9,8 @@ shared-memory usage -- which is what determines per-component activity.
 
 Each benchmark is built once per process and its launches are shared
 by every caller (:func:`build_benchmark`, :func:`all_kernel_launches`,
-label resolution in :meth:`repro.request.SimRequest.resolve_launch`).
+:func:`kernel_launch`, which label resolution in
+:meth:`repro.request.SimRequest.resolve_launch` goes through).
 A shared launch is read-only: its ``globals_init`` arrays and
 ``const_init`` refuse writes, and the simulator copies them into a
 fresh memory image for every run
@@ -20,7 +21,7 @@ change a launch, build a new one with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -49,6 +50,8 @@ _REGISTRY: Dict[str, Callable[[], List[KernelLaunch]]] = {}
 _INFO: Dict[str, BenchmarkInfo] = {}
 #: Benchmark name -> its launches, built on first use (see module doc).
 _BUILT: Dict[str, List[KernelLaunch]] = {}
+#: Fig. 6 label -> its shared launch, built on first use.
+_BY_LABEL: Optional[Dict[str, KernelLaunch]] = None
 
 
 def register(info: BenchmarkInfo):
@@ -94,6 +97,23 @@ def all_kernel_launches() -> Dict[str, KernelLaunch]:
     _ensure_loaded()
     return {launch.kernel.name: launch
             for name in _REGISTRY for launch in _shared(name)}
+
+
+def kernel_launch(label: str) -> KernelLaunch:
+    """The shared, read-only launch of one Fig. 6 kernel label.
+
+    Looked up in a table built once per process (``KeyError`` for an
+    unknown label).  Threads racing the first call may each build the
+    table; every copy holds the same launch objects.
+    """
+    global _BY_LABEL
+    table = _BY_LABEL
+    if table is None:
+        table = _BY_LABEL = all_kernel_launches()
+    launch = table.get(label)
+    if launch is None:
+        raise KeyError(f"unknown workload kernel {label!r}")
+    return launch
 
 
 def _shared(name: str) -> List[KernelLaunch]:

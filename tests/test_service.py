@@ -99,6 +99,19 @@ def broken_request():
     return SimRequest(config=gt240(), launch=launch, kernel="broken")
 
 
+def serve(body, **service_kwargs):
+    """Run ``await body(service)`` against an in-process
+    :class:`PowerService` on a new event loop; returns its result."""
+    async def main():
+        service = PowerService(**service_kwargs)
+        try:
+            return await body(service)
+        finally:
+            service.close()
+
+    return asyncio.run(main())
+
+
 class TestEndpoints:
     def test_healthz(self, daemon_factory):
         harness = daemon_factory()
@@ -317,6 +330,58 @@ class TestAdmissionControl:
         accepted = other.submit(tiny_request(trace_interval=64.0))
         assert "submission" in accepted
 
+    def test_quota_counts_live_submissions_only(self, tmp_path):
+        """Deduplicated submissions count against the quota, cache hits
+        do not, and a finished task's submissions stop counting."""
+        from repro.runner import ResultCache, run_jobs
+        cache = ResultCache(tmp_path / "cache")
+        cached = tiny_request(max_cycles=1e6)
+        run_jobs([cached], n_jobs=1, cache=cache)
+        first, second, third = (tiny_request(max_cycles=2e6 + i)
+                                for i in range(3))
+
+        def submit(service, request):
+            return service.submit({"request": request.to_dict()})[0]
+
+        async def body(service):
+            service.pause()
+            status, accepted = service.submit({"request": first.to_dict()})
+            assert status == 202
+            assert submit(service, first) == 202  # deduplicated: counts
+            assert submit(service, second) == 429
+            assert [submit(service, cached) for _ in range(3)] == \
+                [200] * 3
+            assert submit(service, second) == 429
+            service.resume()
+            assert await service.wait(accepted["submission"], timeout=120)
+            service.pause()
+            # The finished task's two submissions no longer count.
+            assert submit(service, second) == 202
+            assert submit(service, third) == 202
+            assert submit(service, tiny_request(max_cycles=3e6)) == 429
+
+        serve(body, cache=cache, max_parallel=1, tenant_quota=2)
+
+    def test_a_failed_task_releases_its_quota(self):
+        first, second = (tiny_request(max_cycles=2e6 + i)
+                         for i in range(2))
+
+        def fail(tasks, loop):
+            raise RuntimeError("injected")
+
+        async def body(service):
+            service._execute_batch = fail
+            status, accepted = service.submit(
+                {"request": first.to_dict()})
+            assert status == 202
+            assert await service.wait(accepted["submission"], timeout=60)
+            assert service.submission(
+                accepted["submission"]).state == "failed"
+            status, _ = service.submit({"request": second.to_dict()})
+            assert status == 202
+
+        serve(body, cache=None, tenant_quota=1)
+
     def test_queue_limit_503(self, daemon_factory):
         harness = daemon_factory(queue_limit=1, tenant_quota=8)
         harness.client.pause()
@@ -458,6 +523,170 @@ class TestResolveOnce:
         assert (hit["summary"], hit["simulation"]) == \
             (miss["summary"], miss["simulation"])
         assert counts == {"walks": 1, "promises": walk, "signatures": 1}
+
+
+class TestAnswerMemo:
+    """A repeated cache hit answers from the service's memo while the
+    entry file keeps its stamp."""
+
+    #: GT240 ``vectorAdd`` under a 10% budget: the surrogate answers.
+    AUTO = SimRequest(config=gt240(), kernel="vectorAdd", backend="auto",
+                      error_budget=0.10)
+
+    @staticmethod
+    def _hits(cache, requests, **service_kwargs):
+        """Submit each request in turn to one service; every answer
+        must be a cache hit.  Returns the answers and the service."""
+        async def body(service):
+            answers = []
+            for request in requests:
+                status, out = service.submit(
+                    {"request": request.to_dict()})
+                assert status == 200, out
+                answers.append(out)
+            return answers, service
+
+        return serve(body, cache=cache, **service_kwargs)
+
+    @staticmethod
+    def _blob(answer):
+        answer = dict(answer)
+        del answer["submission"]
+        return json.dumps(answer)
+
+    @AUTO_REQUESTS
+    def test_repeats_are_byte_equal_to_the_first_hit(self, tmp_path,
+                                                     request_):
+        from repro.runner import ResultCache, run_jobs
+        cache = ResultCache(tmp_path / "cache")
+        plain = SimRequest(config=request_.config, kernel=request_.kernel)
+        run_jobs([request_, plain], n_jobs=1, cache=cache)
+        for request in (request_, plain):
+            answers, _ = self._hits(cache, [request] * 3)
+            fresh, _ = self._hits(cache, [request])
+            blobs = {self._blob(a) for a in answers + fresh}
+            assert len(blobs) == 1
+
+    def test_two_hits_share_one_payload(self, tmp_path):
+        from repro.runner import ResultCache, run_jobs
+        cache = ResultCache(tmp_path / "cache")
+        run_jobs([self.AUTO], n_jobs=1, cache=cache)
+        (first, second), service = self._hits(cache, [self.AUTO] * 2)
+        assert first["result"] is second["result"]
+        assert service.submission(first["submission"]).payload is \
+            service.submission(second["submission"]).payload
+
+    def test_a_memo_hit_reads_and_evaluates_nothing(self, tmp_path):
+        import sys
+
+        from repro.power.chip import Chip
+        from repro.runner import ResultCache, run_jobs
+        cache = ResultCache(tmp_path / "cache")
+        run_jobs([self.AUTO], n_jobs=1, cache=cache)
+        evaluate = Chip.evaluate.__code__
+        body = {"request": self.AUTO.to_dict()}
+
+        def counted(service):
+            counts = {"open": 0, "evaluate": 0}
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code is evaluate:
+                    counts["evaluate"] += 1
+                elif event == "c_call" and arg is open:
+                    counts["open"] += 1
+
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                status, _ = service.submit(body)
+            finally:
+                sys.setprofile(previous)
+            assert status == 200
+            return counts
+
+        async def run(service):
+            return counted(service), counted(service)
+
+        first, repeat = serve(run, cache=cache)
+        assert first["open"] >= 1 and first["evaluate"] >= 1
+        assert repeat == {"open": 0, "evaluate": 0}
+
+    def test_a_cleared_cache_misses(self, tmp_path):
+        from repro.runner import ResultCache, run_jobs
+        cache = ResultCache(tmp_path / "cache")
+        run_jobs([self.AUTO], n_jobs=1, cache=cache)
+        body = {"request": self.AUTO.to_dict()}
+
+        async def run(service):
+            assert service.submit(body)[0] == 200
+            assert service.submit(body)[0] == 200
+            cache.clear()
+            status, accepted = service.submit(body)
+            assert await service.wait(accepted["submission"], timeout=120)
+            return status, service.result(accepted["submission"])[1]
+
+        status, answer = serve(run, cache=cache, max_parallel=1)
+        assert status == 202
+        assert answer["cached"] is False
+
+    def test_a_backfilled_entry_answers_its_achieved_error(self,
+                                                           tmp_path):
+        from repro.runner import ResultCache, run_jobs
+        cache = ResultCache(tmp_path / "cache")
+        run_jobs([self.AUTO], n_jobs=1, cache=cache)
+        body = {"request": self.AUTO.to_dict()}
+        exact = SimRequest(config=gt240(), kernel="vectorAdd")
+
+        async def run(service):
+            before = [service.submit(body)[1]["result"] for _ in range(2)]
+            # The exact run grades the surrogate entry in place.
+            run_jobs([exact], n_jobs=1, cache=cache)
+            return before, service.submit(body)[1]["result"]
+
+        before, after = serve(run, cache=cache)
+        assert before[0]["backend"] == "surrogate"
+        assert all("achieved_error" not in b for b in before)
+        assert after["achieved_error"] > 0
+        assert after["summary"] == before[0]["summary"]
+
+    def test_echoed_fields_key_the_memo(self, tmp_path):
+        """Requests of one digest that echo different budgets (or none)
+        get their own answers."""
+        from dataclasses import replace
+
+        from repro.runner import ResultCache, run_jobs
+        cache = ResultCache(tmp_path / "cache")
+        run_jobs([self.AUTO], n_jobs=1, cache=cache)
+        requests = [self.AUTO, replace(self.AUTO, error_budget=0.5),
+                    replace(self.AUTO, backend="surrogate",
+                            error_budget=None), self.AUTO]
+        answers, _ = self._hits(cache, requests)
+        assert len({a["digest"] for a in answers}) == 1
+        assert [a["result"].get("error_budget") for a in answers] == \
+            [0.10, 0.5, None, 0.10]
+
+    def test_the_memo_is_bounded(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from repro.runner import ResultCache, run_jobs
+        from repro.service import core
+        monkeypatch.setattr(core, "ANSWER_MEMO_SIZE", 2)
+        cache = ResultCache(tmp_path / "cache")
+        run_jobs([self.AUTO], n_jobs=1, cache=cache)
+        budgets = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+        async def run(service):
+            sizes = []
+            for budget in budgets:
+                request = replace(self.AUTO, error_budget=budget)
+                assert service.submit(
+                    {"request": request.to_dict()})[0] == 200
+                sizes.append(len(service._answers))
+            return sizes
+
+        sizes = serve(run, cache=cache)
+        assert max(sizes) == 2
+        assert sizes == [1, 2, 1, 2, 1]
 
 
 class TestStreaming:
